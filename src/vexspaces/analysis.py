@@ -400,8 +400,8 @@ def peetre_maximal(F, a):
             w = 1.0 / (1.0 + (2.0**j * dist) ** a)
             out.append(GridFunction(grid, np.max(av[None, :] * w[idx], axis=1)))
         return FunctionSequence(out)
-    shifts = [(s0, s1) for s0 in range(n) for s1 in range(n) if (s0, s1) != (0, 0)]
-    shift_dist = np.array([grid.shift_distance(s) for s in shifts])
+    shifts, shift_dist = zip(*grid.shifts())
+    shift_dist = np.array(shift_dist)
     order = np.argsort(shift_dist)
     for j, f in enumerate(F):
         av = np.abs(f.samples)

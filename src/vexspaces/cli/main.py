@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .. import spaces
-from ..analysis import MultiplierSymbol, apply_multiplier, lift
+from ..analysis import MultiplierSymbol
 from ..grid import GridFunction
 from ..lebesgue import norm as lebesgue_norm
 from .config import (
@@ -125,6 +125,14 @@ def _report_lines(rep, extra=()):
     return lines
 
 
+def _rows(pairs):
+    """CSV rows (index, den, num, num/den) from (num, den) pairs."""
+    return [
+        (str(i), _fmt(den), _fmt(num), _fmt(num / den if den > 0 else np.nan))
+        for i, (num, den) in enumerate(pairs)
+    ]
+
+
 def cmd_compare_pairs(cfg):
     for name in (cfg.system, cfg.system_b):
         if name not in ("plateau", "hann"):
@@ -136,14 +144,9 @@ def cmd_compare_pairs(cfg):
     spec_b = dataclasses.replace(
         spec_a, system=build_system(grid, spec_a.J, cfg.system_b)
     )
-    corpus = _corpus(cfg)
-    rep = spaces.pair_independence_check(corpus, spec_a, spec_b)
-    rows = []
-    for i, f in enumerate(corpus(grid)):
-        na = spaces.quasi_norm(f, spec_a)
-        nb = spaces.quasi_norm(f, spec_b)
-        ratio = nb / na if na > 0 else np.nan
-        rows.append((str(i), _fmt(na), _fmt(nb), _fmt(ratio)))
+    rep = spaces.pair_independence_check(_corpus(cfg), spec_a, spec_b)
+    # ratios.csv holds norm_b/norm_a, the inverse of the report band norm_a/norm_b
+    rows = _rows((nb, na) for na, nb in rep.pairs)
     _write_csv(cfg.out, "ratios.csv", "index,norm_a,norm_b,ratio", rows)
     extra = [f"system_a = {cfg.system}", f"system_b = {cfg.system_b}"]
     _emit(cfg.out, "report.txt", _report_lines(rep, extra))
@@ -153,15 +156,8 @@ def cmd_compare_pairs(cfg):
 def cmd_lift_check(cfg):
     grid = build_grid(cfg)
     spec = build_spec(cfg, grid)
-    corpus = _corpus(cfg)
-    rep = spaces.lifting_check(corpus, spec, cfg.sigma)
-    target = dataclasses.replace(spec, w=spec.w.shifted(-cfg.sigma))
-    rows = []
-    for i, f in enumerate(corpus(grid)):
-        n0 = spaces.quasi_norm(f, spec)
-        n1 = spaces.quasi_norm(lift(f, cfg.sigma), target)
-        rows.append((str(i), _fmt(n0), _fmt(n1), _fmt(n1 / n0 if n0 > 0 else np.nan)))
-    _write_csv(cfg.out, "ratios.csv", "index,norm_source,norm_lifted,ratio", rows)
+    rep = spaces.lifting_check(_corpus(cfg), spec, cfg.sigma)
+    _write_csv(cfg.out, "ratios.csv", "index,norm_source,norm_lifted,ratio", _rows(rep.pairs))
     _emit(cfg.out, "report.txt", _report_lines(rep, [f"sigma = {_fmt(cfg.sigma)}"]))
     return 0 if rep.passes else 1
 
@@ -172,17 +168,10 @@ def cmd_multiplier_check(cfg):
     grid = build_grid(cfg)
     spec = build_spec(cfg, grid)
     m = MultiplierSymbol(symbol_text(cfg.symbol, cfg.dim), dim=cfg.dim)
-    corpus = _corpus(cfg)
     rep = spaces.multiplier_bound_checks(
-        corpus, spec, m, cfg.mode, order=cfg.order
+        _corpus(cfg), spec, m, cfg.mode, order=cfg.order
     )
-    mask = m.sample(grid)
-    rows = []
-    for i, f in enumerate(corpus(grid)):
-        n0 = spaces.quasi_norm(f, spec)
-        n1 = spaces.quasi_norm(apply_multiplier(f, mask), spec)
-        rows.append((str(i), _fmt(n0), _fmt(n1), _fmt(n1 / n0 if n0 > 0 else np.nan)))
-    _write_csv(cfg.out, "ratios.csv", "index,norm,norm_multiplied,ratio", rows)
+    _write_csv(cfg.out, "ratios.csv", "index,norm,norm_multiplied,ratio", _rows(rep.pairs))
     extra = [
         f"symbol = {cfg.symbol}",
         f"mode = {rep.mode}",

@@ -151,23 +151,9 @@ class LogHolderReport:
     c_log_global: float
 
 
-def _iter_shifts(grid):
-    """All nonzero lattice shifts with their torus displacement lengths."""
-    n = grid.n
-    if grid.dim == 1:
-        for s in range(1, n):
-            yield (s,), grid.shift_distance((s,))
-    else:
-        for s0 in range(n):
-            for s1 in range(n):
-                if s0 == 0 and s1 == 0:
-                    continue
-                yield (s0, s1), grid.shift_distance((s0, s1))
-
-
 def _max_abs_diff_per_shift(values, grid):
     """Yield (distance, max_x |g(x) - g(x - shift)|) over all nonzero shifts."""
-    for shift, dist in _iter_shifts(grid):
+    for shift, dist in grid.shifts():
         rolled = np.roll(values, shift, axis=tuple(range(grid.dim)))
         yield dist, float(np.max(np.abs(values - rolled)))
 

@@ -134,6 +134,22 @@ class Grid:
         d1 = self.wrap_deltas(shift[1] * self.h)
         return float(np.sqrt(d0 * d0 + d1 * d1))
 
+    def shifts(self):
+        """Yield (shift, shift_distance) for every nonzero lattice shift.
+
+        In 2D the first component is the outer loop; scans that keep the
+        first of equal candidates rely on this order.
+        """
+        n = self.n
+        if self.dim == 1:
+            for s in range(1, n):
+                yield (s,), self.shift_distance((s,))
+            return
+        for s0 in range(n):
+            for s1 in range(n):
+                if s0 or s1:
+                    yield (s0, s1), self.shift_distance((s0, s1))
+
     def sample(self, fn):
         """GridFunction from a callable of the coordinate arrays."""
         return GridFunction(self, fn(*self.coords))

@@ -25,6 +25,8 @@ __all__ = [
     "holder_pairing",
     "characteristic_norm_check",
     "CubeNormReport",
+    "upper_bracket",
+    "luxemburg_root",
 ]
 
 # Tighter than the documented 1e-10 so downstream identities hold with margin.
@@ -60,16 +62,23 @@ def modular(f, p):
     return ModularResult(value=value, infinity_region_violated=violated)
 
 
-def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
-    """inf{lam : h^dim sum (a/lam)^pv <= 1} for finite exponents pv, a != 0."""
+def upper_bracket(ok, start, grow, max_iter):
+    """First start * grow^k (k < max_iter) at which ok holds, or None."""
+    lam = start
+    for _ in range(max_iter):
+        if ok(lam):
+            return lam
+        lam *= grow
+    return None
 
-    def ok(lam):
-        with np.errstate(over="ignore"):
-            return cell_volume * np.sum((a / lam) ** pv) <= 1.0
 
-    # On a measure-1 domain the modular at lam = max|f| is <= 1 already, so
-    # max|f| is a valid upper bracket; halve until the predicate flips.
-    hi = float(a.max())
+def luxemburg_root(ok, hi, rel_tol, max_iter):
+    """inf{lam > 0 : ok(lam)} for a predicate ok that is monotone in lam.
+
+    hi must satisfy ok.  It is halved until ok fails (0.0 if the halving
+    reaches zero first), then the bracket is bisected until it is within
+    rel_tol of hi; the returned hi always satisfies ok.
+    """
     lo = hi / 2.0
     for _ in range(max_iter):
         if lo == 0.0:
@@ -87,6 +96,18 @@ def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
         else:
             lo = mid
     return hi
+
+
+def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
+    """inf{lam : h^dim sum (a/lam)^pv <= 1} for finite exponents pv, a != 0."""
+
+    def ok(lam):
+        with np.errstate(over="ignore"):
+            return cell_volume * np.sum((a / lam) ** pv) <= 1.0
+
+    # On a measure-1 domain the modular at lam = max|f| is <= 1 already, so
+    # max|f| is a valid upper bracket.
+    return luxemburg_root(ok, float(a.max()), rel_tol, max_iter)
 
 
 def norm(f, p, rel_tol=REL_TOL, max_iter=MAX_ITER):

@@ -24,7 +24,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .exponents import log_holder_estimate, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
-from .lebesgue import MAX_ITER, REL_TOL, norm as lebesgue_norm
+from .lebesgue import MAX_ITER, REL_TOL, luxemburg_root, norm as lebesgue_norm, upper_bracket
 
 __all__ = [
     "pointwise_lq",
@@ -99,30 +99,8 @@ def _level_infimum(abs_samples, p, q, cell_volume, rel_tol, max_iter):
             return False
         return cell_volume * np.sum(scaled[p_fin] ** pv[p_fin]) <= 1.0
 
-    hi = 1.0
-    for _ in range(max_iter):
-        if ok(hi):
-            break
-        hi *= 4.0
-    else:
-        return np.inf
-    lo = hi / 2.0
-    for _ in range(max_iter):
-        if lo == 0.0:
-            return 0.0
-        if not ok(lo):
-            break
-        hi = lo
-        lo = hi / 2.0
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = upper_bracket(ok, 1.0, 4.0, max_iter)
+    return np.inf if hi is None else luxemburg_root(ok, hi, rel_tol, max_iter)
 
 
 def lq_lp_modular(F, p, q, force_general=False, rel_tol=REL_TOL, max_iter=MAX_ITER):
@@ -161,30 +139,10 @@ def lq_lp_norm(F, p, q, rel_tol=REL_TOL, max_iter=MAX_ITER):
     def ok(mu):
         return lq_lp_modular(F.scaled(1.0 / mu), p, q, rel_tol=rel_tol, max_iter=max_iter) <= 1.0
 
-    hi = peak
-    for _ in range(max_iter):
-        if ok(hi):
-            break
-        hi *= 2.0
-    else:
+    hi = upper_bracket(ok, peak, 2.0, max_iter)
+    if hi is None:
         raise ArithmeticError("failed to bracket the mixed norm from above")
-    lo = hi / 2.0
-    for _ in range(max_iter):
-        if lo == 0.0:
-            return 0.0
-        if not ok(lo):
-            break
-        hi = lo
-        lo = hi / 2.0
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return luxemburg_root(ok, hi, rel_tol, max_iter)
 
 
 def iterated_constant_q_norm(F, p, q_const, rel_tol=REL_TOL, max_iter=MAX_ITER):

@@ -331,6 +331,7 @@ class EquivalenceReport:
     ratio_max: float
     corpus_size: int
     refinement_drift: float
+    pairs: tuple = ()  # base-grid (num, den) per corpus member, in corpus order
 
     def __post_init__(self):
         if self.ratio_min > self.ratio_max:
@@ -358,11 +359,14 @@ def _band(pairs):
 
 def _equivalence_report(corpus, grid, make_pair_fn):
     """Band of num/den over corpus(grid), drift measured against 2N."""
-    lo, hi, count = _band([make_pair_fn(grid)(f) for f in corpus(grid)])
+    pair = make_pair_fn(grid)
+    pairs = tuple(pair(f) for f in corpus(grid))
+    lo, hi, count = _band(pairs)
     fine = Grid(grid.dim, 2 * grid.n)
-    lo2, hi2, _ = _band([make_pair_fn(fine)(f) for f in corpus(fine)])
+    pair = make_pair_fn(fine)
+    lo2, hi2, _ = _band([pair(f) for f in corpus(fine)])
     drift = abs(np.log(hi / lo) - np.log(hi2 / lo2))
-    return EquivalenceReport(float(lo), float(hi), count, float(drift))
+    return EquivalenceReport(float(lo), float(hi), count, float(drift), pairs)
 
 
 def _on(spec, grid):
@@ -645,6 +649,7 @@ class MultiplierReport:
     ratio_max: float
     corpus_size: int
     refinement_drift: float
+    pairs: tuple  # base-grid (||T_m f||, ||f||) per corpus member, in corpus order
 
     @property
     def passes(self):
@@ -658,16 +663,10 @@ class MultiplierReport:
 def multiplier_order_threshold(spec, mode, clog_override=None):
     """Bound that 2l (mode "norm_2l") or kappa (mode "h2kappa") must exceed."""
     n = spec.grid.dim
-    alpha = spec.w.declared_alpha
-    if spec.scale == "B":
-        clog = _clog_inv(spec.q) if clog_override is None else float(clog_override)
-        base = alpha + n / spec.p.p_minus + clog
-    else:
-        base = alpha + n / min(spec.p.p_minus, spec.q.p_minus)
     if mode == "norm_2l":
-        return base + n
+        return maximal_threshold(spec, clog_override) + n
     if mode == "h2kappa":
-        return base + n / 2.0
+        return maximal_threshold(spec, clog_override) + n / 2.0
     raise ValueError("mode must be 'norm_2l' or 'h2kappa'")
 
 
@@ -708,6 +707,7 @@ def multiplier_bound_checks(corpus, spec, m, mode, order=None, clog_override=Non
         rep.ratio_max,
         rep.corpus_size,
         rep.refinement_drift,
+        rep.pairs,
     )
 
 

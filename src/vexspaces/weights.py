@@ -124,24 +124,16 @@ class AdmissibilityReport:
 
 def _spatial_pairs(grid):
     """Yield (shift, distance) pairs covering the scan budget."""
-    n = grid.n
     if grid.num_points <= _EXHAUSTIVE_POINT_LIMIT:
-        if grid.dim == 1:
-            for s in range(1, n):
-                yield (s,), grid.shift_distance((s,)), True
-        else:
-            for s0 in range(n):
-                for s1 in range(n):
-                    if s0 or s1:
-                        yield (s0, s1), grid.shift_distance((s0, s1)), True
+        yield from grid.shifts()
         return
     rng = np.random.default_rng(_SAMPLE_SEED)
     shifts = max(1, _SAMPLED_PAIRS // grid.num_points)
     for _ in range(shifts):
-        s = tuple(int(v) for v in rng.integers(0, n, size=grid.dim))
+        s = tuple(int(v) for v in rng.integers(0, grid.n, size=grid.dim))
         if all(v == 0 for v in s):
             continue
-        yield s, grid.shift_distance(s), False
+        yield s, grid.shift_distance(s)
 
 
 def verify_admissible(w):
@@ -183,7 +175,7 @@ def verify_admissible(w):
     exhaustive = grid.num_points <= _EXHAUSTIVE_POINT_LIMIT
     for j, wj in enumerate(w.levels):
         scale = 2.0**j
-        for shift, dist, _ in _spatial_pairs(grid):
+        for shift, dist in _spatial_pairs(grid):
             rolled = np.roll(wj, shift, axis=axis)
             worst = float(np.max(wj / rolled))
             growth = (1.0 + scale * dist) ** w.declared_alpha
@@ -272,7 +264,7 @@ def make_variable_smoothness(grid, J, s):
     axis = tuple(range(grid.dim))
     for j, wj in enumerate(levels):
         scale = 2.0**j
-        for shift, dist, _ in _spatial_pairs(grid):
+        for shift, dist in _spatial_pairs(grid):
             worst = float(np.max(wj / np.roll(wj, shift, axis=axis)))
             c = max(c, worst / (1.0 + scale * dist) ** alpha)
     return WeightSequence(
@@ -333,7 +325,7 @@ def make_weighted(grid, J, rho, s, beta, c=None):
     measured = 1.0
     witness = None
     axis = tuple(range(grid.dim))
-    for shift, dist, _ in _spatial_pairs(grid):
+    for shift, dist in _spatial_pairs(grid):
         growth = (1.0 + dist * dist) ** (beta / 2.0)
         ratio = rho_vals / np.roll(rho_vals, shift, axis=axis)
         worst = float(np.max(ratio))

@@ -197,8 +197,7 @@ def test_compare_pairs_identical_profiles(tmp_path, capsys):
          "--corpus-size", "4", "--out", str(out_dir)]
     )
     assert rc == 0
-    rows = (out_dir / "cp" / "ratios.csv").read_text().splitlines() \
-        if (out_dir / "cp").exists() else (out_dir / "ratios.csv").read_text().splitlines()
+    rows = (out_dir / "ratios.csv").read_text().splitlines()
     assert rows[0] == "index,norm_a,norm_b,ratio"
     for row in rows[1:]:
         assert float(row.split(",")[3]) == 1.0
@@ -224,6 +223,20 @@ def test_cli_determinism(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "ratios.csv").read_bytes() == (out_b / "ratios.csv").read_bytes()
     assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
+
+
+def test_lift_check_band_matches_csv(tmp_path):
+    out_dir = tmp_path / "lc"
+    assert main(["lift-check", "--corpus-size", "4", "--out", str(out_dir)]) == 0
+    rows = (out_dir / "ratios.csv").read_text().splitlines()[1:]
+    ratios = [float(row.split(",")[3]) for row in rows]
+    assert len(ratios) == 4
+    report = dict(
+        line.split(" = ", 1)
+        for line in (out_dir / "report.txt").read_text().splitlines()
+    )
+    assert float(report["ratio_min"]) == min(ratios)
+    assert float(report["ratio_max"]) == max(ratios)
 
 
 def test_multiplier_check_reports_threshold(tmp_path):

@@ -12,6 +12,7 @@ from vexspaces import (
     holder_pairing,
     characteristic_norm_check,
 )
+from vexspaces.lebesgue import luxemburg_root, upper_bracket
 from conftest import random_band_limited
 
 # Adaptive-quadrature oracle for integral_0^1 x^(1+x) dx, frozen; a live
@@ -220,3 +221,15 @@ def test_unit_ball_property_hypothesis(scale):
     p = VariableExponent.from_function(g, lambda x: 1.0 + 2.0 * x)
     lam = norm(f, p)
     assert 1.0 - 1e-8 <= modular(f * (1.0 / lam), p).value <= 1.0
+
+
+def test_root_solver_contract():
+    c, rel_tol = 0.3, 1e-12
+    step = lambda lam: lam >= c
+    root = luxemburg_root(step, 5.0, rel_tol, 200)
+    assert step(root)
+    assert root - c <= rel_tol * root
+    # a predicate that never fails: the halving runs down to 0.0
+    assert luxemburg_root(lambda lam: True, 1e-300, rel_tol, 200) == 0.0
+    assert upper_bracket(lambda lam: lam >= 5.0, 1.0, 2.0, 10) == 8.0
+    assert upper_bracket(lambda lam: False, 1.0, 2.0, 10) is None

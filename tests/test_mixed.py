@@ -316,3 +316,12 @@ def test_mixed_norms_2d_smoke(grid2d):
     direct = lq_lp_norm(F, p, q)
     assert direct == pytest.approx(iterated_constant_q_norm(F, p, 2.0), rel=1e-9)
     assert lp_lq_norm(F, p, q) > 0.0
+
+
+def test_lq_lp_norm_bracket_failure_raises():
+    g = Grid(1, 16)
+    F = FunctionSequence([GridFunction(g, np.ones(g.shape)) for _ in range(8)])
+    two = VariableExponent.constant(g, 2.0)
+    # the modular of F/mu is 8/mu^2: mu = 1 and mu = 2 both fail
+    with pytest.raises(ArithmeticError, match="bracket"):
+        lq_lp_norm(F, two, two, max_iter=2)

@@ -201,6 +201,13 @@ def test_maximal_threshold_values(grid64, setup):
     assert maximal_threshold(spec_b, clog_override=3.0) == pytest.approx(
         w.declared_alpha + 1.0 / pv.p_minus + 3.0, rel=1e-12
     )
+    # the multiplier orders sit n and n/2 above the same base (n = 1 here)
+    assert multiplier_order_threshold(spec_b, "norm_2l", clog_override=3.0) == pytest.approx(
+        w.declared_alpha + 1.0 / pv.p_minus + 3.0 + 1.0, rel=1e-12
+    )
+    assert multiplier_order_threshold(spec_f, "h2kappa") == pytest.approx(
+        w.declared_alpha + 1.0 / min(pv.p_minus, qv.p_minus) + 0.5, rel=1e-12
+    )
 
 
 def test_maximal_rejects_small_a(grid64, setup):
