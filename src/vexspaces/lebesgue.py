@@ -7,10 +7,12 @@ The modular is rho(f) = sum_cells h^dim * phi_{p(x)}(|f(x)|) with
 
 and the quasi-norm is the Luxemburg functional inf{lam > 0 : rho(f/lam) <= 1}.
 Because the p = inf region contributes 0 or inf only, the norm splits exactly
-into max(ess-sup over the inf region, bisected finite part); the bisection is
-monotone so bracketing never fails.
+into max(ess-sup over the inf region, finite part); the finite part's
+modular is finite and decreasing in lam, so its root solve (luxemburg_root)
+never fails to bracket.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,59 +64,90 @@ def modular(f, p):
     return ModularResult(value=value, infinity_region_violated=violated)
 
 
-def upper_bracket(ok, start, grow, max_iter):
-    """First start * grow^k (k < max_iter) at which ok holds, or None."""
+def upper_bracket(value, start, grow, max_iter):
+    """First start * grow^k (k < max_iter) at which value <= 1, or None."""
     lam = start
     for _ in range(max_iter):
-        if ok(lam):
+        if value(lam) <= 1.0:
             return lam
         lam *= grow
     return None
 
 
-def luxemburg_root(ok, hi, rel_tol, max_iter):
-    """inf{lam > 0 : ok(lam)} for a predicate ok that is monotone in lam.
+def luxemburg_root(value, hi, rel_tol, max_iter):
+    """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
 
-    hi must satisfy ok.  It is halved until ok fails (0.0 if the halving
-    reaches zero first), then the bracket is bisected until it is within
-    rel_tol of hi; the returned hi always satisfies ok.
+    hi must satisfy value(hi) <= 1.  It is halved until value exceeds 1 (0.0
+    if the halving reaches zero first), then the bracket is narrowed until it
+    is within rel_tol of hi; the returned hi always has value <= 1.
+
+    A modular is a sum of powers of lam, so log value is convex in log lam,
+    and linear when the exponent is constant.  Each step therefore takes the
+    secant on (log lam, log value) through the two latest evaluations, which
+    lands on the root at once in the linear case and converges superlinearly
+    otherwise.  The midpoint replaces it where it is undefined (a value of 0
+    or inf, or log value not decreasing) and where the bracket has not halved
+    over the last three steps, so the bracket halves at least every fourth
+    step.  (The first secant steps after the halving move only hi, so a
+    two-step window would cut short a secant that is converging.)  Every
+    point stays rel_tol/2 * hi inside the bracket, which closes it on the
+    step after the secant lands.  The secant aims rel_tol/4 above its root,
+    so where it is exact the returned hi has value below 1 by far more than
+    rounding: modular(f/hi) <= 1 holds however f/hi is computed.
     """
-    lo = hi / 2.0
+    lo, v_hi = hi / 2.0, None
     for _ in range(max_iter):
         if lo == 0.0:
             return 0.0
-        if not ok(lo):
+        v_lo = value(lo)
+        if v_lo > 1.0:
             break
-        hi = lo
+        hi, v_hi = lo, v_lo
         lo = hi / 2.0
+    if v_hi is None:
+        v_hi = value(hi)
+    (lam_a, v_a), (lam_b, v_b) = (hi, v_hi), (lo, v_lo)
+    widths = [np.inf] * 3  # bracket widths at the start of each step
     for _ in range(max_iter):
         if hi - lo <= rel_tol * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+        widths.append(hi - lo)
+        lam = 0.5 * (lo + hi)
+        if 0.0 < v_a < np.inf and 0.0 < v_b < np.inf and widths[-1] <= 0.5 * widths[-4]:
+            x_a, x_b = math.log(lam_a), math.log(lam_b)
+            y_a, y_b = math.log(v_a), math.log(v_b)
+            if (y_b - y_a) * (x_b - x_a) < 0.0:
+                x = x_b - y_b * (x_b - x_a) / (y_b - y_a)
+                lam = math.exp(min(max(x, math.log(lo)), math.log(hi)))
+                lam *= 1.0 + 0.25 * rel_tol
+        margin = 0.5 * rel_tol * hi
+        lam = min(max(lam, lo + margin), hi - margin)
+        v = value(lam)
+        if v <= 1.0:
+            hi = lam
         else:
-            lo = mid
+            lo = lam
+        (lam_a, v_a), (lam_b, v_b) = (lam_b, v_b), (lam, v)
     return hi
 
 
 def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
     """inf{lam : h^dim sum (a/lam)^pv <= 1} for finite exponents pv, a != 0."""
 
-    def ok(lam):
+    def value(lam):
         with np.errstate(over="ignore"):
-            return cell_volume * np.sum((a / lam) ** pv) <= 1.0
+            return cell_volume * np.sum((a / lam) ** pv)
 
     # On a measure-1 domain the modular at lam = max|f| is <= 1 already, so
     # max|f| is a valid upper bracket.
-    return luxemburg_root(ok, float(a.max()), rel_tol, max_iter)
+    return luxemburg_root(value, float(a.max()), rel_tol, max_iter)
 
 
 def norm(f, p, rel_tol=REL_TOL, max_iter=MAX_ITER):
     """Luxemburg quasi-norm of f in L_{p(.)} on the grid.
 
-    Monotone bisection on the unit-ball predicate; the returned value lam
-    satisfies modular(f/lam) <= 1 and is within rel_tol of the infimum.
+    Root solve (luxemburg_root) on the modular of f/lam; the returned value
+    lam satisfies modular(f/lam) <= 1 and is within rel_tol of the infimum.
     """
     if f.grid != p.grid:
         raise ValueError("grid mismatch between f and p")
@@ -134,7 +167,7 @@ def norm(f, p, rel_tol=REL_TOL, max_iter=MAX_ITER):
 def holder_pairing(f, g, p):
     """(lhs, rhs) of the Holder inequality ||f g||_1 <= 2 ||f||_p ||g||_p'.
 
-    Raises if the inequality fails beyond bisection noise; callers compare
+    Raises if the inequality fails beyond root-solve noise; callers compare
     the returned sides for reporting.
     """
     if p.p_minus < 1.0:

@@ -5,7 +5,7 @@ Two scales act on a finite sequence (f_0, ..., f_J):
 * L_p(l_q): the pointwise l_{q(x)} norm over levels, then the Luxemburg
   norm in L_{p(.)}.
 * l_q(L_p): modular sum_nu inf{lam_nu > 0 : rho_p(f_nu / lam_nu^(1/q(.)))
-  <= 1}, normed by an outer Luxemburg bisection.  When q^+ < inf the inner
+  <= 1}, normed by an outer Luxemburg root solve.  When q^+ < inf the inner
   infimum collapses to || |f_nu|^q ||_{p/q} (an exact identity, kept as a
   checkable dual route); where q = inf, lam^(1/inf) = 1 makes the predicate
   lambda-independent and the infimum degenerates to 0 or inf, handled by an
@@ -18,6 +18,7 @@ and convolution with periodized kernels eta_{nu,R} = 2^(n nu)
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -92,22 +93,23 @@ def _level_infimum(abs_samples, p, q, cell_volume, rel_tol, max_iter):
     if not varying.any():
         return 0.0
 
-    def ok(lam):
+    @cache  # the root phase may ask again for upper_bracket's value at hi
+    def value(lam):
         with np.errstate(over="ignore"):
             scaled = abs_samples * lam**-inv_q
         if np.any(scaled[~p_fin] > 1.0):
-            return False
-        return cell_volume * np.sum(scaled[p_fin] ** pv[p_fin]) <= 1.0
+            return np.inf
+        return cell_volume * np.sum(scaled[p_fin] ** pv[p_fin])
 
-    hi = upper_bracket(ok, 1.0, 4.0, max_iter)
-    return np.inf if hi is None else luxemburg_root(ok, hi, rel_tol, max_iter)
+    hi = upper_bracket(value, 1.0, 4.0, max_iter)
+    return np.inf if hi is None else luxemburg_root(value, hi, rel_tol, max_iter)
 
 
 def lq_lp_modular(F, p, q, force_general=False, rel_tol=REL_TOL, max_iter=MAX_ITER):
     """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
 
     With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
-    and that closed route is taken; force_general keeps the raw bisection
+    and that closed route is taken; force_general keeps the raw root solve
     on the defining infimum (used to cross-check the identity).
     """
     _check_seq(F, p, q)
@@ -136,13 +138,14 @@ def lq_lp_norm(F, p, q, rel_tol=REL_TOL, max_iter=MAX_ITER):
     if peak == 0.0:
         return 0.0
 
-    def ok(mu):
-        return lq_lp_modular(F.scaled(1.0 / mu), p, q, rel_tol=rel_tol, max_iter=max_iter) <= 1.0
+    @cache  # the root phase may ask again for upper_bracket's value at hi
+    def value(mu):
+        return lq_lp_modular(F.scaled(1.0 / mu), p, q, rel_tol=rel_tol, max_iter=max_iter)
 
-    hi = upper_bracket(ok, peak, 2.0, max_iter)
+    hi = upper_bracket(value, peak, 2.0, max_iter)
     if hi is None:
         raise ArithmeticError("failed to bracket the mixed norm from above")
-    return luxemburg_root(ok, hi, rel_tol, max_iter)
+    return luxemburg_root(value, hi, rel_tol, max_iter)
 
 
 def iterated_constant_q_norm(F, p, q_const, rel_tol=REL_TOL, max_iter=MAX_ITER):

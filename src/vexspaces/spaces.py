@@ -377,7 +377,9 @@ def pair_independence_check(corpus, spec_a, spec_b):
     """Quasi-norm ratios between two specs differing only in the system.
 
     corpus is a callable grid -> iterable of GridFunctions so the same
-    signals can be resampled for the refinement leg.
+    signals can be resampled for the refinement leg.  Because the specs must
+    share p, q and w, the refinement leg refines those once, from spec_a,
+    and takes only the system from spec_b.
     """
     if spec_a.scale != spec_b.scale or spec_a.J != spec_b.J:
         raise ValueError("specs must differ only in the analysis system")
@@ -395,7 +397,8 @@ def pair_independence_check(corpus, spec_a, spec_b):
             raise ValueError("pair independence is claimed for admissible pairs")
 
     def make(grid):
-        sa, sb = _on(spec_a, grid), _on(spec_b, grid)
+        sa = _on(spec_a, grid)
+        sb = spec_b if sa is spec_a else replace(sa, system=spec_b.system.refine(grid))
         return lambda f: (quasi_norm(f, sa), quasi_norm(f, sb))
 
     return _equivalence_report(corpus, spec_a.grid, make)

@@ -225,11 +225,28 @@ def test_unit_ball_property_hypothesis(scale):
 
 def test_root_solver_contract():
     c, rel_tol = 0.3, 1e-12
-    step = lambda lam: lam >= c
+    # a step has no secant (values 0 and 2), so every step is a midpoint
+    step = lambda lam: 0.0 if lam >= c else 2.0
     root = luxemburg_root(step, 5.0, rel_tol, 200)
-    assert step(root)
+    assert step(root) <= 1.0
     assert root - c <= rel_tol * root
-    # a predicate that never fails: the halving runs down to 0.0
-    assert luxemburg_root(lambda lam: True, 1e-300, rel_tol, 200) == 0.0
-    assert upper_bracket(lambda lam: lam >= 5.0, 1.0, 2.0, 10) == 8.0
-    assert upper_bracket(lambda lam: False, 1.0, 2.0, 10) is None
+    # a value that never exceeds 1: the halving runs down to 0.0
+    assert luxemburg_root(lambda lam: 0.0, 1e-300, rel_tol, 200) == 0.0
+    assert upper_bracket(lambda lam: 0.0 if lam >= 5.0 else 2.0, 1.0, 2.0, 10) == 8.0
+    assert upper_bracket(lambda lam: 2.0, 1.0, 2.0, 10) is None
+
+
+def test_root_solver_power_law_lands_at_once():
+    # log value is linear in log lam, so the first secant step hits the root
+    c, rel_tol = 0.3, 1e-12
+    lams = []
+
+    def value(lam):
+        lams.append(lam)
+        return (c / lam) ** 3
+
+    root = luxemburg_root(value, 1.5 * c, rel_tol, 200)
+    assert len(lams) <= 4
+    assert len(set(lams)) == len(lams)
+    assert abs(root - c) <= rel_tol * c
+    assert (c / root) ** 3 <= 1.0

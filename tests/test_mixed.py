@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexspaces import (
     FunctionSequence,
@@ -325,3 +327,19 @@ def test_lq_lp_norm_bracket_failure_raises():
     # the modular of F/mu is 8/mu^2: mu = 1 and mu = 2 both fail
     with pytest.raises(ArithmeticError, match="bracket"):
         lq_lp_norm(F, two, two, max_iter=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    amplitude=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_mixed_unit_ball_property_hypothesis(amplitude, seed):
+    g = Grid(1, 64)
+    rng = np.random.default_rng(seed)
+    F = random_sequence(g, rng, levels=3).scaled(amplitude)
+    x = g.coords[0]
+    p = VariableExponent(g, 1.5 + 0.5 * np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi)))
+    q = VariableExponent(g, 2.0 + 0.8 * np.cos(2 * np.pi * x + rng.uniform(0, 2 * np.pi)))
+    mu = lq_lp_norm(F, p, q)
+    assert 1.0 - 1e-8 <= lq_lp_modular(F.scaled(1.0 / mu), p, q) <= 1.0

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vexspaces import Grid, GridFunction, VariableExponent
+from vexspaces import Grid, GridFunction, VariableExponent, mixed
 from vexspaces.analysis import (
     MultiplierSymbol,
     admissible_system,
@@ -288,13 +290,16 @@ def test_pair_independence_identical_systems(grid64, setup):
 
 
 def test_pair_independence_two_profiles(grid64, setup):
-    sys, pv, qv, w = setup
+    sys, pv, qv, base = setup
+    refines = []
+    w = replace(base, recipe=lambda g, JJ: refines.append(g) or base.recipe(g, JJ))
     hann = admissible_system(grid64, J, "hann")
     spec_a = SpaceSpec("B", pv, qv, w, sys, J)
     spec_b = SpaceSpec("B", pv, qv, w, hann, J)
     rep = pair_independence_check(small_corpus, spec_a, spec_b)
     assert rep.passes
     assert rep.ratio_max / rep.ratio_min < 10.0
+    assert len(refines) == 1  # the shared weight is refined once for both specs
 
 
 def test_pair_independence_validation(grid64, setup):
@@ -587,3 +592,29 @@ def test_corpus_checks_2d_smoke():
     corpus = lambda g: standard_corpus(g)[20:24]
     rep = maximal_equivalence_check(corpus, spec)
     assert rep.passes and rep.ratio_min >= 1.0 - 1e-9
+
+
+def test_b_scale_root_solve_work_count(monkeypatch):
+    # one B-scale norm is one outer root solve over lq_lp_modular; the
+    # budgets catch a fall back to bisection, which needs ~45 evaluations
+    grid, J = Grid(1, 64), 5
+    x = grid.coords[0]
+    w = make_generalized(grid, J, 2.0 ** (0.5 * np.arange(J + 1)))
+    system = admissible_system(grid, J)
+    two = VariableExponent.constant(grid, 2.0)
+    p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
+    q = VariableExponent(grid, 2.0 + 0.8 * np.cos(2 * np.pi * x))
+    f = GridFunction(grid, np.cos(2.0 * np.pi * 3.0 * x))
+    scaled = []
+    real = mixed.lq_lp_modular
+
+    def counted(F, *args, **kwargs):
+        scaled.append(F.stack().tobytes())
+        return real(F, *args, **kwargs)
+
+    monkeypatch.setattr(mixed, "lq_lp_modular", counted)
+    for pv, qv, budget in ((two, two, 6), (p, q, 16)):
+        scaled.clear()
+        assert quasi_norm(f, SpaceSpec("B", pv, qv, w, system, J)) > 0.0
+        assert len(scaled) <= budget
+        assert len(set(scaled)) == len(scaled)  # no mu evaluated twice
