@@ -19,7 +19,7 @@ Systems come in four kinds:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -392,27 +392,27 @@ def peetre_maximal(F, a):
     n = grid.n
     out = []
     if grid.dim == 1:
-        offsets = np.arange(n)
-        dist = grid.wrap_deltas(offsets * grid.h)
-        idx = (offsets[:, None] - offsets[None, :]) % n
+        # rolls(w)[x, y] = w[y - x], which is w[x - y]: w[k] == w[n - k] bit
+        # for bit because h is a power of two
+        dist = grid.wrap_deltas(np.arange(n) * grid.h)
         for j, f in enumerate(F):
             av = np.abs(f.samples)
             w = 1.0 / (1.0 + (2.0**j * dist) ** a)
-            out.append(GridFunction(grid, np.max(av[None, :] * w[idx], axis=1)))
+            out.append(GridFunction(grid, np.max(av[None, :] * grid.rolls(w), axis=1)))
         return FunctionSequence(out)
-    shifts, shift_dist = zip(*grid.shifts())
-    shift_dist = np.array(shift_dist)
+    shifts = [s for s, _ in grid.shifts()]
+    shift_dist = grid.shift_distances
     order = np.argsort(shift_dist)
     for j, f in enumerate(F):
         av = np.abs(f.samples)
+        rolled = grid.rolls(av)
         peak = float(av.max())
         best = av.copy()
         for i in order:
             w = 1.0 / (1.0 + (2.0**j * shift_dist[i]) ** a)
             if peak * w <= best.min():
                 break  # farther shifts are weighted even lower
-            s0, s1 = shifts[i]
-            np.maximum(best, w * np.roll(av, (s0, s1), (0, 1)), out=best)
+            np.maximum(best, w * rolled[shifts[i]], out=best)
         out.append(GridFunction(grid, best))
     return FunctionSequence(out)
 
@@ -573,11 +573,27 @@ def schwartz_seminorm(f, N):
     return float(np.max((1.0 + grid.dist_to_origin) ** N * total))
 
 
+@cache
+def _compiled_derivative(expr, variables, gamma):
+    """D^gamma expr as a numpy function, compiled once per distinct key.
+
+    Equal symbols share the compiled function: lambdify is slow, and each
+    function it returns holds its generated source in linecache while alive.
+    """
+    import sympy as sp
+
+    for v, g in zip(variables, gamma):
+        if g:
+            expr = sp.diff(expr, v, g)
+    return sp.lambdify(variables, expr, modules="numpy")
+
+
 class MultiplierSymbol:
     """Fourier symbol with exact derivatives, backed by a symbolic expression.
 
     Accepts an expression string in xi1 (and xi2 in 2D) or a sympy
-    expression; derivative evaluation is cached per multi-index.
+    expression; each derivative is compiled once per multi-index and shared
+    by equal symbols.
     """
 
     def __init__(self, expr, dim):
@@ -592,19 +608,9 @@ class MultiplierSymbol:
             self.expr = sp.sympify(expr, locals=dict(zip(names, self.vars)))
         else:
             self.expr = sp.sympify(expr)
-        self._fns = {}
 
     def _fn(self, gamma):
-        key = tuple(int(g) for g in gamma)
-        if key not in self._fns:
-            import sympy as sp
-
-            e = self.expr
-            for v, g in zip(self.vars, key):
-                if g:
-                    e = sp.diff(e, v, g)
-            self._fns[key] = sp.lambdify(self.vars, e, modules="numpy")
-        return self._fns[key]
+        return _compiled_derivative(self.expr, self.vars, tuple(int(g) for g in gamma))
 
     def derivative(self, gamma, *points):
         if len(gamma) != self.dim or len(points) != self.dim:

@@ -151,11 +151,8 @@ class LogHolderReport:
     c_log_global: float
 
 
-def _max_abs_diff_per_shift(values, grid):
-    """Yield (distance, max_x |g(x) - g(x - shift)|) over all nonzero shifts."""
-    for shift, dist in grid.shifts():
-        rolled = np.roll(values, shift, axis=tuple(range(grid.dim)))
-        yield dist, float(np.max(np.abs(values - rolled)))
+def _abs_diff(a, b, out):
+    return np.abs(np.subtract(a, b, out=out), out=out)
 
 
 def log_holder_estimate(g):
@@ -171,9 +168,8 @@ def log_holder_estimate(g):
         values = np.real(g.samples)
     else:
         raise TypeError("log_holder_estimate expects a GridFunction")
-    c_local = 0.0
-    for dist, diff in _max_abs_diff_per_shift(values, grid):
-        c_local = max(c_local, diff * np.log(np.e + 1.0 / dist))
+    diffs = grid.shift_maxima(values, _abs_diff)
+    c_local = max(0.0, np.max(diffs * np.log(np.e + 1.0 / grid.shift_distances)))
     g_inf = float(values.mean())
     weight = np.log(np.e + grid.dist_to_origin)
     c_global = float(np.max(np.abs(values - g_inf) * weight))

@@ -8,8 +8,10 @@ distances.
 """
 
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Grid",
@@ -21,6 +23,10 @@ __all__ = [
     "convolve",
     "spectral_derivative",
 ]
+
+
+# elements in one temporary of Grid.shift_maxima (2^15 float64 = 256 KiB)
+_SCAN_BLOCK = 1 << 15
 
 
 def _is_power_of_two(n):
@@ -134,21 +140,68 @@ class Grid:
         d1 = self.wrap_deltas(shift[1] * self.h)
         return float(np.sqrt(d0 * d0 + d1 * d1))
 
-    def shifts(self):
-        """Yield (shift, shift_distance) for every nonzero lattice shift.
+    @cached_property
+    def shift_distances(self):
+        """shift_distance of every nonzero lattice shift, in shifts() order."""
+        d = self.wrap_deltas(np.arange(self.n) * self.h)
+        if self.dim == 2:
+            sq = d * d
+            d = np.sqrt(sq[:, None] + sq[None, :]).ravel()
+        d = d[1:]
+        d.setflags(write=False)
+        return d
 
-        In 2D the first component is the outer loop; scans that keep the
-        first of equal candidates rely on this order.
+    def shifts(self):
+        """Iterate (shift, shift_distance) over every nonzero lattice shift.
+
+        Shifts run in C order of their components (in 2D the first component
+        is the outer loop).  shift_maxima and shift_distances follow the same
+        order, so scans that keep the first of equal candidates can take it
+        from an argmax.
         """
+        return zip(islice(np.ndindex(self.shape), 1, None), self.shift_distances.tolist())
+
+    def rolls(self, values):
+        """Read-only view V of every lattice roll: V[s] == np.roll(values, s).
+
+        V has shape (n,)*dim + grid shape and is a window view over a
+        2^dim-tiled copy of values, so V[s] holds exactly the numbers the roll
+        would copy out, without copying them.
+        """
+        values = np.asarray(values)
+        if values.shape != self.shape:
+            raise ValueError(f"values shape {values.shape} != grid shape {self.shape}")
+        windows = sliding_window_view(np.tile(values, (2,) * self.dim), self.shape)
+        return windows[(slice(self.n, 0, -1),) * self.dim]
+
+    def shift_maxima(self, values, op):
+        """max over x of op(values, V[s]) for every nonzero shift s, V = rolls(values).
+
+        op(values, block, out=buf) is elementwise, broadcasts values against
+        a block of rolls and writes into buf, as a ufunc does.  One reused
+        buffer of at most _SCAN_BLOCK elements (one roll at least) holds
+        every block, so no temporary grows with the number of shifts.  The
+        result is in shifts() order.
+        """
+        values = np.asarray(values)
+        V = self.rolls(values)
         n = self.n
-        if self.dim == 1:
-            for s in range(1, n):
-                yield (s,), self.shift_distance((s,))
-            return
-        for s0 in range(n):
-            for s1 in range(n):
-                if s0 or s1:
-                    yield (s0, s1), self.shift_distance((s0, s1))
+        per = max(1, _SCAN_BLOCK // self.num_points)  # shifts per block
+        if self.dim == 1 or per >= n:
+            rows = min(n, per if self.dim == 1 else per // n)
+            blocks = (slice(a, a + rows) for a in range(0, n, rows))
+            buf = np.empty((rows,) + V.shape[1:])
+        else:
+            blocks = ((s0, slice(a, a + per)) for s0 in range(n) for a in range(0, n, per))
+            buf = np.empty((per,) + V.shape[2:])
+        maxima = np.empty(self.num_points)
+        done = 0
+        for index in blocks:
+            block = V[index]
+            out = op(values, block, out=buf[: len(block)]).reshape(-1, self.num_points)
+            np.max(out, axis=1, out=maxima[done : done + len(out)])
+            done += len(out)
+        return maxima[1:]
 
     def sample(self, fn):
         """GridFunction from a callable of the coordinate arrays."""

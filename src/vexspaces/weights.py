@@ -6,10 +6,13 @@ when
     (i)  w_j(x) <= c * w_j(y) * (1 + 2^j d(x,y))^alpha   for all j, x, y,
     (ii) 2^alpha1 * w_j <= w_{j+1} <= 2^alpha2 * w_j     pointwise,
 
-with d the torus distance.  verify_admissible measures both conditions by a
-pair scan; comparisons run on the ratio scale so integer level-shifts (which
-rescale every ratio by an exact power of two) reproduce the unshifted
-comparisons bit for bit.
+with d the torus distance.  verify_admissible measures both conditions.
+Condition (i) is a shift scan: the worst ratio max_x w_j(x) / w_j(x - s) for
+every nonzero lattice shift s (Grid.shift_maxima, in Grid.shifts() order, so
+a witness is the first worst (j, s) in that order), or a seeded sample of
+shifts on grids above _EXHAUSTIVE_POINT_LIMIT points.  Comparisons run on the
+ratio scale so integer level-shifts (which rescale every ratio by an exact
+power of two) reproduce the unshifted comparisons bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -123,17 +126,36 @@ class AdmissibilityReport:
 
 
 def _spatial_pairs(grid):
-    """Yield (shift, distance) pairs covering the scan budget."""
+    """(shifts, distances) of the scan: shifts an int array of shape (count, dim).
+
+    Up to _EXHAUSTIVE_POINT_LIMIT points every nonzero shift, in
+    Grid.shifts() order; above it a seeded sample of shifts.
+    """
     if grid.num_points <= _EXHAUSTIVE_POINT_LIMIT:
-        yield from grid.shifts()
-        return
+        return np.indices(grid.shape).reshape(grid.dim, -1).T[1:], grid.shift_distances
     rng = np.random.default_rng(_SAMPLE_SEED)
-    shifts = max(1, _SAMPLED_PAIRS // grid.num_points)
-    for _ in range(shifts):
-        s = tuple(int(v) for v in rng.integers(0, grid.n, size=grid.dim))
-        if all(v == 0 for v in s):
-            continue
-        yield s, grid.shift_distance(s)
+    draws = max(1, _SAMPLED_PAIRS // grid.num_points)
+    shifts = [tuple(int(v) for v in rng.integers(0, grid.n, size=grid.dim)) for _ in range(draws)]
+    shifts = [s for s in shifts if any(s)]
+    dists = np.array([grid.shift_distance(s) for s in shifts])
+    return np.array(shifts, dtype=int).reshape(-1, grid.dim), dists
+
+
+def _worst_ratios(grid, w, shifts):
+    """max_x w(x) / w(x - s) for each shift s from _spatial_pairs."""
+    if grid.num_points <= _EXHAUSTIVE_POINT_LIMIT:
+        return grid.shift_maxima(w, np.divide)
+    V = grid.rolls(w)
+    return np.array([np.max(w / V[tuple(s)]) for s in shifts])
+
+
+def _scalar_powers(bases, alpha):
+    """bases ** alpha for a 1D array, one scalar power per entry.
+
+    Array powers differ from scalar ones in the last place on some CPUs;
+    scalar powers give the constants a per-shift loop gives.
+    """
+    return np.array([b**alpha for b in bases.tolist()])
 
 
 def verify_admissible(w):
@@ -144,7 +166,6 @@ def verify_admissible(w):
     measured_alpha is the smallest exponent >= 0 consistent with declared_c.
     """
     grid = w.grid
-    axis = tuple(range(grid.dim))
 
     # condition (ii): level-to-level growth, compared on the ratio scale
     ratio_min, ratio_max = np.inf, -np.inf
@@ -173,19 +194,18 @@ def verify_admissible(w):
     measured_alpha = 0.0
     wit_spatial = (0, (0,) * grid.dim, 1.0)
     exhaustive = grid.num_points <= _EXHAUSTIVE_POINT_LIMIT
+    shifts, dists = _spatial_pairs(grid)
     for j, wj in enumerate(w.levels):
-        scale = 2.0**j
-        for shift, dist in _spatial_pairs(grid):
-            rolled = np.roll(wj, shift, axis=axis)
-            worst = float(np.max(wj / rolled))
-            growth = (1.0 + scale * dist) ** w.declared_alpha
-            cval = worst / growth
-            if cval > measured_c:
-                measured_c = cval
-                wit_spatial = (j, shift, worst)
-            if worst > w.declared_c:
-                need = np.log(worst / w.declared_c) / np.log(1.0 + scale * dist)
-                measured_alpha = max(measured_alpha, float(need))
+        worst = _worst_ratios(grid, wj, shifts)
+        bases = 1.0 + 2.0**j * dists
+        cval = worst / _scalar_powers(bases, w.declared_alpha)
+        i = int(np.argmax(cval))  # the first worst shift of this level
+        if cval[i] > measured_c:
+            measured_c = float(cval[i])
+            wit_spatial = (j, tuple(int(v) for v in shifts[i]), float(worst[i]))
+        over = worst > w.declared_c
+        need = np.log(worst[over] / w.declared_c) / np.log(bases[over])
+        measured_alpha = max(measured_alpha, float(need.max(initial=0.0)))
 
     passes = ok_levels and measured_c <= w.declared_c * (1.0 + _REL_SLACK)
     return AdmissibilityReport(
@@ -261,12 +281,10 @@ def make_variable_smoothness(grid, J, s):
     levels = tuple(2.0 ** (j * s_vals) for j in range(J + 1))
     # exact smallest c on the grid for the declared alpha
     c = 1.0
-    axis = tuple(range(grid.dim))
+    shifts, dists = _spatial_pairs(grid)
     for j, wj in enumerate(levels):
-        scale = 2.0**j
-        for shift, dist in _spatial_pairs(grid):
-            worst = float(np.max(wj / np.roll(wj, shift, axis=axis)))
-            c = max(c, worst / (1.0 + scale * dist) ** alpha)
+        growth = _scalar_powers(1.0 + 2.0**j * dists, alpha)
+        c = max(c, float(np.max(_worst_ratios(grid, wj, shifts) / growth)))
     return WeightSequence(
         grid,
         levels,
@@ -322,16 +340,15 @@ def make_weighted(grid, J, rho, s, beta, c=None):
     if np.any(rho_vals <= 0) or not np.all(np.isfinite(rho_vals)):
         idx = int(np.argmin(rho_vals))
         raise ValueError(f"rho must be positive; offending flat index {idx}")
-    measured = 1.0
+    shifts, dists = _spatial_pairs(grid)
+    worst = _worst_ratios(grid, rho_vals, shifts)
+    growth = _scalar_powers(1.0 + dists * dists, beta / 2.0)
+    cval = worst / growth
+    i = int(np.argmax(cval))  # the first worst shift
+    measured = max(1.0, float(cval[i]))
     witness = None
-    axis = tuple(range(grid.dim))
-    for shift, dist in _spatial_pairs(grid):
-        growth = (1.0 + dist * dist) ** (beta / 2.0)
-        ratio = rho_vals / np.roll(rho_vals, shift, axis=axis)
-        worst = float(np.max(ratio))
-        if worst / growth > measured:
-            measured = worst / growth
-            witness = (shift, worst, growth)
+    if measured > 1.0:
+        witness = (tuple(int(v) for v in shifts[i]), float(worst[i]), float(growth[i]))
     if c is not None and measured > c * (1.0 + _REL_SLACK):
         raise ValueError(
             f"rho violates the declared constant {c}: measured {measured} at pair {witness}"

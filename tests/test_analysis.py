@@ -426,3 +426,32 @@ def test_dyadic_bessel_norm_integer_kappa_oracle(grid64):
     quad = lambda h: np.sum(np.abs(h) ** 2) * dx
     oracle = np.sqrt((quad(g) + 2.0 * quad(g1) + quad(g2)) / L)
     assert direct == pytest.approx(oracle, rel=1e-3)
+
+
+def test_peetre_1d_matches_index_gather(lp_levels):
+    grid = lp_levels.grid
+    n = grid.n
+    offsets = np.arange(n)
+    dist = grid.wrap_deltas(offsets * grid.h)
+    idx = (offsets[:, None] - offsets[None, :]) % n
+    for a in (3.0, 2.5):
+        M = peetre_maximal(lp_levels, a)
+        for j, f in enumerate(lp_levels):
+            av = np.abs(f.samples)
+            w = 1.0 / (1.0 + (2.0**j * dist) ** a)
+            assert np.array_equal(M[j].samples, np.max(av[None, :] * w[idx], axis=1))
+
+
+def test_equal_symbols_share_compiled_functions(grid64):
+    import linecache
+
+    expr = "xi1**3 * (2 + xi1**2)**(-3/2)"  # used by no other test
+    first = MultiplierSymbol(expr, dim=1)
+    first.sample(grid64)
+    first.derivative((2,), grid64.xi[0])
+    cached = len(linecache.cache)
+    second = MultiplierSymbol(expr, dim=1)
+    assert np.array_equal(second.sample(grid64), first.sample(grid64))
+    second.derivative((2,), grid64.xi[0])
+    assert len(linecache.cache) == cached
+    assert second._fn((2,)) is first._fn((2,))

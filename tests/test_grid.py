@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from vexspaces import (
     convolve,
     spectral_derivative,
 )
+from vexspaces import grid as grid_module
 from conftest import random_band_limited
 
 
@@ -162,3 +165,63 @@ def test_mode_round_trip_property(k):
     c = coefficients(f)
     assert abs(c[k % 16] - 1.0) < 1e-12
     assert np.sum(np.abs(c) > 1e-12) == 1
+
+
+# ---------------------------------------------------------------- shift scans
+
+
+def _all_shifts(grid):
+    """Nonzero shifts with the first component outermost (the scan order)."""
+    return [s for s in itertools.product(range(grid.n), repeat=grid.dim) if any(s)]
+
+
+def _abs_diff(a, b, out=None):
+    return np.abs(np.subtract(a, b, out=out), out=out)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rolls_match_np_roll(dim):
+    grid = Grid(dim, 16)
+    values = np.random.default_rng(40).normal(size=grid.shape)
+    V = grid.rolls(values)
+    assert V.shape == (16,) * dim + grid.shape
+    axes = tuple(range(dim))
+    for s in [(0,) * dim] + _all_shifts(grid):
+        assert np.array_equal(V[s], np.roll(values, s, axis=axes)), s
+    with pytest.raises(ValueError):
+        V[(1,) * dim][0] = 0.0  # a view of the input, never written through
+
+
+@pytest.mark.parametrize(
+    "dim, n, block",
+    [
+        (1, 16, None),
+        (1, 16, 3 * 16),  # 3 shifts per block: 16 is not a multiple of 3
+        (1, 4096, None),  # several blocks of whole rolls
+        (2, 16, None),
+        (2, 16, 3 * 256),  # 3 shifts per block inside one row of shifts
+        (2, 16, 3 * 16 * 256),  # 3 rows of shifts per block
+        (2, 64, None),
+    ],
+)
+def test_shift_maxima_match_roll_loop(dim, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(grid_module, "_SCAN_BLOCK", block)
+    grid = Grid(dim, n)
+    values = 1.5 + np.random.default_rng(41).random(grid.shape)
+    axes = tuple(range(dim))
+    shifts = _all_shifts(grid)
+    for op in (np.divide, _abs_diff):
+        oracle = [np.max(op(values, np.roll(values, s, axis=axes))) for s in shifts]
+        got = grid.shift_maxima(values, op)
+        assert got.shape == (len(shifts),)
+        assert np.array_equal(got, oracle), op
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 256), (2, 16), (2, 64)])
+def test_shift_distances_match_scalar_distances(dim, n):
+    grid = Grid(dim, n)
+    scalar = [grid.shift_distance(s) for s in _all_shifts(grid)]
+    assert np.array_equal(grid.shift_distances, scalar)
+    assert [s for s, _ in grid.shifts()] == _all_shifts(grid)
+    assert [d for _, d in grid.shifts()] == scalar

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,28 @@ def brute_force_condition_i(w, j):
             c = (vals[a] / vals[b]) / (1.0 + 2.0**j * d) ** w.declared_alpha
             worst_c = max(worst_c, c)
     return worst_c
+
+
+def roll_loop_condition_i(w):
+    """Per-shift np.roll loop oracle: (measured_c, measured_alpha, witness_spatial).
+
+    Shifts run with the first component outermost and the first strict
+    maximum wins, as verify_admissible documents.
+    """
+    grid = w.grid
+    axes = tuple(range(grid.dim))
+    c, alpha, witness = 1.0, 0.0, (0, (0,) * grid.dim, 1.0)
+    for j, wj in enumerate(w.levels):
+        for s in itertools.product(range(grid.n), repeat=grid.dim):
+            if not any(s):
+                continue
+            base = 1.0 + 2.0**j * grid.shift_distance(s)
+            worst = float(np.max(wj / np.roll(wj, s, axis=axes)))
+            if worst / base**w.declared_alpha > c:
+                c, witness = worst / base**w.declared_alpha, (j, s, worst)
+            if worst > w.declared_c:
+                alpha = max(alpha, float(np.log(worst / w.declared_c) / np.log(base)))
+    return c, alpha, witness
 
 
 def test_2microlocal_class_parameters_and_pass():
@@ -157,3 +183,74 @@ def test_2d_scan():
     w = make_2microlocal(g, J=3, s=0.5, s_prime=1.0, anchor_points=[[0.5, 0.5]])
     rep = verify_admissible(w)
     assert rep.passes and rep.exhaustive
+
+
+@pytest.mark.parametrize(
+    "dim, n, amp",
+    [
+        (1, 64, 0.4),
+        (1, 64, 0.18),  # array powers (AVX-512) move measured_c by one ulp here
+        (2, 16, 0.3),
+    ],
+)
+def test_failed_scan_matches_roll_loop(dim, n, amp):
+    g = Grid(dim, n)
+    if dim == 1:
+        s = lambda x: 0.5 + amp * np.sin(2 * np.pi * x)
+    else:
+        s = lambda x, y: 0.5 + amp * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    good = make_variable_smoothness(g, J=4, s=s)
+    # the grid-exact c of a varsmooth weight is 1 + slack, so lowering it to 1
+    # alone cannot fail; halving alpha does
+    bad = dataclasses.replace(good, declared_c=1.0, declared_alpha=good.declared_alpha / 2)
+    rep = verify_admissible(bad)
+    assert not rep.passes
+    assert rep.measured_alpha > bad.declared_alpha
+    c, alpha, witness = roll_loop_condition_i(bad)
+    assert rep.measured_c == c
+    assert rep.measured_alpha == alpha
+    assert rep.witness_spatial == witness
+    assert rep.measured_c > 1.2 and witness[0] > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tied_worst_shifts_keep_first_witness(dim):
+    g = Grid(dim, 16)
+    # a peak of 100 at the centre point with 50 on its axis neighbours,
+    # symmetric about the centre: the worst ratio is 100 at the nearest shifts
+    # past the neighbours, reached by s and -s at one distance
+    level = np.ones(g.shape)
+    centre = (8,) * dim
+    for axis in range(dim):
+        for step in (-1, 1):
+            level[tuple(8 + step * (i == axis) for i in range(dim))] = 50.0
+    level[centre] = 100.0
+    w = WeightSequence(g, (level,), declared_alpha=1.0, declared_alpha1=0.0,
+                       declared_alpha2=0.0, declared_c=1.0)
+    rep = verify_admissible(w)
+    c, alpha, witness = roll_loop_condition_i(w)
+    assert (rep.measured_c, rep.measured_alpha, rep.witness_spatial) == (c, alpha, witness)
+    shift = witness[1]
+    mirror = tuple(-v % 16 for v in shift)
+    assert mirror != shift and mirror > shift  # a real tie, broken by order
+    axes = tuple(range(dim))
+    assert np.max(level / np.roll(level, mirror, axis=axes)) == witness[2] == 100.0
+    assert shift == ((2,) if dim == 1 else (1, 1))
+
+
+def test_scan_memory_stays_bounded():
+    # the scans work in bounded blocks; a single (shifts x points) block at
+    # 2D N=64 would take 128 MiB
+    g = Grid(2, 64)
+    s = lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    tracemalloc.start()
+    try:
+        w = make_variable_smoothness(g, J=5, s=s)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_admissible(w)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 2 * 2**20
+    assert verify_peak < 2 * 2**20
