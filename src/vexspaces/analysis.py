@@ -282,37 +282,20 @@ def audit_system(sys):
     r = sys.grid.xi_norm
     kind = sys.kind
     violations = 0
-    c_lower = np.inf
     residual = 0.0
     if kind == "admissible_pair":
         for j, m in enumerate(sys.masks):
-            am = np.abs(m)
             if j == 0:
                 outside = r > 2.0
-                region = r <= 5.0 / 3.0
             else:
                 outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1))
-                region = (r >= 0.6 * 2.0**j) & (r <= (5.0 / 3.0) * 2.0**j)
-            violations += int(np.count_nonzero(am[outside]))
-            if region.any():
-                c_lower = min(c_lower, float(am[region].min()))
+            violations += int(np.count_nonzero(m[outside]))
+        c_lower = _admissible_lower_bound(sys.grid, sys.masks)
         passes = violations == 0 and c_lower > 0.0
     elif kind == "general_pair":
-        eps = sys.metadata["epsilon"]
-        ke = sys.metadata["k_factor"] * eps
-        for j, m in enumerate(sys.masks):
-            am = np.abs(m)
-            if j == 0:
-                region = r <= ke
-                gap = np.zeros(r.shape, dtype=bool)
-            else:
-                s = 2.0**j
-                region = (r >= 0.5 * eps * s) & (r <= ke * s)
-                gap = r < 0.25 * eps * s
-            violations += int(np.count_nonzero(am[gap]))
-            if region.any():
-                c_lower = min(c_lower, float(am[region].min()))
-        passes = violations == 0 and c_lower > 0.0
+        passes, c_lower, violations = general_conditions_report(
+            sys, sys.metadata["epsilon"], sys.metadata["k_factor"]
+        )
     elif kind == "theta_partition":
         total = np.sum(np.stack(sys.masks), axis=0)
         residual = float(np.max(np.abs(total - 1.0)))
@@ -384,35 +367,30 @@ def peetre_maximal(F, a):
     Entry j at x is the exact maximum over grid points y of
     |F_j(y)| / (1 + |2^j (x - y)|^a), with the torus metric.  This is an
     under-approximation of the continuum supremum, adequate because level
-    j data is band-limited and varies on scale 2^(-j) >> h.
+    j data is band-limited and varies on scale 2^(-j) >> h.  Shifts are
+    scanned nearest first, one rolled copy at a time, and the scan stops
+    once max |F_j| times the next weight cannot raise any entry.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     grid = F.grid
-    n = grid.n
-    out = []
-    if grid.dim == 1:
-        # rolls(w)[x, y] = w[y - x], which is w[x - y]: w[k] == w[n - k] bit
-        # for bit because h is a power of two
-        dist = grid.wrap_deltas(np.arange(n) * grid.h)
-        for j, f in enumerate(F):
-            av = np.abs(f.samples)
-            w = 1.0 / (1.0 + (2.0**j * dist) ** a)
-            out.append(GridFunction(grid, np.max(av[None, :] * grid.rolls(w), axis=1)))
-        return FunctionSequence(out)
     shifts = [s for s, _ in grid.shifts()]
-    shift_dist = grid.shift_distances
-    order = np.argsort(shift_dist)
+    # weights come from one array power over all distances, the zero shift
+    # included, so they equal a full-lattice weight array bit for bit (a
+    # scalar power can differ by an ulp)
+    dist = np.concatenate(([0.0], grid.shift_distances))
+    order = np.argsort(grid.shift_distances)
+    out = []
     for j, f in enumerate(F):
         av = np.abs(f.samples)
         rolled = grid.rolls(av)
+        w = (1.0 / (1.0 + (2.0**j * dist) ** a))[1:]
         peak = float(av.max())
         best = av.copy()
         for i in order:
-            w = 1.0 / (1.0 + (2.0**j * shift_dist[i]) ** a)
-            if peak * w <= best.min():
+            if peak * w[i] <= best.min():
                 break  # farther shifts are weighted even lower
-            np.maximum(best, w * rolled[shifts[i]], out=best)
+            np.maximum(best, w[i] * rolled[shifts[i]], out=best)
         out.append(GridFunction(grid, best))
     return FunctionSequence(out)
 

@@ -1,7 +1,7 @@
 """Command-line surface: norms, per-level analysis, invariant suites, and
 the equivalence/comparison reports, all driven by flags or a key = value
 config file.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
-configuration or I/O."""
+configuration, I/O, or a norm the root solver could not bracket."""
 
 import argparse
 import dataclasses
@@ -22,8 +22,8 @@ from .config import (
     read_config_file,
     resolve_config,
 )
-from .expr import ExprError, symbol_text
-from .signals import SignalError, load_signal
+from .expr import symbol_text
+from .signals import load_signal
 from .suites import SUITES, run_suites
 
 
@@ -145,9 +145,7 @@ def cmd_compare_pairs(cfg):
         spec_a, system=build_system(grid, spec_a.J, cfg.system_b)
     )
     rep = spaces.pair_independence_check(_corpus(cfg), spec_a, spec_b)
-    # ratios.csv holds norm_b/norm_a, the inverse of the report band norm_a/norm_b
-    rows = _rows((nb, na) for na, nb in rep.pairs)
-    _write_csv(cfg.out, "ratios.csv", "index,norm_a,norm_b,ratio", rows)
+    _write_csv(cfg.out, "ratios.csv", "index,norm_b,norm_a,ratio", _rows(rep.pairs))
     extra = [f"system_a = {cfg.system}", f"system_b = {cfg.system_b}"]
     _emit(cfg.out, "report.txt", _report_lines(rep, extra))
     return 0 if rep.passes else 1
@@ -264,13 +262,9 @@ def main(argv=None):
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(file_values, flag_values)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ExprError, SignalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    # ConfigError, ExprError and SignalError are ValueErrors; ArithmeticError
+    # is a mixed norm the root solver could not bracket
+    except (ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

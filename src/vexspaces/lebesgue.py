@@ -10,6 +10,10 @@ Because the p = inf region contributes 0 or inf only, the norm splits exactly
 into max(ess-sup over the inf region, finite part); the finite part's
 modular is finite and decreasing in lam, so its root solve (luxemburg_root)
 never fails to bracket.
+
+Every Luxemburg functional of the package is solved to one contract: the
+returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
+infimum, in at most MAX_ITER steps per solver phase.
 """
 
 import math
@@ -64,22 +68,22 @@ def modular(f, p):
     return ModularResult(value=value, infinity_region_violated=violated)
 
 
-def upper_bracket(value, start, grow, max_iter):
-    """First start * grow^k (k < max_iter) at which value <= 1, or None."""
+def upper_bracket(value, start, grow):
+    """First start * grow^k (k < MAX_ITER) at which value <= 1, or None."""
     lam = start
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if value(lam) <= 1.0:
             return lam
         lam *= grow
     return None
 
 
-def luxemburg_root(value, hi, rel_tol, max_iter):
+def luxemburg_root(value, hi):
     """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
 
     hi must satisfy value(hi) <= 1.  It is halved until value exceeds 1 (0.0
     if the halving reaches zero first), then the bracket is narrowed until it
-    is within rel_tol of hi; the returned hi always has value <= 1.
+    is within REL_TOL of hi; the returned hi always has value <= 1.
 
     A modular is a sum of powers of lam, so log value is convex in log lam,
     and linear when the exponent is constant.  Each step therefore takes the
@@ -90,13 +94,13 @@ def luxemburg_root(value, hi, rel_tol, max_iter):
     over the last three steps, so the bracket halves at least every fourth
     step.  (The first secant steps after the halving move only hi, so a
     two-step window would cut short a secant that is converging.)  Every
-    point stays rel_tol/2 * hi inside the bracket, which closes it on the
-    step after the secant lands.  The secant aims rel_tol/4 above its root,
+    point stays REL_TOL/2 * hi inside the bracket, which closes it on the
+    step after the secant lands.  The secant aims REL_TOL/4 above its root,
     so where it is exact the returned hi has value below 1 by far more than
     rounding: modular(f/hi) <= 1 holds however f/hi is computed.
     """
     lo, v_hi = hi / 2.0, None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if lo == 0.0:
             return 0.0
         v_lo = value(lo)
@@ -108,8 +112,8 @@ def luxemburg_root(value, hi, rel_tol, max_iter):
         v_hi = value(hi)
     (lam_a, v_a), (lam_b, v_b) = (hi, v_hi), (lo, v_lo)
     widths = [np.inf] * 3  # bracket widths at the start of each step
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
+    for _ in range(MAX_ITER):
+        if hi - lo <= REL_TOL * hi:
             break
         widths.append(hi - lo)
         lam = 0.5 * (lo + hi)
@@ -119,8 +123,8 @@ def luxemburg_root(value, hi, rel_tol, max_iter):
             if (y_b - y_a) * (x_b - x_a) < 0.0:
                 x = x_b - y_b * (x_b - x_a) / (y_b - y_a)
                 lam = math.exp(min(max(x, math.log(lo)), math.log(hi)))
-                lam *= 1.0 + 0.25 * rel_tol
-        margin = 0.5 * rel_tol * hi
+                lam *= 1.0 + 0.25 * REL_TOL
+        margin = 0.5 * REL_TOL * hi
         lam = min(max(lam, lo + margin), hi - margin)
         v = value(lam)
         if v <= 1.0:
@@ -131,7 +135,7 @@ def luxemburg_root(value, hi, rel_tol, max_iter):
     return hi
 
 
-def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
+def _finite_part_norm(a, pv, cell_volume):
     """inf{lam : h^dim sum (a/lam)^pv <= 1} for finite exponents pv, a != 0."""
 
     def value(lam):
@@ -140,14 +144,14 @@ def _finite_part_norm(a, pv, cell_volume, rel_tol, max_iter):
 
     # On a measure-1 domain the modular at lam = max|f| is <= 1 already, so
     # max|f| is a valid upper bracket.
-    return luxemburg_root(value, float(a.max()), rel_tol, max_iter)
+    return luxemburg_root(value, float(a.max()))
 
 
-def norm(f, p, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def norm(f, p):
     """Luxemburg quasi-norm of f in L_{p(.)} on the grid.
 
     Root solve (luxemburg_root) on the modular of f/lam; the returned value
-    lam satisfies modular(f/lam) <= 1 and is within rel_tol of the infimum.
+    lam satisfies modular(f/lam) <= 1 and is within REL_TOL of the infimum.
     """
     if f.grid != p.grid:
         raise ValueError("grid mismatch between f and p")
@@ -160,7 +164,7 @@ def norm(f, p, rel_tol=REL_TOL, max_iter=MAX_ITER):
     if af.size == 0 or not af.any():
         # predicate on the finite region is vacuous: exact left endpoint
         return ess
-    lam_fin = _finite_part_norm(af, p.values[finite], f.grid.cell_volume, rel_tol, max_iter)
+    lam_fin = _finite_part_norm(af, p.values[finite], f.grid.cell_volume)
     return max(ess, lam_fin)
 
 

@@ -25,7 +25,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .exponents import log_holder_estimate, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
-from .lebesgue import MAX_ITER, REL_TOL, luxemburg_root, norm as lebesgue_norm, upper_bracket
+from .lebesgue import _modular_value, luxemburg_root, norm as lebesgue_norm, upper_bracket
 
 __all__ = [
     "pointwise_lq",
@@ -64,48 +64,40 @@ def pointwise_lq(stack_abs, q_values):
     return out
 
 
-def lp_lq_norm(F, p, q, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def lp_lq_norm(F, p, q):
     """Norm of F in L_{p(.)}(l_{q(.)}): inner levels, outer space."""
     _check_seq(F, p, q)
     inner = pointwise_lq(F.abs_stack(), q.values)
-    return lebesgue_norm(GridFunction(F.grid, inner), p, rel_tol=rel_tol, max_iter=max_iter)
+    return lebesgue_norm(GridFunction(F.grid, inner), p)
 
 
-def _level_infimum(abs_samples, p, q, cell_volume, rel_tol, max_iter):
+def _level_infimum(abs_samples, p, q, cell_volume):
     """inf{lam > 0 : rho_p(f / lam^(1/q(.))) <= 1} for one level.
 
     On {q = inf} the scaling is lam-independent, so that region contributes
     a fixed amount to the modular; if nothing varies with lam the infimum is
     0 when the fixed part is admissible and inf otherwise.
     """
-    pv, qv = p.values, q.values
-    q_inf = ~np.isfinite(qv)
-    p_fin = np.isfinite(pv)
-    inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, qv))
+    q_inf = ~np.isfinite(q.values)
+    inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
 
-    fixed = np.where(q_inf, abs_samples, 0.0)
-    if np.any(fixed[~p_fin] > 1.0):
-        return np.inf
-    fixed_part = cell_volume * np.sum(fixed[p_fin] ** pv[p_fin])
+    fixed_part, _ = _modular_value(np.where(q_inf, abs_samples, 0.0), p.values, cell_volume)
     if fixed_part > 1.0:
         return np.inf
-    varying = np.where(q_inf, 0.0, abs_samples)
-    if not varying.any():
+    if not abs_samples[~q_inf].any():
         return 0.0
 
     @cache  # the root phase may ask again for upper_bracket's value at hi
     def value(lam):
         with np.errstate(over="ignore"):
             scaled = abs_samples * lam**-inv_q
-        if np.any(scaled[~p_fin] > 1.0):
-            return np.inf
-        return cell_volume * np.sum(scaled[p_fin] ** pv[p_fin])
+        return _modular_value(scaled, p.values, cell_volume)[0]
 
-    hi = upper_bracket(value, 1.0, 4.0, max_iter)
-    return np.inf if hi is None else luxemburg_root(value, hi, rel_tol, max_iter)
+    hi = upper_bracket(value, 1.0, 4.0)
+    return np.inf if hi is None else luxemburg_root(value, hi)
 
 
-def lq_lp_modular(F, p, q, force_general=False, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def lq_lp_modular(F, p, q, force_general=False):
     """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
 
     With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
@@ -119,19 +111,19 @@ def lq_lp_modular(F, p, q, force_general=False, rel_tol=REL_TOL, max_iter=MAX_IT
         for f in F:
             with np.errstate(over="ignore"):
                 aq = np.abs(f.samples) ** q.values
-            total += lebesgue_norm(GridFunction(F.grid, aq), pq, rel_tol=rel_tol, max_iter=max_iter)
+            total += lebesgue_norm(GridFunction(F.grid, aq), pq)
         return total
     cell = F.grid.cell_volume
     total = 0.0
     for f in F:
-        level = _level_infimum(np.abs(f.samples), p, q, cell, rel_tol, max_iter)
+        level = _level_infimum(np.abs(f.samples), p, q, cell)
         if level == np.inf:
             return np.inf
         total += level
     return total
 
 
-def lq_lp_norm(F, p, q, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def lq_lp_norm(F, p, q):
     """Norm of F in l_{q(.)}(L_{p(.)}): outer Luxemburg on the modular."""
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
@@ -140,23 +132,21 @@ def lq_lp_norm(F, p, q, rel_tol=REL_TOL, max_iter=MAX_ITER):
 
     @cache  # the root phase may ask again for upper_bracket's value at hi
     def value(mu):
-        return lq_lp_modular(F.scaled(1.0 / mu), p, q, rel_tol=rel_tol, max_iter=max_iter)
+        return lq_lp_modular(F.scaled(1.0 / mu), p, q)
 
-    hi = upper_bracket(value, peak, 2.0, max_iter)
+    hi = upper_bracket(value, peak, 2.0)
     if hi is None:
         raise ArithmeticError("failed to bracket the mixed norm from above")
-    return luxemburg_root(value, hi, rel_tol, max_iter)
+    return luxemburg_root(value, hi)
 
 
-def iterated_constant_q_norm(F, p, q_const, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def iterated_constant_q_norm(F, p, q_const):
     """l_q of the per-level Luxemburg norms, for constant q (dual route).
 
     For constant q the mixed norm factors through the scalar sequence of
     level norms; this computes that factored form directly.
     """
-    level_norms = np.array(
-        [lebesgue_norm(f, p, rel_tol=rel_tol, max_iter=max_iter) for f in F]
-    )
+    level_norms = np.array([lebesgue_norm(f, p) for f in F])
     if np.isinf(q_const):
         return float(level_norms.max())
     return float(np.sum(level_norms**q_const) ** (1.0 / q_const))

@@ -46,7 +46,7 @@ from .grid import (
     quadrature,
     spectral_derivative,
 )
-from .lebesgue import MAX_ITER, REL_TOL, norm as lebesgue_norm
+from .lebesgue import norm as lebesgue_norm
 from .mixed import lp_lq_norm, lq_lp_norm
 from .weights import make_generalized
 
@@ -142,15 +142,15 @@ def weighted_blocks(f, spec):
     return FunctionSequence(F.entries[: spec.J + 1]).weighted(spec.w.levels)
 
 
-def _mixed_norm(blocks, spec, rel_tol, max_iter):
+def _mixed_norm(blocks, spec):
     if spec.scale == "B":
-        return lq_lp_norm(blocks, spec.p, spec.q, rel_tol=rel_tol, max_iter=max_iter)
-    return lp_lq_norm(blocks, spec.p, spec.q, rel_tol=rel_tol, max_iter=max_iter)
+        return lq_lp_norm(blocks, spec.p, spec.q)
+    return lp_lq_norm(blocks, spec.p, spec.q)
 
 
-def quasi_norm(f, spec, rel_tol=REL_TOL, max_iter=MAX_ITER):
+def quasi_norm(f, spec):
     """l_q(L_p) (B) or L_p(l_q) (F) norm of the weighted blocks."""
-    return _mixed_norm(weighted_blocks(f, spec), spec, rel_tol, max_iter)
+    return _mixed_norm(weighted_blocks(f, spec), spec)
 
 
 def maximal_threshold(spec, clog_override=None):
@@ -167,9 +167,7 @@ def maximal_threshold(spec, clog_override=None):
     return alpha + n / min(spec.p.p_minus, spec.q.p_minus)
 
 
-def quasi_norm_maximal(
-    f, spec, a, clog_override=None, rel_tol=REL_TOL, max_iter=MAX_ITER
-):
+def quasi_norm_maximal(f, spec, a, clog_override=None):
     """(plain, maximal) mixed norms of the weighted blocks at exponent a.
 
     plain uses the blocks themselves, maximal their Peetre maximal
@@ -183,9 +181,9 @@ def quasi_norm_maximal(
         raise ValueError("function and spec live on different grids")
     F = littlewood_paley(f, spec.system)
     F = FunctionSequence(F.entries[: spec.J + 1])
-    plain = _mixed_norm(F.weighted(spec.w.levels), spec, rel_tol, max_iter)
+    plain = _mixed_norm(F.weighted(spec.w.levels), spec)
     M = peetre_maximal(F, a)
-    maximal = _mixed_norm(M.weighted(spec.w.levels), spec, rel_tol, max_iter)
+    maximal = _mixed_norm(M.weighted(spec.w.levels), spec)
     return plain, maximal
 
 
@@ -197,9 +195,7 @@ def _measured_alpha2(w, J):
     return 0.0 if J == 0 else worst
 
 
-def quasi_norm_local_means(
-    f, spec, kernels=None, laplacian_order=1, rel_tol=REL_TOL, max_iter=MAX_ITER
-):
+def quasi_norm_local_means(f, spec, kernels=None, laplacian_order=1):
     """Local-means counterpart: head L_p term plus the j >= 1 mixed norm.
 
     Entry 0 is the unscaled kernel average w_0 k_0(1, f) measured in
@@ -219,15 +215,12 @@ def quasi_norm_local_means(
         f, spec.J, laplacian_order, kernel0=kernel0, kernel_base=kernel_base
     )
     head = lebesgue_norm(
-        GridFunction(spec.grid, spec.w[0] * np.abs(means[0].samples)),
-        spec.p,
-        rel_tol=rel_tol,
-        max_iter=max_iter,
+        GridFunction(spec.grid, spec.w[0] * np.abs(means[0].samples)), spec.p
     )
     if spec.J == 0:
         return head
     tail = FunctionSequence(means.entries[1:]).weighted(spec.w.levels[1:])
-    return head + _mixed_norm(tail, spec, rel_tol, max_iter)
+    return head + _mixed_norm(tail, spec)
 
 
 def quasi_triangle_probe(spec, pairs):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,21 @@ def test_peetre_1d_matches_index_gather(lp_levels):
             w = 1.0 / (1.0 + (2.0**j * dist) ** a)
             assert np.array_equal(M[j].samples, np.max(av[None, :] * w[idx], axis=1))
 
+
+
+def test_peetre_1d_memory_stays_bounded():
+    # the scan holds one level's rolled view at a time; the N x N product of
+    # weights and samples at N=2048 would take 32 MiB
+    grid = Grid(1, 2048)
+    f = random_band_limited(grid, np.random.default_rng(33))
+    F = littlewood_paley(f, admissible_system(grid, 5, "plateau"))
+    tracemalloc.start()
+    try:
+        peetre_maximal(F, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 def test_equal_symbols_share_compiled_functions(grid64):
     import linecache

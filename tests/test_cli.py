@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import vexspaces
 from vexspaces import Grid, GridFunction
 from vexspaces.cli.config import (
     ConfigError,
@@ -198,9 +200,21 @@ def test_compare_pairs_identical_profiles(tmp_path, capsys):
     )
     assert rc == 0
     rows = (out_dir / "ratios.csv").read_text().splitlines()
-    assert rows[0] == "index,norm_a,norm_b,ratio"
+    assert rows[0] == "index,norm_b,norm_a,ratio"
     for row in rows[1:]:
         assert float(row.split(",")[3]) == 1.0
+
+
+def _report_band_matches_csv(out_dir, size):
+    rows = (out_dir / "ratios.csv").read_text().splitlines()[1:]
+    ratios = [float(row.split(",")[3]) for row in rows]
+    assert len(ratios) == size
+    report = dict(
+        line.split(" = ", 1)
+        for line in (out_dir / "report.txt").read_text().splitlines()
+    )
+    assert float(report["ratio_min"]) == min(ratios)
+    assert float(report["ratio_max"]) == max(ratios)
 
 
 def test_compare_pairs_plateau_vs_hann(tmp_path):
@@ -213,6 +227,7 @@ def test_compare_pairs_plateau_vs_hann(tmp_path):
     report = (out_dir / "report.txt").read_text()
     assert "result = PASS" in report
     assert "refinement_drift" in report
+    _report_band_matches_csv(out_dir, 4)
 
 
 def test_cli_determinism(tmp_path):
@@ -228,15 +243,7 @@ def test_cli_determinism(tmp_path):
 def test_lift_check_band_matches_csv(tmp_path):
     out_dir = tmp_path / "lc"
     assert main(["lift-check", "--corpus-size", "4", "--out", str(out_dir)]) == 0
-    rows = (out_dir / "ratios.csv").read_text().splitlines()[1:]
-    ratios = [float(row.split(",")[3]) for row in rows]
-    assert len(ratios) == 4
-    report = dict(
-        line.split(" = ", 1)
-        for line in (out_dir / "report.txt").read_text().splitlines()
-    )
-    assert float(report["ratio_min"]) == min(ratios)
-    assert float(report["ratio_max"]) == max(ratios)
+    _report_band_matches_csv(out_dir, 4)
 
 
 def test_multiplier_check_reports_threshold(tmp_path):
@@ -264,12 +271,23 @@ def test_missing_file_is_io_error(grid64):
     assert main(["norm", "--signal", "/nonexistent/f.csv"]) == 2
 
 
+def test_bracket_failure_is_an_error_not_a_crash(capsys):
+    # at q = 0.001 the B-scale modular of f/mu decays like mu^-0.001, so the
+    # outer bracket search runs out of candidates
+    assert main(["lift-check", "--q", "0.001", "--corpus-size", "2"]) == 2
+    assert "error: failed to bracket" in capsys.readouterr().err
+
+
 def test_module_entry_point(ones_path):
+    # the subprocess imports the package from the same source tree
+    src = os.path.dirname(os.path.dirname(vexspaces.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "vexspaces.cli.main", "norm",
          "--weight", "varsmooth:0", "--signal", ones_path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "norm = 1.000000000000e+00" in proc.stdout

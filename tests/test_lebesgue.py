@@ -12,7 +12,7 @@ from vexspaces import (
     holder_pairing,
     characteristic_norm_check,
 )
-from vexspaces.lebesgue import luxemburg_root, upper_bracket
+from vexspaces.lebesgue import REL_TOL, luxemburg_root, upper_bracket
 from conftest import random_band_limited
 
 # Adaptive-quadrature oracle for integral_0^1 x^(1+x) dx, frozen; a live
@@ -224,29 +224,29 @@ def test_unit_ball_property_hypothesis(scale):
 
 
 def test_root_solver_contract():
-    c, rel_tol = 0.3, 1e-12
+    c = 0.3
     # a step has no secant (values 0 and 2), so every step is a midpoint
     step = lambda lam: 0.0 if lam >= c else 2.0
-    root = luxemburg_root(step, 5.0, rel_tol, 200)
+    root = luxemburg_root(step, 5.0)
     assert step(root) <= 1.0
-    assert root - c <= rel_tol * root
+    assert root - c <= REL_TOL * root
     # a value that never exceeds 1: the halving runs down to 0.0
-    assert luxemburg_root(lambda lam: 0.0, 1e-300, rel_tol, 200) == 0.0
-    assert upper_bracket(lambda lam: 0.0 if lam >= 5.0 else 2.0, 1.0, 2.0, 10) == 8.0
-    assert upper_bracket(lambda lam: 2.0, 1.0, 2.0, 10) is None
+    assert luxemburg_root(lambda lam: 0.0, 1e-300) == 0.0
+    assert upper_bracket(lambda lam: 0.0 if lam >= 5.0 else 2.0, 1.0, 2.0) == 8.0
+    assert upper_bracket(lambda lam: 2.0, 1.0, 2.0) is None
 
 
 def test_root_solver_power_law_lands_at_once():
     # log value is linear in log lam, so the first secant step hits the root
-    c, rel_tol = 0.3, 1e-12
+    c = 0.3
     lams = []
 
     def value(lam):
         lams.append(lam)
         return (c / lam) ** 3
 
-    root = luxemburg_root(value, 1.5 * c, rel_tol, 200)
+    root = luxemburg_root(value, 1.5 * c)
     assert len(lams) <= 4
     assert len(set(lams)) == len(lams)
-    assert abs(root - c) <= rel_tol * c
+    assert abs(root - c) <= REL_TOL * c
     assert (c / root) ** 3 <= 1.0

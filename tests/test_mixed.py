@@ -324,9 +324,11 @@ def test_lq_lp_norm_bracket_failure_raises():
     g = Grid(1, 16)
     F = FunctionSequence([GridFunction(g, np.ones(g.shape)) for _ in range(8)])
     two = VariableExponent.constant(g, 2.0)
-    # the modular of F/mu is 8/mu^2: mu = 1 and mu = 2 both fail
+    tiny = VariableExponent.constant(g, 0.001)
+    # the modular of F/mu is 8 mu^-0.001, still 6.97 at the last bracket
+    # candidate mu = 2^199
     with pytest.raises(ArithmeticError, match="bracket"):
-        lq_lp_norm(F, two, two, max_iter=2)
+        lq_lp_norm(F, two, tiny)
 
 
 @settings(max_examples=20, deadline=None)
