@@ -2,7 +2,6 @@
 
 from .config import ConfigError, RunConfig, read_config_file, resolve_config
 from .expr import ExprError, evaluate, parse_expression, sample_expression
-from .main import main
 from .signals import SignalError, load_signal, save_signal
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "evaluate",
     "parse_expression",
     "sample_expression",
-    "main",
     "SignalError",
     "load_signal",
     "save_signal",

@@ -12,7 +12,6 @@ import numpy as np
 
 from .. import spaces
 from ..analysis import MultiplierSymbol
-from ..grid import GridFunction
 from ..lebesgue import norm as lebesgue_norm
 from .config import (
     ConfigError,
@@ -87,7 +86,7 @@ def cmd_analyze(cfg):
     blocks = spaces.weighted_blocks(f, spec)
     rows = []
     for j, e in enumerate(blocks):
-        level = lebesgue_norm(GridFunction(grid, np.abs(e.samples)), spec.p)
+        level = lebesgue_norm(e, spec.p)
         rows.append((str(j), _fmt(level)))
     _write_csv(cfg.out, "levels.csv", "j,level_norm", rows, echo=True)
     value = spaces.quasi_norm(f, spec)

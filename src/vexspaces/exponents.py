@@ -151,8 +151,18 @@ class LogHolderReport:
     c_log_global: float
 
 
-def _abs_diff(a, b, out):
-    return np.abs(np.subtract(a, b, out=out), out=out)
+def _c_log_local(grid, D):
+    """max over h of max_x |g(x) - g(x-h)| * log(e + 1/d(h)) from a signed scan.
+
+    D = grid.shift_maxima(g, np.subtract) holds D(h) = max_x g(x) - g(x-h);
+    D(-h) is the same array at the reflected shifts.  a - b == -(b - a)
+    exactly in floating point, so max(D(h), D(-h)) is the |a - b| scan bit
+    for bit.
+    """
+    full = np.concatenate(([0.0], D)).reshape(grid.shape)
+    neg = (-np.arange(grid.n)) % grid.n
+    diffs = np.maximum(D, full[np.ix_(*(neg,) * grid.dim)].ravel()[1:])
+    return max(0.0, np.max(diffs * np.log(np.e + 1.0 / grid.shift_distances)))
 
 
 def log_holder_estimate(g):
@@ -168,9 +178,13 @@ def log_holder_estimate(g):
         values = np.real(g.samples)
     else:
         raise TypeError("log_holder_estimate expects a GridFunction")
-    diffs = grid.shift_maxima(values, _abs_diff)
-    c_local = max(0.0, np.max(diffs * np.log(np.e + 1.0 / grid.shift_distances)))
+    c_local = _c_log_local(grid, grid.shift_maxima(values, np.subtract))
     g_inf = float(values.mean())
     weight = np.log(np.e + grid.dist_to_origin)
     c_global = float(np.max(np.abs(values - g_inf) * weight))
     return LogHolderReport(c_log_local=c_local, g_infinity=g_inf, c_log_global=c_global)
+
+
+def _clog_inv(p):
+    """Grid log-Holder constant c_log_local of 1/p (zero when p is constant)."""
+    return log_holder_estimate(GridFunction(p.grid, p.reciprocal_values())).c_log_local

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import VariableExponent, conjugate, log_holder_estimate
+from .exponents import VariableExponent, _clog_inv, conjugate
 from .grid import GridFunction
 
 __all__ = [
@@ -231,7 +231,6 @@ def characteristic_norm_check(p, cube_side, anchor_stride=None):
         target = 1.0 if not np.isfinite(p_anchor) else vol ** (1.0 / p_anchor)
         ratios.append(nval / target)
     ratios = np.asarray(ratios)
-    report = log_holder_estimate(GridFunction(grid, p.reciprocal_values()))
     return CubeNormReport(
         cube_side=cube_side,
         cube_volume=vol,
@@ -239,5 +238,5 @@ def characteristic_norm_check(p, cube_side, anchor_stride=None):
         ratio_max=float(ratios.max()),
         spread=float(ratios.max() / ratios.min()),
         anchors=len(anchors),
-        c_log_local=report.c_log_local,
+        c_log_local=_clog_inv(p),
     )

@@ -23,7 +23,7 @@ from functools import cache
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .exponents import log_holder_estimate, pointwise_min, pointwise_max
+from .exponents import _clog_inv, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
 from .lebesgue import _modular_value, luxemburg_root, norm as lebesgue_norm, upper_bracket
 
@@ -383,7 +383,7 @@ def convolution_inequality_report(g, p, q, delta, decay):
     H = FunctionSequence(
         [eta_kernel(grid, nu, decay).convolve(f) for nu, f in enumerate(g)]
     )
-    clog = log_holder_estimate(GridFunction(grid, q.reciprocal_values())).c_log_local
+    clog = _clog_inv(q)
     return ConvolutionInequalityReport(
         delta=delta,
         decay=decay,

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .exponents import (
     VariableExponent,
-    log_holder_estimate,
+    _clog_inv,
     pointwise_max,
     pointwise_min,
 )
@@ -84,12 +84,6 @@ __all__ = [
 # a measured ratio band is called refinement-stable when its log-spread
 # moves less than this between resolutions N and 2N
 DRIFT_LIMIT = 0.3
-
-
-def _clog_inv(q):
-    """Grid log-Holder constant of 1/q (zero when q is constant)."""
-    rec = GridFunction(q.grid, q.reciprocal_values())
-    return log_holder_estimate(rec).c_log_local
 
 
 @dataclass(frozen=True)
@@ -610,10 +604,7 @@ def schwartz_embedding_checks(corpus, spec, N):
     c_semi = 0.0
     for f in fns:
         blocks = weighted_blocks(f, spec)
-        sup_j = max(
-            lebesgue_norm(GridFunction(grid, np.abs(e.samples)), spec.p)
-            for e in blocks
-        )
+        sup_j = max(lebesgue_norm(e, spec.p) for e in blocks)
         semi = schwartz_seminorm(f, N)
         if semi > 0.0:
             c_semi = max(c_semi, sup_j / semi)

@@ -8,18 +8,18 @@ when
 
 with d the torus distance.  verify_admissible measures both conditions.
 Condition (i) is a shift scan: the worst ratio max_x w_j(x) / w_j(x - s) for
-every nonzero lattice shift s (Grid.shift_maxima, in Grid.shifts() order, so
-a witness is the first worst (j, s) in that order), or a seeded sample of
-shifts on grids above _EXHAUSTIVE_POINT_LIMIT points.  Comparisons run on the
-ratio scale so integer level-shifts (which rescale every ratio by an exact
-power of two) reproduce the unshifted comparisons bit for bit.
+every nonzero lattice shift s, at every grid size (Grid.shift_maxima, in
+Grid.shifts() order, so a witness is the first worst (j, s) in that order).
+Comparisons run on the ratio scale so integer level-shifts (which
+rescale every ratio by an exact power of two) reproduce the unshifted
+comparisons bit for bit.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction
+from .exponents import _c_log_local
 
 __all__ = [
     "WeightSequence",
@@ -33,11 +33,6 @@ __all__ = [
 
 # slack for float noise in ratio comparisons; exact shifts stay exact
 _REL_SLACK = 1e-9
-
-# pair scans are exhaustive up to this many lattice points, sampled above
-_EXHAUSTIVE_POINT_LIMIT = 128 * 128
-_SAMPLED_PAIRS = 10**6
-_SAMPLE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -122,31 +117,11 @@ class AdmissibilityReport:
     measured_c: float
     witness_spatial: tuple  # (j, shift, ratio) of the worst condition-(i) pair
     witness_levels: tuple  # (j, flat_index, ratio) of the worst condition-(ii) cell
-    exhaustive: bool
 
 
-def _spatial_pairs(grid):
-    """(shifts, distances) of the scan: shifts an int array of shape (count, dim).
-
-    Up to _EXHAUSTIVE_POINT_LIMIT points every nonzero shift, in
-    Grid.shifts() order; above it a seeded sample of shifts.
-    """
-    if grid.num_points <= _EXHAUSTIVE_POINT_LIMIT:
-        return np.indices(grid.shape).reshape(grid.dim, -1).T[1:], grid.shift_distances
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    draws = max(1, _SAMPLED_PAIRS // grid.num_points)
-    shifts = [tuple(int(v) for v in rng.integers(0, grid.n, size=grid.dim)) for _ in range(draws)]
-    shifts = [s for s in shifts if any(s)]
-    dists = np.array([grid.shift_distance(s) for s in shifts])
-    return np.array(shifts, dtype=int).reshape(-1, grid.dim), dists
-
-
-def _worst_ratios(grid, w, shifts):
-    """max_x w(x) / w(x - s) for each shift s from _spatial_pairs."""
-    if grid.num_points <= _EXHAUSTIVE_POINT_LIMIT:
-        return grid.shift_maxima(w, np.divide)
-    V = grid.rolls(w)
-    return np.array([np.max(w / V[tuple(s)]) for s in shifts])
+def _shift(grid, i):
+    """The lattice shift at index i of a Grid.shift_maxima result."""
+    return tuple(int(v) for v in np.unravel_index(i + 1, grid.shape))
 
 
 def _scalar_powers(bases, alpha):
@@ -193,16 +168,17 @@ def verify_admissible(w):
     measured_c = 1.0
     measured_alpha = 0.0
     wit_spatial = (0, (0,) * grid.dim, 1.0)
-    exhaustive = grid.num_points <= _EXHAUSTIVE_POINT_LIMIT
-    shifts, dists = _spatial_pairs(grid)
     for j, wj in enumerate(w.levels):
-        worst = _worst_ratios(grid, wj, shifts)
-        bases = 1.0 + 2.0**j * dists
+        if wj.min() == wj.max():
+            # every ratio is exactly 1 <= declared_c: no constant can move
+            continue
+        worst = grid.shift_maxima(wj, np.divide)
+        bases = 1.0 + 2.0**j * grid.shift_distances
         cval = worst / _scalar_powers(bases, w.declared_alpha)
         i = int(np.argmax(cval))  # the first worst shift of this level
         if cval[i] > measured_c:
             measured_c = float(cval[i])
-            wit_spatial = (j, tuple(int(v) for v in shifts[i]), float(worst[i]))
+            wit_spatial = (j, _shift(grid, i), float(worst[i]))
         over = worst > w.declared_c
         need = np.log(worst[over] / w.declared_c) / np.log(bases[over])
         measured_alpha = max(measured_alpha, float(need.max(initial=0.0)))
@@ -216,7 +192,6 @@ def verify_admissible(w):
         measured_c=measured_c,
         witness_spatial=wit_spatial,
         witness_levels=wit_levels,
-        exhaustive=exhaustive,
     )
 
 
@@ -265,9 +240,11 @@ def make_variable_smoothness(grid, J, s):
     Declared class: alpha = c_log(s) estimated on the grid, alpha1 = min s,
     alpha2 = max s, and c measured as the exact smallest constant for that
     alpha on the grid (the analytic constant is non-constructive).
-    """
-    from .exponents import log_holder_estimate
 
+    One signed scan D(h) = max_x s(x) - s(x - h) gives both: alpha is c_log
+    of s, and since 2^(j .) is monotone, the worst level-j ratio
+    max_x w_j(x) / w_j(x - h) is 2^(j D(h)).
+    """
     if callable(s):
         fn = s
         s_vals = fn(*grid.coords)
@@ -277,14 +254,14 @@ def make_variable_smoothness(grid, J, s):
         recipe = None
     if s_vals.shape != grid.shape:
         raise ValueError("smoothness values must match the grid")
-    alpha = log_holder_estimate(GridFunction(grid, s_vals)).c_log_local
+    D = grid.shift_maxima(s_vals, np.subtract)
+    alpha = _c_log_local(grid, D)
     levels = tuple(2.0 ** (j * s_vals) for j in range(J + 1))
-    # exact smallest c on the grid for the declared alpha
+    # exact smallest c on the grid for the declared alpha (level 0 gives 1)
     c = 1.0
-    shifts, dists = _spatial_pairs(grid)
-    for j, wj in enumerate(levels):
-        growth = _scalar_powers(1.0 + 2.0**j * dists, alpha)
-        c = max(c, float(np.max(_worst_ratios(grid, wj, shifts) / growth)))
+    for j in range(1, J + 1):
+        growth = (1.0 + 2.0**j * grid.shift_distances) ** alpha
+        c = max(c, float(np.max(2.0 ** (j * D) / growth)))
     return WeightSequence(
         grid,
         levels,
@@ -340,15 +317,15 @@ def make_weighted(grid, J, rho, s, beta, c=None):
     if np.any(rho_vals <= 0) or not np.all(np.isfinite(rho_vals)):
         idx = int(np.argmin(rho_vals))
         raise ValueError(f"rho must be positive; offending flat index {idx}")
-    shifts, dists = _spatial_pairs(grid)
-    worst = _worst_ratios(grid, rho_vals, shifts)
+    worst = grid.shift_maxima(rho_vals, np.divide)
+    dists = grid.shift_distances
     growth = _scalar_powers(1.0 + dists * dists, beta / 2.0)
     cval = worst / growth
     i = int(np.argmax(cval))  # the first worst shift
     measured = max(1.0, float(cval[i]))
     witness = None
     if measured > 1.0:
-        witness = (tuple(int(v) for v in shifts[i]), float(worst[i]), float(growth[i]))
+        witness = (_shift(grid, i), float(worst[i]), float(growth[i]))
     if c is not None and measured > c * (1.0 + _REL_SLACK):
         raise ValueError(
             f"rho violates the declared constant {c}: measured {measured} at pair {witness}"

@@ -291,3 +291,4 @@ def test_module_entry_point(ones_path):
     )
     assert proc.returncode == 0
     assert "norm = 1.000000000000e+00" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

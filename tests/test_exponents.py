@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,20 @@ def test_log_holder_brute_force_2d():
     report = log_holder_estimate(f)
     oracle = brute_force_c_log_local(np.asarray(f.samples), g)
     assert report.c_log_local == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 1024), (2, 16), (2, 32)])
+def test_log_holder_matches_abs_diff_roll_loop(dim, n):
+    # the signed scan and its reflection give the |a - b| scan bit for bit
+    g = Grid(dim, n)
+    values = np.random.default_rng(11).normal(size=g.shape)
+    axes = tuple(range(dim))
+    diffs = np.array([
+        np.max(np.abs(values - np.roll(values, s, axis=axes)))
+        for s in itertools.product(range(n), repeat=dim) if any(s)
+    ])
+    oracle = max(0.0, np.max(diffs * np.log(np.e + 1.0 / g.shift_distances)))
+    assert log_holder_estimate(GridFunction(g, values)).c_log_local == oracle
 
 
 def test_log_holder_constant_function_is_zero():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vexspaces import Grid
+from vexspaces import Grid, GridFunction, log_holder_estimate
 from vexspaces.weights import (
     WeightSequence,
     verify_admissible,
@@ -86,13 +86,49 @@ def test_variable_smoothness_class():
     assert w.declared_alpha2 == pytest.approx(float(sampled.max()), abs=1e-12)
     rep = verify_admissible(w)
     assert rep.passes
-    # alpha follows the measured log-Holder constant of s
-    from vexspaces import GridFunction, log_holder_estimate
+    # alpha is the measured log-Holder constant of s, from the same scan
+    assert w.declared_alpha == log_holder_estimate(GridFunction(g, sampled)).c_log_local
 
-    s_vals = 0.5 + 0.4 * np.sin(2 * np.pi * g.coords[0])
-    assert w.declared_alpha == pytest.approx(
-        log_holder_estimate(GridFunction(g, s_vals)).c_log_local
-    )
+
+def _counting_shift_maxima(monkeypatch):
+    calls = []
+    scan = Grid.shift_maxima
+
+    def counted(self, values, op):
+        calls.append(op)
+        return scan(self, values, op)
+
+    monkeypatch.setattr(Grid, "shift_maxima", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+def test_variable_smoothness_runs_one_scan(dim, n, monkeypatch):
+    g = Grid(dim, n)
+    s = lambda *x: 0.5 + 0.3 * np.sin(2 * np.pi * x[0]) * np.cos(2 * np.pi * x[-1])
+    calls = _counting_shift_maxima(monkeypatch)
+    w = make_variable_smoothness(g, J=5, s=s)
+    assert calls == [np.subtract]
+    # the level scans of verify_admissible are the oracle for c
+    c = roll_loop_condition_i(w)[0]
+    assert w.declared_c / (1.0 + 1e-9) == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["varsmooth", "generalized"])
+def test_constant_levels_skip_the_scan(kind, monkeypatch):
+    g = Grid(1, 64)
+    if kind == "varsmooth":
+        w = make_variable_smoothness(g, J=4, s=lambda x: 0.5 + 0.3 * np.sin(2 * np.pi * x))
+        # level 0 is 2^0 = 1 everywhere
+        scanned = w.J
+    else:
+        w = make_generalized(g, J=4, sigma=[1.0, 1.5, 2.0, 3.5, 4.0])
+        scanned = 0
+    calls = _counting_shift_maxima(monkeypatch)
+    rep = verify_admissible(w)
+    assert len(calls) == scanned
+    assert rep.passes
+    assert (rep.measured_c, rep.measured_alpha, rep.witness_spatial) == roll_loop_condition_i(w)
 
 
 def test_generalized_class():
@@ -182,7 +218,22 @@ def test_2d_scan():
     g = Grid(2, 16)
     w = make_2microlocal(g, J=3, s=0.5, s_prime=1.0, anchor_points=[[0.5, 0.5]])
     rep = verify_admissible(w)
-    assert rep.passes and rep.exhaustive
+    assert rep.passes
+    assert (rep.measured_c, rep.measured_alpha, rep.witness_spatial) == roll_loop_condition_i(w)
+
+
+def test_large_grid_scan_is_exact():
+    # one point 0.1% above a flat level: every shift sees the ratio 1.001, and
+    # the nearest shift gives c = 1.001 / (1 + 1/32768) > 1
+    g = Grid(1, 32768)
+    level = np.ones(g.shape)
+    level[1000] = 1.001
+    w = WeightSequence(g, (level,), declared_alpha=1.0, declared_alpha1=0.0,
+                       declared_alpha2=0.0, declared_c=1.0)
+    rep = verify_admissible(w)
+    assert rep.passes is False
+    assert (rep.measured_c, rep.measured_alpha, rep.witness_spatial) == roll_loop_condition_i(w)
+    assert rep.measured_c == pytest.approx(1.001 / (1.0 + 1.0 / 32768), rel=1e-12)
 
 
 @pytest.mark.parametrize(
