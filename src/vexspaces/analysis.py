@@ -178,13 +178,12 @@ def _admissible_lower_bound(grid, masks):
     return c
 
 
-def general_system(grid, J, epsilon, k_factor, vanishing_order=1):
+def general_system(grid, J, epsilon, k_factor):
     """General pair masks with a hard spectral gap at the origin.
 
     The band mask is identically zero for |xi| <= 3 eps / 8, so every
-    derivative of its (notional) profile vanishes at the origin; the
-    vanishing_order argument is recorded as a label only, the construction
-    delivers all moments at once.
+    derivative of its (notional) profile vanishes at the origin: the
+    construction delivers vanishing moments of every order at once.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -209,10 +208,9 @@ def general_system(grid, J, epsilon, k_factor, vanishing_order=1):
         metadata={
             "epsilon": epsilon,
             "k_factor": k_factor,
-            "vanishing_order": vanishing_order,
             "J": J,
         },
-        recipe=lambda g: general_system(g, J, epsilon, k_factor, vanishing_order),
+        recipe=lambda g: general_system(g, J, epsilon, k_factor),
     )
 
 
@@ -610,43 +608,38 @@ class MultiplierSymbol:
         return f"MultiplierSymbol({self.expr}, dim={self.dim})"
 
 
-def _derivative_sup(symbol, l, radius, fine_radius=8.0):
+def _derivative_sup(symbol, l, radius):
+    """The weighted derivative sup on a dense lattice over [-radius, radius]^dim."""
     if symbol.dim == 1:
-        grids = [
-            (np.linspace(-radius, radius, 200_001),),
-            (np.linspace(-fine_radius, fine_radius, 200_001),),
-        ]
+        pts = (np.linspace(-radius, radius, 200_001),)
     else:
-        far = np.linspace(-radius, radius, 513)
-        near = np.linspace(-fine_radius, fine_radius, 513)
-        grids = [
-            tuple(np.meshgrid(far, far, indexing="ij")),
-            tuple(np.meshgrid(near, near, indexing="ij")),
-        ]
+        axis = np.linspace(-radius, radius, 513)
+        pts = tuple(np.meshgrid(axis, axis, indexing="ij"))
+    sq = sum(np.asarray(p, dtype=float) ** 2 for p in pts)
     best = 0.0
-    for pts in grids:
-        sq = sum(np.asarray(p, dtype=float) ** 2 for p in pts)
-        for gamma in multi_indices(symbol.dim, 2 * l):
-            order = sum(gamma)
-            vals = np.abs(symbol.derivative(gamma, *pts))
-            best = max(best, float(np.max((1.0 + sq) ** (order / 2.0) * vals)))
+    for gamma in multi_indices(symbol.dim, 2 * l):
+        order = sum(gamma)
+        vals = np.abs(symbol.derivative(gamma, *pts))
+        best = max(best, float(np.max((1.0 + sq) ** (order / 2.0) * vals)))
     return best
 
 
-def symbol_derivative_norm(symbol, l, grid, growth_tol=0.01):
+def symbol_derivative_norm(symbol, l, grid):
     """sup over |gamma| <= 2l and xi of (1 + |xi|^2)^(|gamma|/2) |D^gamma m|.
 
     Evaluated on dense lattices covering twice the grid's Nyquist radius
-    plus a fine window near the origin.  If doubling the evaluation radius
-    grows the sup beyond growth_tol the symbol is unbounded in this
-    seminorm and inf is returned.
+    plus a fine window |xi| <= 8 near the origin, which is evaluated once
+    and shared by both radii.  If doubling the evaluation radius grows the
+    sup by more than 1% the symbol is unbounded in this seminorm and inf
+    is returned.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     radius = 2.0 * np.pi * grid.n
-    base = _derivative_sup(symbol, l, radius)
-    probe = _derivative_sup(symbol, l, 2.0 * radius)
-    if probe > base * (1.0 + growth_tol):
+    near = _derivative_sup(symbol, l, 8.0)
+    base = max(_derivative_sup(symbol, l, radius), near)
+    probe = max(_derivative_sup(symbol, l, 2.0 * radius), near)
+    if probe > base * 1.01:
         return float("inf")
     return max(base, probe)
 
@@ -677,19 +670,20 @@ def _box_points(box_length, dim, m):
     return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
 
-def dyadic_bessel_norm(symbol, kappa, grid, J=None, box_length=16.0, box_points=None):
+def dyadic_bessel_norm(symbol, kappa, grid, J=None):
     """||lam0 m | H2^kappa|| + max_j ||lam(.) m(2^j .) | H2^kappa||.
 
     lam0 / lam are the ball and annular windows of the dyadic cover,
-    sampled with the symbol on a periodic box of side box_length that
-    contains their supports with a wide margin.
+    sampled with the symbol on a periodic box of side 16, which contains
+    their supports with a wide margin, at 4096 points per axis in 1D and
+    512 in 2D.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if J is None:
         J = grid.max_levels()
-    m = box_points or (4096 if symbol.dim == 1 else 512)
-    pts = _box_points(box_length, symbol.dim, m)
+    box_length = 16.0
+    pts = _box_points(box_length, symbol.dim, 4096 if symbol.dim == 1 else 512)
     r = np.sqrt(sum(np.asarray(p) ** 2 for p in pts))
     lam0 = _lam0_profile(r)
     lam = _lam_profile(r)

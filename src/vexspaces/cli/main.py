@@ -30,23 +30,15 @@ def _fmt(x):
     return f"{float(x):.12e}"
 
 
-def _emit(out, name, lines):
+def _emit(out, name, lines, echo=True):
+    """Write lines to out/name (when out is set), echoing them to stdout."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    if echo:
+        sys.stdout.write(text)
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, name), "w") as fh:
             fh.write(text)
-
-
-def _write_csv(out, name, header, rows, echo=False):
-    lines = [header] + [",".join(row) for row in rows]
-    if echo:
-        sys.stdout.write("\n".join(lines) + "\n")
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _corpus(cfg):
@@ -84,11 +76,8 @@ def cmd_analyze(cfg):
     spec = build_spec(cfg, grid)
     f = load_signal(cfg.signal, grid)
     blocks = spaces.weighted_blocks(f, spec)
-    rows = []
-    for j, e in enumerate(blocks):
-        level = lebesgue_norm(e, spec.p)
-        rows.append((str(j), _fmt(level)))
-    _write_csv(cfg.out, "levels.csv", "j,level_norm", rows, echo=True)
+    rows = [f"{j},{_fmt(lebesgue_norm(e, spec.p))}" for j, e in enumerate(blocks)]
+    _emit(cfg.out, "levels.csv", ["j,level_norm"] + rows)
     value = spaces.quasi_norm(f, spec)
     _emit(cfg.out, "report.txt", _spec_lines(cfg, spec) + [f"norm = {_fmt(value)}"])
     return 0
@@ -124,12 +113,13 @@ def _report_lines(rep, extra=()):
     return lines
 
 
-def _rows(pairs):
-    """CSV rows (index, den, num, num/den) from (num, den) pairs."""
-    return [
-        (str(i), _fmt(den), _fmt(num), _fmt(num / den if den > 0 else np.nan))
+def _write_ratios(out, header, pairs):
+    """ratios.csv rows (index, den, num, num/den) from (num, den) pairs."""
+    rows = [
+        f"{i},{_fmt(den)},{_fmt(num)},{_fmt(num / den if den > 0 else np.nan)}"
         for i, (num, den) in enumerate(pairs)
     ]
+    _emit(out, "ratios.csv", [header] + rows, echo=False)
 
 
 def cmd_compare_pairs(cfg):
@@ -144,7 +134,7 @@ def cmd_compare_pairs(cfg):
         spec_a, system=build_system(grid, spec_a.J, cfg.system_b)
     )
     rep = spaces.pair_independence_check(_corpus(cfg), spec_a, spec_b)
-    _write_csv(cfg.out, "ratios.csv", "index,norm_b,norm_a,ratio", _rows(rep.pairs))
+    _write_ratios(cfg.out, "index,norm_b,norm_a,ratio", rep.pairs)
     extra = [f"system_a = {cfg.system}", f"system_b = {cfg.system_b}"]
     _emit(cfg.out, "report.txt", _report_lines(rep, extra))
     return 0 if rep.passes else 1
@@ -154,7 +144,7 @@ def cmd_lift_check(cfg):
     grid = build_grid(cfg)
     spec = build_spec(cfg, grid)
     rep = spaces.lifting_check(_corpus(cfg), spec, cfg.sigma)
-    _write_csv(cfg.out, "ratios.csv", "index,norm_source,norm_lifted,ratio", _rows(rep.pairs))
+    _write_ratios(cfg.out, "index,norm_source,norm_lifted,ratio", rep.pairs)
     _emit(cfg.out, "report.txt", _report_lines(rep, [f"sigma = {_fmt(cfg.sigma)}"]))
     return 0 if rep.passes else 1
 
@@ -168,7 +158,7 @@ def cmd_multiplier_check(cfg):
     rep = spaces.multiplier_bound_checks(
         _corpus(cfg), spec, m, cfg.mode, order=cfg.order
     )
-    _write_csv(cfg.out, "ratios.csv", "index,norm,norm_multiplied,ratio", _rows(rep.pairs))
+    _write_ratios(cfg.out, "index,norm,norm_multiplied,ratio", rep.pairs)
     extra = [
         f"symbol = {cfg.symbol}",
         f"mode = {rep.mode}",

@@ -219,13 +219,13 @@ def _eta_samples_1d(grid, level, decay):
     return vals, -1, 0.0
 
 
-def _eta_samples_2d(grid, level, decay, cap=256):
+def _eta_samples_2d(grid, level, decay):
     x, y = grid.coords
     c = 2.0 ** (-level)
     pref = 2.0 ** (level * (2.0 - decay))
     total = pref * (c + np.sqrt(x * x + y * y)) ** (-decay)
     ring = 1
-    while ring <= cap:
+    while ring <= 256:
         offsets = [(a, b) for a in range(-ring, ring + 1) for b in (-ring, ring)]
         offsets += [(a, b) for a in (-ring, ring) for b in range(-ring + 1, ring)]
         ring_max = 0.0
@@ -246,10 +246,11 @@ def eta_kernel(grid, level, decay):
     """Periodize the kernel and cache its convolution mask.
 
     1D periodization is exact (Hurwitz zeta); 2D sums square rings of
-    images until a ring's peak drops below 1e-15, reporting the truncation
-    radius and a pointwise bound on the discarded tail.  decay <= dim is
-    the non-integrable regime: construction is refused, probe it with
-    eta_integrability_probe instead.
+    images until a ring's peak drops below 1e-15 (at most 256 rings),
+    reporting the truncation radius and a pointwise bound on the
+    discarded tail.  decay <= dim is the non-integrable regime:
+    construction is refused, probe it with eta_integrability_probe
+    instead.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -274,8 +275,8 @@ def eta_kernel(grid, level, decay):
     )
 
 
-def eta_integrability_probe(grid, level, decay, radii=(8, 64)):
-    """Mean of the truncated image sum at two radii (its L1 mass).
+def eta_integrability_probe(grid, level, decay):
+    """Mean of the truncated image sum at radii 8 and 64 (its L1 mass).
 
     For decay <= dim the mass keeps growing with the radius; the returned
     pair documents the divergence without attempting a full periodization.
@@ -285,14 +286,14 @@ def eta_integrability_probe(grid, level, decay, radii=(8, 64)):
     masses = []
     if grid.dim == 1:
         x = grid.coords[0]
-        for radius in radii:
+        for radius in (8, 64):
             total = np.zeros(grid.shape)
             for k in range(-radius, radius + 1):
                 total += pref * (c + np.abs(x + k)) ** (-decay)
             masses.append(float(total.mean()))
     else:
         x, y = grid.coords
-        for radius in radii:
+        for radius in (8, 64):
             total = np.zeros(grid.shape)
             for ox in range(-radius, radius + 1):
                 for oy in range(-radius, radius + 1):

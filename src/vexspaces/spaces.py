@@ -86,6 +86,24 @@ __all__ = [
 DRIFT_LIMIT = 0.3
 
 
+def _band(pairs):
+    """(min, max, count) of num/den over (num, den) pairs, as Python floats.
+
+    The one reducer behind every constant measured over a corpus: a 0/0
+    member carries no information and is skipped, x/0 is inf, and count
+    is the number of members whose ratio was used.  A corpus with no
+    usable member raises rather than reporting a constant of 0.
+    """
+    ratios = []
+    for num, den in pairs:
+        if den == 0.0 and num == 0.0:
+            continue
+        ratios.append(np.inf if den == 0.0 else num / den)
+    if not ratios:
+        raise ValueError("corpus produced no usable ratios")
+    return float(min(ratios)), float(max(ratios)), len(ratios)
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Parameters of one B- or F-scale space on a fixed grid."""
@@ -183,17 +201,18 @@ def quasi_norm_maximal(f, spec, a, clog_override=None):
 
 def _measured_alpha2(w, J):
     """log2 of the largest level-to-level weight ratio up to level J."""
-    worst = -np.inf
-    for j in range(J):
-        worst = max(worst, float(np.log2(np.max(w.levels[j + 1] / w.levels[j]))))
-    return 0.0 if J == 0 else worst
+    return max(
+        (float(np.log2(np.max(w.levels[j + 1] / w.levels[j]))) for j in range(J)),
+        default=0.0,
+    )
 
 
-def quasi_norm_local_means(f, spec, kernels=None, laplacian_order=1):
+def quasi_norm_local_means(f, spec, laplacian_order=1):
     """Local-means counterpart: head L_p term plus the j >= 1 mixed norm.
 
     Entry 0 is the unscaled kernel average w_0 k_0(1, f) measured in
     L_{p(.)}; entries j >= 1 carry the 2^-j-scaled Laplacian-power kernel.
+    Both kernels are the default bumps of analysis.local_means.
     Requires 2*laplacian_order > measured alpha2 of the weight levels.
     """
     alpha2 = _measured_alpha2(spec.w, spec.J)
@@ -204,10 +223,7 @@ def quasi_norm_local_means(f, spec, kernels=None, laplacian_order=1):
         )
     if f.grid != spec.grid:
         raise ValueError("function and spec live on different grids")
-    kernel0, kernel_base = kernels if kernels is not None else (None, None)
-    means = local_means(
-        f, spec.J, laplacian_order, kernel0=kernel0, kernel_base=kernel_base
-    )
+    means = local_means(f, spec.J, laplacian_order)
     head = lebesgue_norm(
         GridFunction(spec.grid, spec.w[0] * np.abs(means[0].samples)), spec.p
     )
@@ -219,12 +235,10 @@ def quasi_norm_local_means(f, spec, kernels=None, laplacian_order=1):
 
 def quasi_triangle_probe(spec, pairs):
     """Largest ||f+g|| / (||f|| + ||g||) over the pairs; may exceed 1."""
-    worst = 0.0
-    for f, g in pairs:
-        denom = quasi_norm(f, spec) + quasi_norm(g, spec)
-        if denom > 0.0:
-            worst = max(worst, quasi_norm(f + g, spec) / denom)
-    return worst
+    return _band(
+        (quasi_norm(f + g, spec), quasi_norm(f, spec) + quasi_norm(g, spec))
+        for f, g in pairs
+    )[1]
 
 
 # ------------------------------------------------------------------ corpus
@@ -333,17 +347,6 @@ class EquivalenceReport:
         )
 
 
-def _band(pairs):
-    ratios = []
-    for num, den in pairs:
-        if den == 0.0 and num == 0.0:
-            continue  # 0/0 carries no information
-        ratios.append(np.inf if den == 0.0 else num / den)
-    if not ratios:
-        raise ValueError("corpus produced no usable ratios")
-    return min(ratios), max(ratios), len(ratios)
-
-
 def _equivalence_report(corpus, grid, make_pair_fn):
     """Band of num/den over corpus(grid), drift measured against 2N."""
     pair = make_pair_fn(grid)
@@ -351,9 +354,9 @@ def _equivalence_report(corpus, grid, make_pair_fn):
     lo, hi, count = _band(pairs)
     fine = Grid(grid.dim, 2 * grid.n)
     pair = make_pair_fn(fine)
-    lo2, hi2, _ = _band([pair(f) for f in corpus(fine)])
+    lo2, hi2, _ = _band(pair(f) for f in corpus(fine))
     drift = abs(np.log(hi / lo) - np.log(hi2 / lo2))
-    return EquivalenceReport(float(lo), float(hi), count, float(drift), pairs)
+    return EquivalenceReport(lo, hi, count, float(drift), pairs)
 
 
 def _on(spec, grid):
@@ -428,15 +431,16 @@ def maximal_equivalence_check(corpus, spec, a=None, clog_override=None):
     return _equivalence_report(corpus, spec.grid, make)
 
 
-def local_means_equivalence_check(corpus, spec, kernels=None, laplacian_order=1):
-    """Ratio band of the local-means route over the block quasi-norm."""
+def local_means_equivalence_check(corpus, spec, laplacian_order=1):
+    """Ratio band of the local-means route over the block quasi-norm,
+    with the default kernels of analysis.local_means."""
 
     def make(grid):
         s = _on(spec, grid)
 
         def pair(f):
             return (
-                quasi_norm_local_means(f, s, kernels, laplacian_order),
+                quasi_norm_local_means(f, s, laplacian_order),
                 quasi_norm(f, s),
             )
 
@@ -457,18 +461,7 @@ class EmbeddingReport:
     reason: str
     constant: float
     condition_value: float
-    corpus_size: int
-
-
-def _measured_constant(corpus_fns, target, source):
-    worst, count = 0.0, 0
-    for f in corpus_fns:
-        den = quasi_norm(f, source)
-        if den == 0.0:
-            continue
-        worst = max(worst, quasi_norm(f, target) / den)
-        count += 1
-    return worst, count
+    corpus_size: int  # members whose ratio was used
 
 
 def q_monotone_embedding_check(corpus, spec, q1):
@@ -482,7 +475,9 @@ def q_monotone_embedding_check(corpus, spec, q1):
             "q_monotone", True, "F-scale needs q1_plus < inf", np.nan, np.nan, 0
         )
     target = replace(spec, q=q1)
-    constant, count = _measured_constant(corpus(spec.grid), target, spec)
+    _, constant, count = _band(
+        (quasi_norm(f, target), quasi_norm(f, spec)) for f in corpus(spec.grid)
+    )
     return EmbeddingReport("q_monotone", False, "", constant, np.nan, count)
 
 
@@ -523,7 +518,9 @@ def weight_pair_embedding_check(corpus, spec, v, q1=None):
     else:
         condition = lp_lq_norm(ratios, p_inf, qstar)
     target = replace(spec, w=v, q=q1)
-    constant, count = _measured_constant(corpus(grid), target, spec)
+    _, constant, count = _band(
+        (quasi_norm(f, target), quasi_norm(f, spec)) for f in corpus(grid)
+    )
     return EmbeddingReport("weight_pair", False, "", constant, condition, count)
 
 
@@ -533,7 +530,7 @@ class SandwichReport:
 
     constant_in: float
     constant_out: float
-    corpus_size: int
+    corpus_size: int  # members used, the smaller count of the two constants
 
 
 def bf_sandwich_check(corpus, f_spec):
@@ -542,18 +539,13 @@ def bf_sandwich_check(corpus, f_spec):
         raise ValueError("the sandwich starts from an F-scale spec")
     b_lo = replace(f_spec, scale="B", q=pointwise_min(f_spec.p, f_spec.q))
     b_hi = replace(f_spec, scale="B", q=pointwise_max(f_spec.p, f_spec.q))
-    c_in = c_out = 0.0
-    count = 0
-    for f in corpus(f_spec.grid):
-        mid = quasi_norm(f, f_spec)
-        lo = quasi_norm(f, b_lo)
-        hi = quasi_norm(f, b_hi)
-        if lo == 0.0 or mid == 0.0:
-            continue
-        c_in = max(c_in, mid / lo)
-        c_out = max(c_out, hi / mid)
-        count += 1
-    return SandwichReport(c_in, c_out, count)
+    norms = [
+        (quasi_norm(f, b_lo), quasi_norm(f, f_spec), quasi_norm(f, b_hi))
+        for f in corpus(f_spec.grid)
+    ]
+    _, c_in, n_in = _band((mid, lo) for lo, mid, _ in norms)
+    _, c_out, n_out = _band((hi, mid) for _, mid, hi in norms)
+    return SandwichReport(c_in, c_out, min(n_in, n_out))
 
 
 def embedding_checks(corpus, variants):
@@ -587,7 +579,7 @@ class SchwartzEmbeddingReport:
     pairing_constant: float
     seminorm_order: int
     threshold: float
-    corpus_size: int
+    corpus_size: int  # members used, the smaller count of the two constants
 
 
 def schwartz_embedding_checks(corpus, spec, N):
@@ -601,23 +593,21 @@ def schwartz_embedding_checks(corpus, spec, N):
         raise ValueError(f"need N > {threshold}, got N = {N}")
     grid = spec.grid
     fns = list(corpus(grid))
-    c_semi = 0.0
-    for f in fns:
-        blocks = weighted_blocks(f, spec)
-        sup_j = max(lebesgue_norm(e, spec.p) for e in blocks)
-        semi = schwartz_seminorm(f, N)
-        if semi > 0.0:
-            c_semi = max(c_semi, sup_j / semi)
+    _, c_semi, n_semi = _band(
+        (
+            max(lebesgue_norm(e, spec.p) for e in weighted_blocks(f, spec)),
+            schwartz_seminorm(f, N),
+        )
+        for f in fns
+    )
     psi = GridFunction(grid, _torus_gauss(grid, (0.5,) * grid.dim, 0.1))
     b_inf = replace(
         spec, scale="B", q=VariableExponent.constant(grid, np.inf)
     )
-    c_pair = 0.0
-    for f in fns:
-        den = quasi_norm(f, b_inf)
-        if den > 0.0:
-            c_pair = max(c_pair, abs(quadrature(f * psi)) / den)
-    return SchwartzEmbeddingReport(c_semi, c_pair, N, threshold, len(fns))
+    _, c_pair, n_pair = _band(
+        (abs(quadrature(f * psi)), quasi_norm(f, b_inf)) for f in fns
+    )
+    return SchwartzEmbeddingReport(c_semi, c_pair, N, threshold, min(n_semi, n_pair))
 
 
 # -------------------------------------------------------------- multipliers

@@ -102,10 +102,11 @@ class WeightSequence:
             recipe=recipe,
         )
 
-    def refine(self, grid, J=None):
+    def refine(self, grid):
+        """The same sequence, with the same J, rebuilt on another grid."""
         if self.recipe is None:
             raise ValueError("weight sequence has no resampling recipe")
-        return self.recipe(grid, self.J if J is None else J)
+        return self.recipe(grid, self.J)
 
 
 @dataclass(frozen=True)

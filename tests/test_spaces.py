@@ -12,11 +12,16 @@ from vexspaces.analysis import (
     general_system,
     kernel_hat,
     lift,
+    schwartz_seminorm,
 )
+from vexspaces.exponents import pointwise_max, pointwise_min
+from vexspaces.grid import quadrature
 from vexspaces.lebesgue import norm as lebesgue_norm
 from vexspaces.spaces import (
     EquivalenceReport,
     SpaceSpec,
+    _band,
+    _torus_gauss,
     bessel_scale_multiplier_check,
     bf_sandwich_check,
     derivative_sum_check,
@@ -442,6 +447,101 @@ def test_schwartz_embedding(grid64, setup):
     assert rep.pairing_constant > 0.0 and np.isfinite(rep.pairing_constant)
     with pytest.raises(ValueError, match="need N >"):
         schwartz_embedding_checks(bumps, spec, N=0)
+
+
+# ------------------------------------------------ one reducer for constants
+
+
+def test_band_rule():
+    # 0/0 is skipped, x/0 is inf, the count is the members used
+    assert _band([(0.0, 0.0), (1.0, 0.0), (2.0, 4.0)]) == (0.5, np.inf, 2)
+    with pytest.raises(ValueError, match="no usable ratios"):
+        _band([(0.0, 0.0)])
+
+
+def test_uninformative_corpus_raises(grid64, setup):
+    sys, pv, qv, w = setup
+    zeros = lambda g: [g.zeros()]
+    spec_b = SpaceSpec("B", pv, qv, w, sys, J)
+    spec_f = SpaceSpec("F", pv, qv, w, sys, J)
+    q_big = VariableExponent.constant(grid64, 4.0)
+    checks = [
+        lambda: q_monotone_embedding_check(zeros, spec_b, q_big),
+        lambda: weight_pair_embedding_check(zeros, spec_b, w),
+        lambda: bf_sandwich_check(zeros, spec_f),
+        lambda: schwartz_embedding_checks(zeros, spec_b, N=3),
+        lambda: quasi_triangle_probe(spec_b, [(grid64.zeros(), grid64.zeros())]),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="no usable ratios"):
+            check()
+
+
+def _reducer_specs():
+    g = Grid(1, 64)
+    x = g.coords[0]
+    sys = admissible_system(g, J, "plateau")
+    p = VariableExponent(g, 1.8 + 0.3 * np.sin(2.0 * np.pi * x))
+    q = VariableExponent(g, 2.2 + 0.4 * np.cos(2.0 * np.pi * x))
+    w = make_generalized(g, J, 2.0 ** (0.5 * np.arange(J + 1, dtype=float)))
+    yield SpaceSpec("B", p, q, w, sys, J), standard_corpus(g)[:5]
+    yield SpaceSpec("F", p, q, w, sys, J), standard_corpus(g)[:5]
+    g2, J2 = Grid(2, 32), 4
+    x, y = g2.coords
+    sys2 = admissible_system(g2, J2, "plateau")
+    p2 = VariableExponent(g2, 2.0 + 0.3 * np.sin(2.0 * np.pi * (x + y)))
+    q2 = VariableExponent(g2, 2.0 + 0.2 * np.cos(2.0 * np.pi * x))
+    w2 = make_2microlocal(g2, J2, 0.5, -0.25, [[0.5, 0.5]])
+    for scale in ("B", "F"):
+        yield SpaceSpec(scale, p2, q2, w2, sys2, J2), standard_corpus(g2)[18:21]
+
+
+@pytest.mark.parametrize("spec, fns", list(_reducer_specs()))
+def test_constants_match_per_member_loop(spec, fns):
+    grid = spec.grid
+    corpus = lambda g: fns
+    q1 = VariableExponent(grid, spec.q.values + 1.0)
+    v = make_variable_smoothness(grid, spec.J, lambda *x: 0.3 + 0.1 * np.sin(2 * np.pi * x[0]))
+
+    target = replace(spec, q=q1)
+    rep = q_monotone_embedding_check(corpus, spec, q1)
+    expect = max(quasi_norm(f, target) / quasi_norm(f, spec) for f in fns)
+    assert (rep.constant, rep.corpus_size) == (expect, len(fns))
+
+    target = replace(spec, w=v, q=q1)
+    rep = weight_pair_embedding_check(corpus, spec, v, q1)
+    expect = max(quasi_norm(f, target) / quasi_norm(f, spec) for f in fns)
+    assert (rep.constant, rep.corpus_size) == (expect, len(fns))
+
+    pairs = list(zip(fns, fns[1:] + fns[:1]))
+    expect = max(
+        quasi_norm(f + g, spec) / (quasi_norm(f, spec) + quasi_norm(g, spec))
+        for f, g in pairs
+    )
+    assert quasi_triangle_probe(spec, pairs) == expect
+
+    if spec.scale == "F":
+        b_lo = replace(spec, scale="B", q=pointwise_min(spec.p, spec.q))
+        b_hi = replace(spec, scale="B", q=pointwise_max(spec.p, spec.q))
+        rep = bf_sandwich_check(corpus, spec)
+        c_in = max(quasi_norm(f, spec) / quasi_norm(f, b_lo) for f in fns)
+        c_out = max(quasi_norm(f, b_hi) / quasi_norm(f, spec) for f in fns)
+        assert (rep.constant_in, rep.constant_out, rep.corpus_size) == (
+            c_in, c_out, len(fns)
+        )
+        return
+    rep = schwartz_embedding_checks(corpus, spec, N=3)
+    c_semi = max(
+        max(lebesgue_norm(e, spec.p) for e in weighted_blocks(f, spec))
+        / schwartz_seminorm(f, 3)
+        for f in fns
+    )
+    psi = GridFunction(grid, _torus_gauss(grid, (0.5,) * grid.dim, 0.1))
+    b_inf = replace(spec, scale="B", q=VariableExponent.constant(grid, np.inf))
+    c_pair = max(abs(quadrature(f * psi)) / quasi_norm(f, b_inf) for f in fns)
+    assert (rep.seminorm_constant, rep.pairing_constant, rep.corpus_size) == (
+        c_semi, c_pair, len(fns)
+    )
 
 
 # -------------------------------------------------------------- multipliers
