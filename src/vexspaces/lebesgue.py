@@ -13,7 +13,9 @@ never fails to bracket.
 
 Every Luxemburg functional of the package is solved to one contract: the
 returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
-infimum, in at most MAX_ITER steps per solver phase.
+infimum, in at most MAX_ITER steps per solver phase.  luxemburg_root is the
+one solver; it also runs many such functionals as lanes of one call, each
+lane with its own bracket, so that their modulars are evaluated together.
 """
 
 import math
@@ -78,38 +80,23 @@ def upper_bracket(value, start, grow):
     return None
 
 
-def luxemburg_root(value, hi):
-    """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
+def _lane(hi, lo):
+    """One lane of luxemburg_root as a generator.
 
-    hi must satisfy value(hi) <= 1.  It is halved until value exceeds 1 (0.0
-    if the halving reaches zero first), then the bracket is narrowed until it
-    is within REL_TOL of hi; the returned hi always has value <= 1.
-
-    A modular is a sum of powers of lam, so log value is convex in log lam,
-    and linear when the exponent is constant.  Each step therefore takes the
-    secant on (log lam, log value) through the two latest evaluations, which
-    lands on the root at once in the linear case and converges superlinearly
-    otherwise.  The midpoint replaces it where it is undefined (a value of 0
-    or inf, or log value not decreasing) and where the bracket has not halved
-    over the last three steps, so the bracket halves at least every fourth
-    step.  (The first secant steps after the halving move only hi, so a
-    two-step window would cut short a secant that is converging.)  Every
-    point stays REL_TOL/2 * hi inside the bracket, which closes it on the
-    step after the secant lands.  The secant aims REL_TOL/4 above its root,
-    so where it is exact the returned hi has value below 1 by far more than
-    rounding: modular(f/hi) <= 1 holds however f/hi is computed.
+    It yields each lam it needs the value of, is sent value(lam) back, and
+    returns its root through StopIteration.
     """
-    lo, v_hi = hi / 2.0, None
+    v_hi = None
     for _ in range(MAX_ITER):
         if lo == 0.0:
             return 0.0
-        v_lo = value(lo)
+        v_lo = yield lo
         if v_lo > 1.0:
             break
         hi, v_hi = lo, v_lo
         lo = hi / 2.0
     if v_hi is None:
-        v_hi = value(hi)
+        v_hi = yield hi
     (lam_a, v_a), (lam_b, v_b) = (hi, v_hi), (lo, v_lo)
     widths = [np.inf] * 3  # bracket widths at the start of each step
     for _ in range(MAX_ITER):
@@ -126,13 +113,71 @@ def luxemburg_root(value, hi):
                 lam *= 1.0 + 0.25 * REL_TOL
         margin = 0.5 * REL_TOL * hi
         lam = min(max(lam, lo + margin), hi - margin)
-        v = value(lam)
+        v = yield lam
         if v <= 1.0:
             hi = lam
         else:
             lo = lam
         (lam_a, v_a), (lam_b, v_b) = (lam_b, v_b), (lam, v)
     return hi
+
+
+def luxemburg_root(value, hi, lo=None):
+    """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
+
+    hi must satisfy value(hi) <= 1.  The first point below it is lo (hi/2
+    if None), halved until value exceeds 1 (0.0 if the halving reaches zero
+    first); then the bracket is narrowed until it is within REL_TOL of hi.
+    The returned hi always has value <= 1, and the root exceeds
+    (1 - REL_TOL) * hi.
+
+    A modular is a sum of powers of lam, so log value is convex in log lam,
+    and linear when the exponent is constant.  Each step therefore takes the
+    secant on (log lam, log value) through the two latest evaluations, which
+    lands on the root at once in the linear case and converges superlinearly
+    otherwise.  The midpoint replaces it where it is undefined (a value of 0
+    or inf, or log value not decreasing) and where the bracket has not halved
+    over the last three steps, so the bracket halves at least every fourth
+    step.  (The first secant steps after the halving move only hi, so a
+    two-step window would cut short a secant that is converging.)  Every
+    point stays REL_TOL/2 * hi inside the bracket, which closes it on the
+    step after the secant lands.  The secant aims REL_TOL/4 above its root,
+    so where it is exact the returned hi has value below 1 by far more than
+    rounding: modular(f/hi) <= 1 holds however f/hi is computed.
+
+    Lanes: with hi (and lo) arrays of one entry per lane, the call solves
+    every lane at once.  value(lam, rows) then gets the lam of the lanes
+    still open and their indices, and returns their values as an array;
+    each lane keeps its own bracket and secant state and closes on its own,
+    so a lane takes exactly the steps of a one-lane call.  A lo from a
+    warm start (a bound known to lie below the root) skips the halving.
+    Returns an array of roots, one per lane.
+    """
+    if np.ndim(hi) == 0:
+        lane = _lane(hi, hi / 2.0 if lo is None else lo)
+        v = None
+        try:
+            while True:
+                v = value(lane.send(v))
+        except StopIteration as done:
+            return done.value
+    hi = np.asarray(hi, dtype=float)
+    lo = hi / 2.0 if lo is None else np.asarray(lo, dtype=float)
+    lanes = [_lane(h, l) for h, l in zip(hi.tolist(), lo.tolist())]
+    roots = np.empty(len(lanes))
+    rows, values = list(range(len(lanes))), [None] * len(lanes)
+    while rows:
+        open_rows, lams = [], []
+        for r, v in zip(rows, values):
+            try:
+                lams.append(lanes[r].send(v))
+                open_rows.append(r)
+            except StopIteration as done:
+                roots[r] = done.value
+        rows = open_rows
+        if rows:
+            values = value(np.array(lams), np.array(rows)).tolist()
+    return roots
 
 
 def _finite_part_norm(a, pv, cell_volume):

@@ -11,12 +11,22 @@ Two scales act on a finite sequence (f_0, ..., f_J):
   lambda-independent and the infimum degenerates to 0 or inf, handled by an
   explicit case split.
 
+The norm takes one of three routes.  For constant finite q the modular of
+F/mu is mu^-q times that of F, so one modular evaluation closes the norm:
+||F|| = peak * m^(1/q) with m the modular of F/peak.  For variable finite q
+each outer step solves the J+1 level infima as lanes of one luxemburg_root
+over the stacked levels, every lane warm-started from the nearest mu
+already solved: with c = mu'/mu > 1, lam_nu(mu') lies in
+[c^-q^+ lam_nu(mu), c^-q^- lam_nu(mu)] by monotonicity and homogeneity.
+Where q = inf somewhere the outer solve runs over lq_lp_modular.
+
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
 and convolution with periodized kernels eta_{nu,R} = 2^(n nu)
 (1 + 2^nu |x|)^(-R).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -25,7 +35,13 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .exponents import _clog_inv, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
-from .lebesgue import _modular_value, luxemburg_root, norm as lebesgue_norm, upper_bracket
+from .lebesgue import (
+    REL_TOL,
+    _modular_value,
+    luxemburg_root,
+    norm as lebesgue_norm,
+    upper_bracket,
+)
 
 __all__ = [
     "pointwise_lq",
@@ -123,17 +139,101 @@ def lq_lp_modular(F, p, q, force_general=False):
     return total
 
 
+def _level_lanes(F, p, q):
+    """modular(mu) of F/mu in l_{q(.)}(L_{p(.)}) for finite q, by lanes.
+
+    One call solves the J+1 closed-route infima || |f_nu/mu|^q ||_{p/q} as
+    lanes of one luxemburg_root over the (J+1, N^dim) stack, each split
+    into its p = inf region (an ess-sup) and its finite part, as
+    lebesgue.norm does.  Each lane starts from the mu already solved
+    nearest to this one: with c = mu'/mu, |f/mu'|^q = c^-q |f/mu|^q, so by
+    monotonicity and homogeneity of the norm lam(mu') lies between
+    c^-q^+ lam(mu) and c^-q^- lam(mu) (the two swap for c < 1).  The
+    previous lam is known within REL_TOL, and the powers are not computed as
+    c^-q times the old ones, so the ends carry a rounding margin.
+
+    A warm lane and the cold per-level solve of lq_lp_modular end at
+    different points of their REL_TOL brackets, so the returned modular is
+    the lane sum over (1 - REL_TOL), which bounds the sum lq_lp_modular
+    computes from above: the norm it yields keeps lq_lp_modular <= 1.
+    """
+    levels = len(F)
+    a = F.abs_stack().reshape(levels, -1)
+    qv = q.values.ravel()
+    pq = p.values.ravel() / qv
+    finite = np.isfinite(pq)
+    pv = pq[finite]
+    cell = F.grid.cell_volume
+    q_minus, q_plus = q.p_minus, q.p_plus
+    solved = {}  # mu -> finite-part root of every level (0 where none)
+    # reused buffers: temporaries of this size cost a fresh allocation each
+    g = np.empty(a.shape)  # |f_nu/mu|^q
+    buf = np.empty((levels, pv.size))  # one evaluation of the open lanes
+
+    def modular(mu):
+        np.multiply(a, 1.0 / mu, out=g)
+        with np.errstate(over="ignore"):
+            np.power(g, qv, out=g)
+        ess = np.max(g[:, ~finite], axis=1, initial=0.0)
+        G = g if finite.all() else g[:, finite]
+        hi = np.max(G, axis=1, initial=0.0)  # a root bound on a measure-1 domain
+        lo = hi / 2.0
+        near = min(solved, key=lambda m: abs(math.log(m / mu)), default=None)
+        # start cold where c^-q could overflow
+        if near is not None and abs(math.log(mu / near)) * q_plus < 600.0:
+            c = mu / near
+            low, high = sorted((c**-q_plus, c**-q_minus))
+            prev = solved[near]
+            warm = prev > 0.0
+            # the old root lies in ((1 - REL_TOL) prev, prev]; one more
+            # REL_TOL on each end covers the rounding
+            hi = np.where(warm, np.minimum(hi, high * (1.0 + REL_TOL) * prev), hi)
+            lo = np.where(warm, np.minimum(hi, low * (1.0 - 2.0 * REL_TOL) * prev), lo)
+        rows = np.flatnonzero(hi > 0.0)
+
+        def value(lam, open_rows):
+            x = buf[: open_rows.size]
+            np.take(G, rows[open_rows], axis=0, out=x)
+            np.divide(x, lam[:, None], out=x)
+            with np.errstate(over="ignore"):
+                np.power(x, pv, out=x)
+            return cell * x.sum(axis=1)
+
+        fin = np.zeros(levels)
+        fin[rows] = luxemburg_root(value, hi[rows], lo[rows])
+        solved[mu] = fin
+        return float(np.sum(np.maximum(ess, fin))) / (1.0 - REL_TOL)
+
+    return modular
+
+
 def lq_lp_norm(F, p, q):
-    """Norm of F in l_{q(.)}(L_{p(.)}): outer Luxemburg on the modular."""
+    """Norm of F in l_{q(.)}(L_{p(.)}): outer Luxemburg on the modular.
+
+    Constant finite q needs no outer solve: the modular of F/mu is
+    mu^-q times that of F, so the norm is peak * m^(1/q) with m the
+    modular of F/peak, aimed REL_TOL/4 above the root in the modular as
+    the secant aims.  Variable finite q solves the outer root over
+    _level_lanes; q = inf somewhere keeps lq_lp_modular and its
+    _level_infimum.
+    """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
     if peak == 0.0:
         return 0.0
-
-    @cache  # the root phase may ask again for upper_bracket's value at hi
-    def value(mu):
-        return lq_lp_modular(F.scaled(1.0 / mu), p, q)
-
+    if q.p_plus < np.inf and q.is_constant():
+        m = lq_lp_modular(F.scaled(1.0 / peak), p, q)
+        with np.errstate(over="ignore"):
+            mu = peak * np.float64(m * (1.0 + 0.25 * REL_TOL)) ** (1.0 / q.p_plus)
+        if not np.isfinite(mu):
+            raise ArithmeticError("failed to bracket the mixed norm from above")
+        return float(mu)
+    if q.p_plus < np.inf:
+        modular = _level_lanes(F, p, q)
+    else:
+        modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
+    # the root phase may ask again for upper_bracket's value at hi
+    value = cache(modular)
     hi = upper_bracket(value, peak, 2.0)
     if hi is None:
         raise ArithmeticError("failed to bracket the mixed norm from above")

@@ -16,6 +16,7 @@ when the band is finite and the drift of its log-spread from N to 2N stays
 below DRIFT_LIMIT.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,62 +264,99 @@ def _chirp(x, a, b):
     return np.sin(2.0 * np.pi * (a * np.sin(np.pi * x) ** 2 + b * np.sin(2.0 * np.pi * x)))
 
 
+def _trig_1d(grid, amps, phases, offset):
+    ks = np.arange(1, 17, dtype=float)
+    x = grid.coords[0]
+    return offset + np.cos(2.0 * np.pi * np.multiply.outer(ks, x) + phases[:, None]).T @ amps
+
+
+def _trig_2d(grid, k1, k2, amps, phases, offset):
+    x, y = grid.coords
+    vals = np.full(grid.shape, offset)
+    for a, b, amp, ph in zip(k1, k2, amps, phases):
+        vals = vals + amp * np.cos(2.0 * np.pi * (a * x + b * y) + ph)
+    return vals
+
+
+def _bump(grid, center, width, amp):
+    return amp * _torus_gauss(grid, center, width)
+
+
+def _mode(grid, k, ph):
+    if grid.dim == 1:
+        return np.cos(2.0 * np.pi * k * grid.coords[0] + ph)
+    a, b = k
+    return np.cos(2.0 * np.pi * (a * grid.coords[0] + b * grid.coords[1]) + ph)
+
+
+def _chirp_member(grid, a, b, a2=None, b2=None):
+    vals = _chirp(grid.coords[0], a, b)
+    return vals if grid.dim == 1 else vals * _chirp(grid.coords[1], a2, b2)
+
+
+class _Corpus(Sequence):
+    """Read-only corpus; a member is sampled when it is indexed.
+
+    Slices return lists of sampled members.
+    """
+
+    def __init__(self, grid, members):
+        self._grid = grid
+        self._members = tuple(members)  # (sampler, parameters)
+
+    def __len__(self):
+        return len(self._members)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._sample(m) for m in self._members[i]]
+        return self._sample(self._members[i])
+
+    def _sample(self, member):
+        sampler, params = member
+        return GridFunction(self._grid, sampler(self._grid, *params))
+
+
 def standard_corpus(grid, seed=2026):
     """Fifty fixed signals: 20 band-limited, 10 bumps, 10 modes, 10 chirps.
 
     All random parameters are drawn before the grid is touched and every
     signal is sampled from a closed form, so the same seed produces the
-    same underlying functions at any resolution.  No member is zero.
+    same underlying functions at any resolution.  No member is zero.  The
+    result is a read-only sequence that samples a member only when it is
+    indexed, so a caller taking the first few pays for those alone.
     """
     rng = np.random.default_rng(seed)
-    out = []
+    members = []
     # 20 random trigonometric polynomials with decaying amplitudes
     for _ in range(20):
         if grid.dim == 1:
             ks = np.arange(1, 17, dtype=float)
             amps = rng.standard_normal(ks.size) / (1.0 + ks) ** 1.5
             phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
-            offset = rng.uniform(-0.5, 0.5)
-            x = grid.coords[0]
-            vals = offset + np.cos(
-                2.0 * np.pi * np.multiply.outer(ks, x) + phases[:, None]
-            ).T @ amps
+            members.append((_trig_1d, (amps, phases, rng.uniform(-0.5, 0.5))))
         else:
             k1 = rng.integers(-5, 6, size=12)
             k2 = rng.integers(-5, 6, size=12)
             amps = rng.standard_normal(12) / (1.0 + np.hypot(k1, k2)) ** 1.5
             phases = rng.uniform(0.0, 2.0 * np.pi, 12)
-            offset = rng.uniform(-0.5, 0.5)
-            x, y = grid.coords
-            vals = np.full(grid.shape, offset)
-            for a, b, amp, ph in zip(k1, k2, amps, phases):
-                vals = vals + amp * np.cos(2.0 * np.pi * (a * x + b * y) + ph)
-        out.append(GridFunction(grid, vals))
+            members.append((_trig_2d, (k1, k2, amps, phases, rng.uniform(-0.5, 0.5))))
     # 10 gaussian bumps
     for _ in range(10):
         center = rng.uniform(0.0, 1.0, size=grid.dim)
         width = rng.uniform(0.04, 0.12)
-        amp = rng.uniform(0.5, 2.0)
-        out.append(GridFunction(grid, amp * _torus_gauss(grid, center, width)))
+        members.append((_bump, (center, width, rng.uniform(0.5, 2.0))))
     # 10 single modes with random phases
+    modes = _MODES_1D if grid.dim == 1 else _MODES_2D
     for i in range(10):
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        if grid.dim == 1:
-            vals = np.cos(2.0 * np.pi * _MODES_1D[i] * grid.coords[0] + ph)
-        else:
-            a, b = _MODES_2D[i]
-            vals = np.cos(2.0 * np.pi * (a * grid.coords[0] + b * grid.coords[1]) + ph)
-        out.append(GridFunction(grid, vals))
+        members.append((_mode, (modes[i], rng.uniform(0.0, 2.0 * np.pi))))
     # 10 smooth frequency-modulated chirps
     for _ in range(10):
-        a, b = rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0)
-        if grid.dim == 1:
-            vals = _chirp(grid.coords[0], a, b)
-        else:
-            a2, b2 = rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0)
-            vals = _chirp(grid.coords[0], a, b) * _chirp(grid.coords[1], a2, b2)
-        out.append(GridFunction(grid, vals))
-    return out
+        ab = (rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0))
+        if grid.dim == 2:
+            ab += (rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0))
+        members.append((_chirp_member, ab))
+    return _Corpus(grid, members)
 
 
 # ------------------------------------------------- equivalence measurement

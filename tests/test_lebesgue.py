@@ -250,3 +250,44 @@ def test_root_solver_power_law_lands_at_once():
     assert len(set(lams)) == len(lams)
     assert abs(root - c) <= REL_TOL * c
     assert (c / root) ** 3 <= 1.0
+
+
+def test_root_solver_lanes_match_one_lane_calls():
+    # a lane takes exactly the steps of a one-lane call, bit for bit
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 2.0, size=(6, 64)) ** 3
+    a[0, 1:] = 0.0  # a power law in lam: this lane closes early
+    pv = rng.uniform(0.3, 5.0, size=64)
+    hi = a.max(axis=1)
+    calls = []
+
+    def lanes(lam, rows):
+        calls.append(rows.tolist())
+        return np.sum((a[rows] / lam[:, None]) ** pv, axis=1) / 64.0
+
+    roots = luxemburg_root(lanes, hi)
+    one_lane = [
+        luxemburg_root(lambda lam, r=r: np.sum((a[r] / lam) ** pv) / 64.0, h)
+        for r, h in enumerate(hi.tolist())
+    ]
+    assert roots.tolist() == one_lane
+    assert all(len(rows) > 0 for rows in calls)
+    assert len(calls[-1]) < len(hi)  # closed lanes are not evaluated again
+
+
+def test_root_solver_lanes_from_warm_brackets():
+    # lanes warm-started inside their brackets land like cold ones; a lo
+    # that is not below the root falls back to halving from there
+    c = np.array([0.3, 2.0, 5.0])
+    lams = []
+
+    def lanes(lam, rows):
+        lams.append(lam)
+        return (c[rows] / lam) ** 3
+
+    hi = np.array([0.3 * (1 + 1e-9), 2.5, 50.0])
+    lo = np.array([0.3 * (1 - 1e-9), 1.0, 20.0])
+    roots = luxemburg_root(lanes, hi, lo)
+    assert np.all((c / roots) ** 3 <= 1.0)
+    assert np.all(roots - c <= REL_TOL * roots)
+    assert lams[0].tolist() == lo.tolist()  # no halving before a warm lo

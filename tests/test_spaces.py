@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vexspaces import Grid, GridFunction, VariableExponent, mixed
+from vexspaces import Grid, GridFunction, VariableExponent, mixed, spaces
 from vexspaces.analysis import (
     MultiplierSymbol,
     admissible_system,
@@ -651,6 +651,24 @@ def test_standard_corpus_fixed(grid64):
     assert not np.array_equal(a[0].samples, other[0].samples)
 
 
+def test_standard_corpus_samples_only_indexed_members(grid64, monkeypatch):
+    sampled = []
+    real = spaces.GridFunction
+
+    def counted(grid, values):
+        sampled.append(grid)
+        return real(grid, values)
+
+    monkeypatch.setattr(spaces, "GridFunction", counted)
+    corpus = standard_corpus(grid64)
+    assert sampled == [] and len(corpus) == 50
+    head = corpus[:2]
+    assert isinstance(head, list) and len(sampled) == 2
+    assert np.array_equal(corpus[1].samples, head[1].samples)
+    with pytest.raises(TypeError):
+        corpus[0] = head[0]
+
+
 def test_standard_corpus_band_limited(grid64):
     from vexspaces import coefficients
 
@@ -694,27 +712,83 @@ def test_corpus_checks_2d_smoke():
     assert rep.passes and rep.ratio_min >= 1.0 - 1e-9
 
 
-def test_b_scale_root_solve_work_count(monkeypatch):
-    # one B-scale norm is one outer root solve over lq_lp_modular; the
-    # budgets catch a fall back to bisection, which needs ~45 evaluations
+def _b_spec_parts():
     grid, J = Grid(1, 64), 5
     x = grid.coords[0]
     w = make_generalized(grid, J, 2.0 ** (0.5 * np.arange(J + 1)))
-    system = admissible_system(grid, J)
+    f = GridFunction(grid, np.cos(2.0 * np.pi * 3.0 * x))
+    return grid, J, x, w, admissible_system(grid, J), f
+
+
+def test_constant_q_b_norm_is_one_modular_call(monkeypatch):
+    # constant q closes the norm by homogeneity: one lq_lp_modular call,
+    # which takes one lebesgue.norm per level, and no outer root solve
+    grid, J, _, w, system, f = _b_spec_parts()
+    two = VariableExponent.constant(grid, 2.0)
+    calls = {"modular": 0, "norm": 0}
+    real_modular, real_norm = mixed.lq_lp_modular, mixed.lebesgue_norm
+
+    def modular(*args, **kwargs):
+        calls["modular"] += 1
+        return real_modular(*args, **kwargs)
+
+    def norm(*args, **kwargs):
+        calls["norm"] += 1
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(mixed, "lq_lp_modular", modular)
+    monkeypatch.setattr(mixed, "lebesgue_norm", norm)
+    assert quasi_norm(f, SpaceSpec("B", two, two, w, system, J)) > 0.0
+    assert calls == {"modular": 1, "norm": J + 1}
+
+
+def test_b_scale_root_solve_work_count(monkeypatch):
+    # constant q is one modular call; variable q is one outer root solve
+    # whose value(mu) solves the level infima as warm-started lanes.  The
+    # budgets catch a fall back to bisection, which needs ~45 outer
+    # evaluations, and to cold lanes, which need ~9 steps at every mu
+    # (72 in all; warm lanes take 47)
+    grid, J, x, w, system, f = _b_spec_parts()
     two = VariableExponent.constant(grid, 2.0)
     p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
     q = VariableExponent(grid, 2.0 + 0.8 * np.cos(2 * np.pi * x))
-    f = GridFunction(grid, np.cos(2.0 * np.pi * 3.0 * x))
-    scaled = []
-    real = mixed.lq_lp_modular
+    modular_calls, outer, lane_steps = [], [], []
+    real_modular, real_lanes, real_root = (
+        mixed.lq_lp_modular, mixed._level_lanes, mixed.luxemburg_root
+    )
 
-    def counted(F, *args, **kwargs):
-        scaled.append(F.stack().tobytes())
-        return real(F, *args, **kwargs)
+    def modular(F, *args, **kwargs):
+        modular_calls.append(F)
+        return real_modular(F, *args, **kwargs)
 
-    monkeypatch.setattr(mixed, "lq_lp_modular", counted)
-    for pv, qv, budget in ((two, two, 6), (p, q, 16)):
-        scaled.clear()
-        assert quasi_norm(f, SpaceSpec("B", pv, qv, w, system, J)) > 0.0
-        assert len(scaled) <= budget
-        assert len(set(scaled)) == len(scaled)  # no mu evaluated twice
+    def lanes(*args):
+        value = real_lanes(*args)
+
+        def counted(mu):
+            outer.append(mu)
+            lane_steps.append(0)
+            return value(mu)
+
+        return counted
+
+    def root(value, hi, lo=None):
+        if np.ndim(hi) == 0:
+            return real_root(value, hi, lo)
+
+        def counted(lam, rows):
+            lane_steps[-1] += 1
+            return value(lam, rows)
+
+        return real_root(counted, hi, lo)
+
+    monkeypatch.setattr(mixed, "lq_lp_modular", modular)
+    monkeypatch.setattr(mixed, "_level_lanes", lanes)
+    monkeypatch.setattr(mixed, "luxemburg_root", root)
+    assert quasi_norm(f, SpaceSpec("B", two, two, w, system, J)) > 0.0
+    assert len(modular_calls) == 1 and not outer
+    modular_calls.clear()
+    assert quasi_norm(f, SpaceSpec("B", p, q, w, system, J)) > 0.0
+    assert not modular_calls
+    assert 0 < len(outer) <= 8
+    assert len(set(outer)) == len(outer)  # no mu evaluated twice
+    assert max(lane_steps) <= 9 and sum(lane_steps) <= 50
