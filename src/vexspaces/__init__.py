@@ -40,7 +40,6 @@ from .spaces import (
     quasi_norm_local_means,
     pair_independence_check,
     lifting_check,
-    embedding_checks,
     schwartz_embedding_checks,
     multiplier_bound_checks,
     derivative_sum_check,
@@ -90,7 +89,6 @@ __all__ = [
     "quasi_norm_local_means",
     "pair_independence_check",
     "lifting_check",
-    "embedding_checks",
     "schwartz_embedding_checks",
     "multiplier_bound_checks",
     "derivative_sum_check",

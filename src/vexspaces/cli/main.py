@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import spaces
 from ..analysis import MultiplierSymbol
-from ..lebesgue import norm as lebesgue_norm
+from ..lebesgue import REL_TOL, norm as lebesgue_norm
 from .config import (
     ConfigError,
     build_grid,
@@ -101,12 +101,16 @@ def cmd_verify(cfg):
 
 
 def _report_lines(rep, extra=()):
+    # below 10 REL_TOL the drift is root-solve rounding: print it as 0
+    drift = rep.refinement_drift
+    if drift < 10.0 * REL_TOL:
+        drift = 0.0
     lines = list(extra)
     lines += [
         f"corpus_size = {rep.corpus_size}",
         f"ratio_min = {_fmt(rep.ratio_min)}",
         f"ratio_max = {_fmt(rep.ratio_max)}",
-        f"refinement_drift = {_fmt(rep.refinement_drift)}"
+        f"refinement_drift = {_fmt(drift)}"
         f" (limit {_fmt(spaces.DRIFT_LIMIT)})",
         f"result = {'PASS' if rep.passes else 'FAIL'}",
     ]

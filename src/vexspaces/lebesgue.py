@@ -14,8 +14,11 @@ never fails to bracket.
 Every Luxemburg functional of the package is solved to one contract: the
 returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
 infimum, in at most MAX_ITER steps per solver phase.  luxemburg_root is the
-one solver; it also runs many such functionals as lanes of one call, each
-lane with its own bracket, so that their modulars are evaluated together.
+one solver, and it finds its own bracket from any starting point: it halves
+down while the modular stays <= 1 and doubles up while it exceeds 1,
+returning inf where no lam below 2^MAX_ITER times the start is admissible.
+It also runs many such functionals as lanes of one call, each lane with its
+own bracket, so that their modulars are evaluated together.
 """
 
 import math
@@ -33,7 +36,6 @@ __all__ = [
     "holder_pairing",
     "characteristic_norm_check",
     "CubeNormReport",
-    "upper_bracket",
     "luxemburg_root",
 ]
 
@@ -70,16 +72,6 @@ def modular(f, p):
     return ModularResult(value=value, infinity_region_violated=violated)
 
 
-def upper_bracket(value, start, grow):
-    """First start * grow^k (k < MAX_ITER) at which value <= 1, or None."""
-    lam = start
-    for _ in range(MAX_ITER):
-        if value(lam) <= 1.0:
-            return lam
-        lam *= grow
-    return None
-
-
 def _lane(hi, lo):
     """One lane of luxemburg_root as a generator.
 
@@ -96,7 +88,14 @@ def _lane(hi, lo):
         hi, v_hi = lo, v_lo
         lo = hi / 2.0
     if v_hi is None:
-        v_hi = yield hi
+        for _ in range(MAX_ITER):
+            v_hi = yield hi
+            if v_hi <= 1.0:
+                break
+            lo, v_lo = hi, v_hi
+            hi *= 2.0
+        else:
+            return np.inf
     (lam_a, v_a), (lam_b, v_b) = (hi, v_hi), (lo, v_lo)
     widths = [np.inf] * 3  # bracket widths at the start of each step
     for _ in range(MAX_ITER):
@@ -125,11 +124,14 @@ def _lane(hi, lo):
 def luxemburg_root(value, hi, lo=None):
     """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
 
-    hi must satisfy value(hi) <= 1.  The first point below it is lo (hi/2
-    if None), halved until value exceeds 1 (0.0 if the halving reaches zero
-    first); then the bracket is narrowed until it is within REL_TOL of hi.
-    The returned hi always has value <= 1, and the root exceeds
-    (1 - REL_TOL) * hi.
+    hi is a first guess above lo (hi/2 if None); neither needs to bracket
+    the root.  The walk evaluates lo first and halves it while value stays
+    <= 1, the last such point becoming hi (0.0 is returned if the halving
+    reaches zero).  If lo already exceeds 1, hi is evaluated and doubled
+    while value exceeds 1, the last such point becoming lo; if none of hi,
+    2 hi, ..., 2^(MAX_ITER-1) hi has value <= 1 the root is inf.  Then the
+    bracket is narrowed until it is within REL_TOL of hi.  A finite result
+    always has value <= 1, and the root exceeds (1 - REL_TOL) times it.
 
     A modular is a sum of powers of lam, so log value is convex in log lam,
     and linear when the exponent is constant.  Each step therefore takes the
@@ -180,18 +182,6 @@ def luxemburg_root(value, hi, lo=None):
     return roots
 
 
-def _finite_part_norm(a, pv, cell_volume):
-    """inf{lam : h^dim sum (a/lam)^pv <= 1} for finite exponents pv, a != 0."""
-
-    def value(lam):
-        with np.errstate(over="ignore"):
-            return cell_volume * np.sum((a / lam) ** pv)
-
-    # On a measure-1 domain the modular at lam = max|f| is <= 1 already, so
-    # max|f| is a valid upper bracket.
-    return luxemburg_root(value, float(a.max()))
-
-
 def norm(f, p):
     """Luxemburg quasi-norm of f in L_{p(.)} on the grid.
 
@@ -209,8 +199,14 @@ def norm(f, p):
     if af.size == 0 or not af.any():
         # predicate on the finite region is vacuous: exact left endpoint
         return ess
-    lam_fin = _finite_part_norm(af, p.values[finite], f.grid.cell_volume)
-    return max(ess, lam_fin)
+    pv, cell_volume = p.values[finite], f.grid.cell_volume
+
+    def value(lam):
+        with np.errstate(over="ignore"):
+            return cell_volume * np.sum((af / lam) ** pv)
+
+    # on a measure-1 domain the modular at lam = max|f| is <= 1 already
+    return max(ess, luxemburg_root(value, float(af.max())))
 
 
 def holder_pairing(f, g, p):

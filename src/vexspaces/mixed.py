@@ -28,20 +28,13 @@ and convolution with periodized kernels eta_{nu,R} = 2^(n nu)
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .exponents import _clog_inv, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
-from .lebesgue import (
-    REL_TOL,
-    _modular_value,
-    luxemburg_root,
-    norm as lebesgue_norm,
-    upper_bracket,
-)
+from .lebesgue import REL_TOL, _modular_value, luxemburg_root, norm as lebesgue_norm
 
 __all__ = [
     "pointwise_lq",
@@ -67,16 +60,20 @@ def _check_seq(F, p, q):
 
 
 def pointwise_lq(stack_abs, q_values):
-    """l_{q(x)} norm across axis 0 of a stack of |samples|."""
+    """l_{q(x)} norm across axis 0 of a stack of |samples|.
+
+    As hypot does, the levels are divided by their pointwise maximum before
+    the power and the sum is multiplied back, so the power neither
+    underflows nor overflows at any amplitude.
+    """
+    out = np.max(stack_abs, axis=0)  # the norm itself where q = inf
     finite = np.isfinite(q_values)
-    out = np.empty(q_values.shape)
     if finite.any():
         qf = q_values[finite]
+        top = np.where(out[finite] > 0.0, out[finite], 1.0)
         with np.errstate(over="ignore"):
-            sums = np.sum(stack_abs[:, finite] ** qf[None, :], axis=0)
-        out[finite] = np.where(sums > 0.0, sums ** (1.0 / qf), 0.0)
-    if (~finite).any():
-        out[~finite] = np.max(stack_abs[:, ~finite], axis=0)
+            sums = np.sum((stack_abs[:, finite] / top) ** qf, axis=0)
+            out[finite] = top * sums ** (1.0 / qf)
     return out
 
 
@@ -92,7 +89,9 @@ def _level_infimum(abs_samples, p, q, cell_volume):
 
     On {q = inf} the scaling is lam-independent, so that region contributes
     a fixed amount to the modular; if nothing varies with lam the infimum is
-    0 when the fixed part is admissible and inf otherwise.
+    0 when the fixed part is admissible and inf otherwise.  Otherwise the
+    root solve walks from lam = 1 (halving or doubling) and returns inf if
+    no lam up to 2^MAX_ITER is admissible.
     """
     q_inf = ~np.isfinite(q.values)
     inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
@@ -103,14 +102,12 @@ def _level_infimum(abs_samples, p, q, cell_volume):
     if not abs_samples[~q_inf].any():
         return 0.0
 
-    @cache  # the root phase may ask again for upper_bracket's value at hi
     def value(lam):
         with np.errstate(over="ignore"):
             scaled = abs_samples * lam**-inv_q
         return _modular_value(scaled, p.values, cell_volume)[0]
 
-    hi = upper_bracket(value, 1.0, 4.0)
-    return np.inf if hi is None else luxemburg_root(value, hi)
+    return luxemburg_root(value, 2.0, 1.0)
 
 
 def lq_lp_modular(F, p, q, force_general=False):
@@ -215,7 +212,10 @@ def lq_lp_norm(F, p, q):
     modular of F/peak, aimed REL_TOL/4 above the root in the modular as
     the secant aims.  Variable finite q solves the outer root over
     _level_lanes; q = inf somewhere keeps lq_lp_modular and its
-    _level_infimum.
+    _level_infimum.  The outer root walks from mu = peak, halving or
+    doubling until it brackets the root.  Either route raises
+    ArithmeticError when the norm overflows or no mu below 2^MAX_ITER peak
+    is admissible.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
@@ -225,19 +225,15 @@ def lq_lp_norm(F, p, q):
         m = lq_lp_modular(F.scaled(1.0 / peak), p, q)
         with np.errstate(over="ignore"):
             mu = peak * np.float64(m * (1.0 + 0.25 * REL_TOL)) ** (1.0 / q.p_plus)
-        if not np.isfinite(mu):
-            raise ArithmeticError("failed to bracket the mixed norm from above")
-        return float(mu)
-    if q.p_plus < np.inf:
-        modular = _level_lanes(F, p, q)
     else:
-        modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
-    # the root phase may ask again for upper_bracket's value at hi
-    value = cache(modular)
-    hi = upper_bracket(value, peak, 2.0)
-    if hi is None:
+        if q.p_plus < np.inf:
+            modular = _level_lanes(F, p, q)
+        else:
+            modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
+        mu = luxemburg_root(modular, 2.0 * peak, peak)
+    if not np.isfinite(mu):
         raise ArithmeticError("failed to bracket the mixed norm from above")
-    return luxemburg_root(value, hi)
+    return float(mu)
 
 
 def iterated_constant_q_norm(F, p, q_const):

@@ -73,7 +73,6 @@ __all__ = [
     "q_monotone_embedding_check",
     "weight_pair_embedding_check",
     "bf_sandwich_check",
-    "embedding_checks",
     "schwartz_embedding_checks",
     "multiplier_order_threshold",
     "multiplier_bound_checks",
@@ -584,26 +583,6 @@ def bf_sandwich_check(corpus, f_spec):
     _, c_in, n_in = _band((mid, lo) for lo, mid, _ in norms)
     _, c_out, n_out = _band((hi, mid) for _, mid, hi in norms)
     return SandwichReport(c_in, c_out, min(n_in, n_out))
-
-
-def embedding_checks(corpus, variants):
-    """Run a batch of embedding comparisons.
-
-    Each variant is a tuple: ("q_monotone", spec, q1),
-    ("weight_pair", spec, v[, q1]), or ("sandwich", f_spec).
-    """
-    out = []
-    for variant in variants:
-        kind = variant[0]
-        if kind == "q_monotone":
-            out.append(q_monotone_embedding_check(corpus, *variant[1:]))
-        elif kind == "weight_pair":
-            out.append(weight_pair_embedding_check(corpus, *variant[1:]))
-        elif kind == "sandwich":
-            out.append(bf_sandwich_check(corpus, *variant[1:]))
-        else:
-            raise ValueError(f"unknown embedding variant {kind!r}")
-    return out
 
 
 # ------------------------------------------------- smooth-signal inequalities

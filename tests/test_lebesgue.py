@@ -12,7 +12,7 @@ from vexspaces import (
     holder_pairing,
     characteristic_norm_check,
 )
-from vexspaces.lebesgue import REL_TOL, luxemburg_root, upper_bracket
+from vexspaces.lebesgue import REL_TOL, luxemburg_root
 from conftest import random_band_limited
 
 # Adaptive-quadrature oracle for integral_0^1 x^(1+x) dx, frozen; a live
@@ -232,8 +232,26 @@ def test_root_solver_contract():
     assert root - c <= REL_TOL * root
     # a value that never exceeds 1: the halving runs down to 0.0
     assert luxemburg_root(lambda lam: 0.0, 1e-300) == 0.0
-    assert upper_bracket(lambda lam: 0.0 if lam >= 5.0 else 2.0, 1.0, 2.0) == 8.0
-    assert upper_bracket(lambda lam: 2.0, 1.0, 2.0) is None
+    # a start below the root: the walk doubles up to 8 and bisects down to 5
+    step5 = lambda lam: 0.0 if lam >= 5.0 else 2.0
+    root = luxemburg_root(step5, 2.0, 1.0)
+    assert step5(root) <= 1.0
+    assert root - 5.0 <= REL_TOL * root
+    # a value that never falls to 1: no bracket, so the root is inf
+    assert luxemburg_root(lambda lam: 2.0, 2.0, 1.0) == np.inf
+
+
+def test_root_solver_brackets_from_below():
+    # hi need not satisfy value(hi) <= 1: here value(0.2) = 3.375
+    c = 0.3
+    value = lambda lam: (c / lam) ** 3
+    root = luxemburg_root(value, 0.2)
+    assert value(root) <= 1.0
+    assert abs(root - c) <= REL_TOL * c
+    # a lane given the same hi and no lo, next to a lane that starts above
+    roots = luxemburg_root(lambda lam, rows: (c / lam) ** 3, np.array([0.2, 1.0]))
+    assert np.all(value(roots) <= 1.0)
+    assert np.all(np.abs(roots - c) <= REL_TOL * c)
 
 
 def test_root_solver_power_law_lands_at_once():

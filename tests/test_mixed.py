@@ -11,6 +11,7 @@ from vexspaces import (
     modular,
 )
 from vexspaces import norm as lebesgue_norm
+from vexspaces.lebesgue import REL_TOL
 from vexspaces.mixed import (
     convolution_inequality_report,
     eta_integrability_probe,
@@ -180,6 +181,21 @@ def test_homogeneity(grid64):
     p, q = varying_p(grid64), varying_q(grid64)
     base = lq_lp_norm(F, p, q)
     assert lq_lp_norm(F.scaled(7.5), p, q) == pytest.approx(7.5 * base, rel=1e-10)
+
+
+@pytest.mark.parametrize("q0", [2.5, 16.0, 64.0])
+def test_lp_lq_norm_homogeneous_at_extreme_amplitudes(grid64, q0):
+    # the pointwise l_q sum is scaled by the level maximum, so |f|^q can
+    # neither underflow to 0 nor overflow to inf
+    rng = np.random.default_rng(18)
+    F = random_sequence(grid64, rng, levels=3)
+    x = grid64.coords[0]
+    p = VariableExponent(grid64, 2.0 + 0.5 * np.sin(2 * np.pi * x))
+    q = VariableExponent(grid64, q0 * (1.0 + 0.1 * np.cos(2 * np.pi * x)))
+    base = lp_lq_norm(F, p, q)
+    for amplitude in (1e-300, 1e-150, 1e-100, 1e100, 1e150, 1e300):
+        scaled = lp_lq_norm(F.scaled(amplitude), p, q)
+        assert scaled == pytest.approx(amplitude * base, rel=2 * REL_TOL)
 
 
 def test_infinite_q_region_case_split(grid64):

@@ -25,7 +25,6 @@ from vexspaces.spaces import (
     bessel_scale_multiplier_check,
     bf_sandwich_check,
     derivative_sum_check,
-    embedding_checks,
     lifting_check,
     local_means_equivalence_check,
     maximal_equivalence_check,
@@ -415,24 +414,6 @@ def test_bf_sandwich(grid64, setup):
     assert rep.constant_out <= 1.0 + 1e-9
     with pytest.raises(ValueError, match="F-scale"):
         bf_sandwich_check(small_corpus, SpaceSpec("B", pv, qv, w, sys, J))
-
-
-def test_embedding_checks_dispatcher(grid64, setup):
-    sys, pv, qv, w = setup
-    spec_b = SpaceSpec("B", pv, qv, w, sys, J)
-    spec_f = SpaceSpec("F", pv, qv, w, sys, J)
-    q_big = VariableExponent.constant(grid64, 4.0)
-    reports = embedding_checks(
-        small_corpus,
-        [
-            ("q_monotone", spec_b, q_big),
-            ("weight_pair", spec_b, w),
-            ("sandwich", spec_f),
-        ],
-    )
-    assert len(reports) == 3
-    with pytest.raises(ValueError, match="unknown embedding variant"):
-        embedding_checks(small_corpus, [("nope", spec_b)])
 
 
 # ------------------------------------------------------ smooth-signal checks
