@@ -23,7 +23,14 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .grid import FunctionSequence, GridFunction, convolve, spectral_derivative, synthesize
+from .grid import (
+    _SCAN_BLOCK,
+    FunctionSequence,
+    GridFunction,
+    convolve,
+    spectral_derivative,
+    synthesize,
+)
 
 __all__ = [
     "AnalysisSystem",
@@ -366,29 +373,38 @@ def peetre_maximal(F, a):
     |F_j(y)| / (1 + |2^j (x - y)|^a), with the torus metric.  This is an
     under-approximation of the continuum supremum, adequate because level
     j data is band-limited and varies on scale 2^(-j) >> h.  Shifts are
-    scanned nearest first, one rolled copy at a time, and the scan stops
-    once max |F_j| times the next weight cannot raise any entry.
+    scanned nearest first, in blocks of rolled copies of at most
+    _SCAN_BLOCK elements, and the scan stops once max |F_j| times the next
+    weight cannot raise any entry.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     grid = F.grid
-    shifts = [s for s, _ in grid.shifts()]
+    order = np.argsort(grid.shift_distances)
+    # per-axis components of the shifts, nearest first (shift i of
+    # grid.shifts() has C-order flat index i + 1)
+    index = np.array(np.unravel_index(order + 1, grid.shape))
+    per = max(1, _SCAN_BLOCK // grid.num_points)
     # weights come from one array power over all distances, the zero shift
     # included, so they equal a full-lattice weight array bit for bit (a
     # scalar power can differ by an ulp)
     dist = np.concatenate(([0.0], grid.shift_distances))
-    order = np.argsort(grid.shift_distances)
     out = []
     for j, f in enumerate(F):
         av = np.abs(f.samples)
         rolled = grid.rolls(av)
-        w = (1.0 / (1.0 + (2.0**j * dist) ** a))[1:]
+        w = (1.0 / (1.0 + (2.0**j * dist) ** a))[1:][order]  # nonincreasing
         peak = float(av.max())
         best = av.copy()
-        for i in order:
-            if peak * w[i] <= best.min():
-                break  # farther shifts are weighted even lower
-            np.maximum(best, w[i] * rolled[shifts[i]], out=best)
+        for start in range(0, len(w), per):
+            # a shift weighted at most best.min() / peak raises no entry, and
+            # neither does any farther one
+            stop = start + np.count_nonzero(peak * w[start : start + per] > best.min())
+            if stop == start:
+                break
+            block = rolled[tuple(index[:, start:stop])]
+            block *= w[start:stop].reshape((-1,) + (1,) * grid.dim)
+            np.maximum(best, block.max(axis=0), out=best)
         out.append(GridFunction(grid, best))
     return FunctionSequence(out)
 
@@ -465,6 +481,11 @@ def _means_mask(kernel, grid, scale, laplacian_order):
 
 @lru_cache(maxsize=32)
 def _means_masks(grid, J, laplacian_order, kernel0, kernel_base):
+    # a raise is not cached, so a vanishing kernel is refused on every call
+    for k in (kernel0, kernel_base):
+        mass = kernel_hat(k, tuple(np.zeros(1) for _ in range(grid.dim)))
+        if abs(complex(mass.ravel()[0])) < 1e-12:
+            raise ValueError("kernel transform vanishes at the origin")
     masks = [_means_mask(kernel0, grid, 1.0, 0)]
     for j in range(1, J + 1):
         masks.append(_means_mask(kernel_base, grid, 2.0 ** (-j), laplacian_order))
@@ -483,12 +504,7 @@ def local_means(f, J, laplacian_order, kernel0=None, kernel_base=None):
         raise ValueError("laplacian_order must be >= 1")
     kernel0 = kernel0 or bump_kernel()
     kernel_base = kernel_base or kernel0
-    grid = f.grid
-    for k in (kernel0, kernel_base):
-        mass = kernel_hat(k, tuple(np.zeros(1) for _ in range(grid.dim)))
-        if abs(complex(mass.ravel()[0])) < 1e-12:
-            raise ValueError("kernel transform vanishes at the origin")
-    masks = _means_masks(grid, J, laplacian_order, kernel0, kernel_base)
+    masks = _means_masks(f.grid, J, laplacian_order, kernel0, kernel_base)
     return FunctionSequence([convolve(f, m) for m in masks])
 
 

@@ -23,14 +23,15 @@ Where q = inf somewhere the outer solve runs over lq_lp_modular.
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
 and convolution with periodized kernels eta_{nu,R} = 2^(n nu)
-(1 + 2^nu |x|)^(-R).
+(1 + 2^nu |x|)^(-R).  In 1D their image series is summed in closed form
+through the Hurwitz zeta by Euler-Maclaurin.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .exponents import _clog_inv, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
@@ -306,13 +307,55 @@ class EtaKernel:
         return float(np.real(quadrature(self.samples.abs())))
 
 
+def _even_bernoulli(m):
+    """B_2, B_4, ..., B_2m as exact fractions (Akiyama-Tanigawa)."""
+    row, out = [], []
+    for n in range(2 * m + 1):
+        row.append(Fraction(1, n + 1))
+        for j in range(n, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        if n >= 2 and n % 2 == 0:
+            out.append(row[0])
+    return out
+
+
+# Euler-Maclaurin for the Hurwitz zeta (F. Johansson, arXiv:1309.2877):
+# _ZETA_HEAD terms summed directly, then the integral, the half term and the
+# Bernoulli corrections B_2j / (2j)! up to B_16
+_ZETA_HEAD = 12
+_ZETA_CORRECTIONS = tuple(
+    float(b / math.factorial(2 * j)) for j, b in enumerate(_even_bernoulli(8), start=1)
+)
+
+
+def _scaled_hurwitz_zeta(s, a):
+    """a^s zeta(s, a) = sum_{k>=0} (a / (a + k))^s for s > 1 and a > 0.
+
+    Every term is at most 1, so the scaled form neither overflows at small a
+    nor underflows where zeta(s, a) itself would.  With b = a + _ZETA_HEAD
+    the tail after the head is (a/b)^s (b/(s-1) + 1/2 + sum_j B_2j/(2j)!
+    s(s+1)...(s+2j-2) b^(1-2j)).
+    """
+    k = np.arange(_ZETA_HEAD - 1, -1, -1.0)  # smallest terms first
+    head = np.sum((a[..., None] / (a[..., None] + k)) ** s, axis=-1)
+    b = a + _ZETA_HEAD
+    term = s / b  # rising factorial over b^(2j-1), j = 1
+    tail = b / (s - 1.0) + 0.5
+    for j, coef in enumerate(_ZETA_CORRECTIONS, start=1):
+        tail = tail + coef * term
+        term = term * ((s + 2 * j - 1) * (s + 2 * j)) / (b * b)
+    return head + (a / b) ** s * tail
+
+
 def _eta_samples_1d(grid, level, decay):
-    # image sum in closed form: sum_{k>=0} (c + x + k)^(-R) = zeta(R, c + x)
+    # image sum in closed form: the images right of x give
+    # sum_{k>=0} (1 + 2^nu (x + k))^(-R) = (2^nu a)^(-R) a^R zeta(R, a) with
+    # a = 2^-nu + x, and those left of x the same at a = 2^-nu + 1 - x
     x = grid.coords[0]
-    c = 2.0 ** (-level)
-    pref = 2.0 ** (level * (1.0 - decay))
-    vals = pref * (hurwitz_zeta(decay, c + x) + hurwitz_zeta(decay, c + 1.0 - x))
-    return vals, -1, 0.0
+    scale = 2.0**level
+    c = 1.0 / scale
+    vals = sum((scale * a) ** -decay * _scaled_hurwitz_zeta(decay, a) for a in (c + x, c + 1.0 - x))
+    return scale * vals, -1, 0.0
 
 
 def _eta_samples_2d(grid, level, decay):
@@ -341,10 +384,10 @@ def _eta_samples_2d(grid, level, decay):
 def eta_kernel(grid, level, decay):
     """Periodize the kernel and cache its convolution mask.
 
-    1D periodization is exact (Hurwitz zeta); 2D sums square rings of
-    images until a ring's peak drops below 1e-15 (at most 256 rings),
-    reporting the truncation radius and a pointwise bound on the
-    discarded tail.  decay <= dim is the non-integrable regime:
+    1D periodization is exact (Hurwitz zeta by Euler-Maclaurin); 2D
+    sums square rings of images until a ring's peak drops below 1e-15 (at
+    most 256 rings), reporting the truncation radius and a pointwise bound
+    on the discarded tail.  decay <= dim is the non-integrable regime:
     construction is refused, probe it with eta_integrability_probe
     instead.
     """

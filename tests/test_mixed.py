@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from vexspaces import (
 from vexspaces import norm as lebesgue_norm
 from vexspaces.lebesgue import REL_TOL
 from vexspaces.mixed import (
+    _scaled_hurwitz_zeta,
     convolution_inequality_report,
     eta_integrability_probe,
     eta_kernel,
@@ -68,6 +71,51 @@ def test_eta_1d_matches_truncated_image_sum(grid64):
     brute = brute_force_eta_1d(grid64, 3, 8.0)
     assert ker.truncation_radius == -1  # closed form
     assert np.max(np.abs(ker.samples.samples - brute)) <= 1e-12 * np.max(brute)
+
+
+def scaled_zeta_oracle(s, a, cut=4096):
+    """a^s zeta(s, a): the first `cut` terms summed exactly, then the
+    integral of (a + t)^-s beyond the cut-off with the trapezoid half term
+    and its first Euler-Maclaurin correction (error O(cut^(-s-3)))."""
+    head = math.fsum((a / (a + np.arange(cut, dtype=float))) ** s)
+    b = a + cut
+    return head + (a / b) ** s * (b / (s - 1.0) + 0.5 + s / (12.0 * b))
+
+
+def test_scaled_hurwitz_zeta_matches_partial_sums():
+    # dyadic a keeps every a + k exact, so each oracle term is one rounding
+    # of a / (a + k) and one of the power
+    s_values = (1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 4.5, 8.0, 16.0, 40.0, 120.0)
+    a_values = np.array([2.0**-15, 2.0**-9, 3 * 2.0**-8, 0.25, 0.5 + 2.0**-15, 1.0, 1.375,
+                         2.0 - 2.0**-15, 2.0])
+    for s in s_values:
+        got = _scaled_hurwitz_zeta(s, a_values)
+        want = np.array([scaled_zeta_oracle(s, a) for a in a_values])
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15, s
+
+
+@pytest.mark.parametrize("decay", [1.5, 2.0])
+def test_eta_1d_slow_decay_matches_image_sum_with_tail(grid64, decay):
+    # at slow decay the truncated image sum misses a visible tail; beyond
+    # radius r the images sum to the integral from r + 1/2 (midpoint rule)
+    # within (R/24) r^(-R-1) per side
+    radius, level = 2**14, 3
+    x, c = grid64.coords[0], 2.0**-level
+    pref = 2.0 ** (level * (1.0 - decay))
+    tail = pref * ((c + x + radius + 0.5) ** (1.0 - decay)
+                   + (c - x + radius + 0.5) ** (1.0 - decay)) / (decay - 1.0)
+    brute = brute_force_eta_1d(grid64, level, decay, radius=radius) + tail
+    ker = eta_kernel(grid64, level=level, decay=decay)
+    assert np.max(np.abs(ker.samples.samples - brute)) <= 1e-12 * np.max(brute)
+
+
+def test_eta_1d_steep_decay_is_finite():
+    # (2^nu a)^-R underflows to 0 before it multiplies the scaled zeta, so no
+    # 0 * inf appears where zeta(R, a) alone would overflow
+    ker = eta_kernel(Grid(1, 256), level=3, decay=400.0)
+    vals = ker.samples.samples
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert vals.max() > 0.0
 
 
 def test_eta_mass_matches_analytic(grid256):
