@@ -18,11 +18,13 @@ Systems come in four kinds:
   vanishing off (2^(j-2), 2^(j+2)).
 """
 
+import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
+from .expr import evaluate, parse_symbol, taylor
 from .grid import (
     _SCAN_BLOCK,
     FunctionSequence,
@@ -565,54 +567,43 @@ def schwartz_seminorm(f, N):
     return float(np.max((1.0 + grid.dist_to_origin) ** N * total))
 
 
-@cache
-def _compiled_derivative(expr, variables, gamma):
-    """D^gamma expr as a numpy function, compiled once per distinct key.
-
-    Equal symbols share the compiled function: lambdify is slow, and each
-    function it returns holds its generated source in linecache while alive.
-    """
-    import sympy as sp
-
-    for v, g in zip(variables, gamma):
-        if g:
-            expr = sp.diff(expr, v, g)
-    return sp.lambdify(variables, expr, modules="numpy")
-
-
 class MultiplierSymbol:
-    """Fourier symbol with exact derivatives, backed by a symbolic expression.
+    """Fourier symbol with exact derivatives, from an expression string.
 
-    Accepts an expression string in xi1 (and xi2 in 2D) or a sympy
-    expression; each derivative is compiled once per multi-index and shared
-    by equal symbols.
+    The text is an expression of vexspaces.expr in xi1 (and xi2 in 2D),
+    validated by parse_symbol.  Values evaluate the AST; derivatives come
+    from its Taylor jets.
     """
 
-    def __init__(self, expr, dim):
-        import sympy as sp
-
+    def __init__(self, text, dim):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         self.dim = dim
-        names = ("xi1", "xi2")[:dim]
-        self.vars = tuple(sp.Symbol(n, real=True) for n in names)
-        if isinstance(expr, str):
-            self.expr = sp.sympify(expr, locals=dict(zip(names, self.vars)))
-        else:
-            self.expr = sp.sympify(expr)
+        self.text = text
+        self.ast = parse_symbol(text, dim)
 
-    def _fn(self, gamma):
-        return _compiled_derivative(self.expr, self.vars, tuple(int(g) for g in gamma))
+    def jet(self, order, *points):
+        """Taylor coefficients to total order `order` at points (see
+        vexspaces.expr.taylor): multi-index gamma -> c_gamma, with
+        D^gamma m = gamma! c_gamma and absent indices zero."""
+        return taylor(self.ast, order, dict(zip(("xi1", "xi2"), points)))
 
     def derivative(self, gamma, *points):
+        """D^gamma m at points: gamma! times the Taylor coefficient c_gamma."""
         if len(gamma) != self.dim or len(points) != self.dim:
             raise ValueError("gamma and points must match the symbol dimension")
-        out = np.asarray(self._fn(gamma)(*points))
+        gamma = tuple(int(g) for g in gamma)
+        c = self.jet(sum(gamma), *points).get(gamma, 0.0)
+        out = math.prod(math.factorial(g) for g in gamma) * np.asarray(c)
         shape = np.broadcast_shapes(*(np.shape(p) for p in points))
         return np.broadcast_to(out, shape)
 
     def __call__(self, *points):
-        return self.derivative((0,) * self.dim, *points)
+        if len(points) != self.dim:
+            raise ValueError("points must match the symbol dimension")
+        out = np.asarray(evaluate(self.ast, **dict(zip(("xi1", "xi2"), points))), dtype=float)
+        shape = np.broadcast_shapes(*(np.shape(p) for p in points))
+        return np.broadcast_to(out, shape)
 
     def sample(self, grid):
         """Values on the grid frequency set, for apply_multiplier."""
@@ -621,22 +612,51 @@ class MultiplierSymbol:
         return np.array(self(*grid.xi))
 
     def __repr__(self):
-        return f"MultiplierSymbol({self.expr}, dim={self.dim})"
+        return f"MultiplierSymbol({self.text!r}, dim={self.dim})"
+
+
+def _lattice_blocks(dim, radius):
+    """The lattice np.linspace(-radius, radius, m)^dim in blocks of at most
+    _SCAN_BLOCK points, m = 200,001 in 1D and 513 in 2D: runs of the axis
+    in 1D, bands of rows as (rows, 1) and (1, m) arrays in 2D."""
+    m = 200_001 if dim == 1 else 513
+    step = 2.0 * radius / (m - 1)
+    rows = _SCAN_BLOCK // m ** (dim - 1)
+
+    def axis(a, b):
+        # np.linspace(-radius, radius, m)[a:b], computed as linspace does
+        out = np.arange(a, b, dtype=float) * step - radius
+        if b == m:
+            out[-1] = radius
+        return out
+
+    full = axis(0, m)[None, :] if dim == 2 else None
+    for start in range(0, m, rows):
+        head = axis(start, min(start + rows, m))
+        yield (head,) if dim == 1 else (head[:, None], full)
 
 
 def _derivative_sup(symbol, l, radius):
-    """The weighted derivative sup on a dense lattice over [-radius, radius]^dim."""
-    if symbol.dim == 1:
-        pts = (np.linspace(-radius, radius, 200_001),)
-    else:
-        axis = np.linspace(-radius, radius, 513)
-        pts = tuple(np.meshgrid(axis, axis, indexing="ij"))
-    sq = sum(np.asarray(p, dtype=float) ** 2 for p in pts)
+    """The weighted derivative sup on a dense lattice over [-radius, radius]^dim.
+
+    Every order up to 2l comes from one jet per block, and the weights
+    (1 + |xi|^2)^(k/2) are powers of one square root per block.
+    """
+    order = 2 * l
+    indices = multi_indices(symbol.dim, order)
     best = 0.0
-    for gamma in multi_indices(symbol.dim, 2 * l):
-        order = sum(gamma)
-        vals = np.abs(symbol.derivative(gamma, *pts))
-        best = max(best, float(np.max((1.0 + sq) ** (order / 2.0) * vals)))
+    for pts in _lattice_blocks(symbol.dim, radius):
+        coeffs = symbol.jet(order, *pts)
+        root = np.sqrt(1.0 + sum(p * p for p in pts))
+        powers = [1.0, root]  # root^k
+        for gamma in indices:
+            if gamma not in coeffs:
+                continue
+            k = sum(gamma)
+            while len(powers) <= k:
+                powers.append(powers[-1] * root)
+            scale = math.prod(math.factorial(g) for g in gamma)
+            best = max(best, scale * float(np.max(powers[k] * np.abs(coeffs[gamma]))))
     return best
 
 

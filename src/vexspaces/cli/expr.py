@@ -1,227 +1,22 @@
-"""Tiny arithmetic expression language for exponents, weights, and symbols.
+"""Expression strings on grids: exponent and weight fields, and symbols.
 
-Precedence, loosest to tightest: add/sub, mul/div, unary minus, power
-("^" or "**", right-associative), atoms.  Identifiers are the grid
-coordinates (x1, x2 on signals; xi1, xi2 on frequency symbols) and the
-functions sin, cos, exp, abs, min, max, dist.
-
-dist measures wrap-around distance on the unit torus: dist(u, a) is the
-circle distance between the values u and a; dist(u, a, b), available on
-2-d grids, is the distance from the point (u, x2) to (a, b) -- pass x1
-as the first argument for the usual distance to a fixed point.
+The language itself (parser, AST, evaluator) is vexspaces.expr; this
+module samples it on grids and validates the CLI's symbol strings.
 """
-
-import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..expr import ExprError, Node, evaluate, parse_expression, parse_symbol
 
-class ExprError(ValueError):
-    """Parse or evaluation failure; carries the source position if known."""
-
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
-
-
-_TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),])"
-)
-
-_VARIABLES = ("x1", "x2", "xi1", "xi2")
-_ARITY = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "min": 2, "max": 2}
-
-
-@dataclass(frozen=True)
-class Node:
-    """Expression AST node.
-
-    kind is one of const, var, add, sub, mul, div, pow, neg, call;
-    value holds the constant, name the variable or function name.
-    """
-
-    kind: str
-    value: float = 0.0
-    name: str = ""
-    children: tuple = field(default_factory=tuple)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExprError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        else:
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.sum()
-        tok = self.tokens[self.i]
-        if tok[0] != "end":
-            raise ExprError(f"unexpected {tok[1]!r}", tok[2])
-        return node
-
-    def sum(self):
-        node = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.product()
-            node = Node("add" if op == "+" else "sub", children=(node, rhs))
-        return node
-
-    def product(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.unary()
-            node = Node("mul" if op == "*" else "div", children=(node, rhs))
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.next()
-            return Node("neg", children=(self.unary(),))
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() in ("^", "**"):
-            self.next()
-            # right-associative; exponent may carry its own unary minus
-            return Node("pow", children=(node, self.unary()))
-        return node
-
-    def atom(self):
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "num":
-            return Node("const", value=value)
-        if kind == "(":
-            node = self.sum()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if self.peek() == "(":
-                return self.call(value, pos)
-            if value not in _VARIABLES:
-                raise ExprError(f"unknown identifier {value!r}", pos)
-            return Node("var", name=value)
-        raise ExprError(f"unexpected {value!r}", pos)
-
-    def call(self, name, pos):
-        if name != "dist" and name not in _ARITY:
-            raise ExprError(f"unknown function {name!r}", pos)
-        self.expect("(")
-        args = [self.sum()]
-        while self.peek() == ",":
-            self.next()
-            args.append(self.sum())
-        self.expect(")")
-        if name == "dist":
-            if len(args) not in (2, 3):
-                raise ExprError(f"dist takes 2 or 3 arguments, got {len(args)}", pos)
-        elif len(args) != _ARITY[name]:
-            raise ExprError(
-                f"{name} takes {_ARITY[name]} argument(s), got {len(args)}", pos
-            )
-        return Node("call", name=name, children=tuple(args))
-
-
-def parse_expression(text):
-    """Parse an expression string into an AST; raise ExprError on bad input."""
-    return _Parser(text).parse()
-
-
-def _circle_distance(u, v):
-    d = np.abs(np.asarray(u, dtype=float) - v) % 1.0
-    return np.minimum(d, 1.0 - d)
-
-
-def _eval(node, env):
-    if node.kind == "const":
-        return node.value
-    if node.kind == "var":
-        if node.name not in env:
-            raise ExprError(f"{node.name} is not defined here")
-        return env[node.name]
-    if node.kind == "neg":
-        return -_eval(node.children[0], env)
-    args = [_eval(c, env) for c in node.children]
-    if node.kind == "add":
-        return args[0] + args[1]
-    if node.kind == "sub":
-        return args[0] - args[1]
-    if node.kind == "mul":
-        return args[0] * args[1]
-    if node.kind == "div":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.true_divide(args[0], args[1])
-    if node.kind == "pow":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(args[0], args[1], dtype=float)
-    name = node.name
-    if name == "sin":
-        return np.sin(args[0])
-    if name == "cos":
-        return np.cos(args[0])
-    if name == "exp":
-        return np.exp(args[0])
-    if name == "abs":
-        return np.abs(args[0])
-    if name == "min":
-        return np.minimum(args[0], args[1])
-    if name == "max":
-        return np.maximum(args[0], args[1])
-    if len(args) == 2:
-        return _circle_distance(args[0], args[1])
-    if "x2" not in env:
-        raise ExprError("3-argument dist needs a 2-d grid")
-    return np.sqrt(
-        _circle_distance(args[0], args[1]) ** 2
-        + _circle_distance(env["x2"], args[2]) ** 2
-    )
-
-
-def evaluate(ast, **variables):
-    """Evaluate an AST with the given variable bindings (scalars or arrays)."""
-    return _eval(ast, variables)
+__all__ = [
+    "ExprError",
+    "Node",
+    "evaluate",
+    "parse_expression",
+    "sample_expression",
+    "coordinate_function",
+    "symbol_text",
+]
 
 
 def sample_expression(text, grid, frequency=False):
@@ -235,7 +30,7 @@ def sample_expression(text, grid, frequency=False):
         names = ("x1", "x2")
         coords = grid.coords
     env = dict(zip(names, coords))
-    values = np.broadcast_to(np.asarray(_eval(ast, env), dtype=float), grid.shape)
+    values = np.broadcast_to(np.asarray(evaluate(ast, **env), dtype=float), grid.shape)
     if not np.all(np.isfinite(values)):
         raise ExprError(
             "expression is not finite on the grid (division by zero?)"
@@ -249,7 +44,7 @@ def coordinate_function(text):
 
     def fn(*coords):
         env = dict(zip(("x1", "x2"), coords))
-        values = np.asarray(_eval(ast, env), dtype=float)
+        values = np.asarray(evaluate(ast, **env), dtype=float)
         values = np.broadcast_to(values, np.broadcast_shapes(*[c.shape for c in coords]))
         if not np.all(np.isfinite(values)):
             raise ExprError(
@@ -261,19 +56,7 @@ def coordinate_function(text):
 
 
 def symbol_text(text, dim):
-    """Validate a frequency-symbol expression and normalize it for the
-    symbolic multiplier machinery (which needs differentiable primitives)."""
-    ast = parse_expression(text)
-
-    def walk(node):
-        if node.kind == "call" and node.name in ("min", "max", "dist"):
-            raise ExprError(f"{node.name} is not differentiable; not usable in symbols")
-        if node.kind == "var" and not node.name.startswith("xi"):
-            raise ExprError(f"symbols use xi1/xi2, not {node.name}")
-        if node.kind == "var" and node.name == "xi2" and dim == 1:
-            raise ExprError("xi2 is not defined on a 1-d grid")
-        for c in node.children:
-            walk(c)
-
-    walk(ast)
-    return text.replace("^", "**")
+    """Validate a frequency-symbol expression (see parse_symbol); returns
+    the text unchanged, in the grammar MultiplierSymbol takes."""
+    parse_symbol(text, dim)
+    return text

@@ -154,7 +154,7 @@ class LogHolderReport:
 def _c_log_local(grid, D):
     """max over h of max_x |g(x) - g(x-h)| * log(e + 1/d(h)) from a signed scan.
 
-    D = grid.shift_maxima(g, np.subtract) holds D(h) = max_x g(x) - g(x-h);
+    D = grid.signed_shift_maxima(g) holds D(h) = max_x g(x) - g(x-h);
     D(-h) is the same array at the reflected shifts.  a - b == -(b - a)
     exactly in floating point, so max(D(h), D(-h)) is the |a - b| scan bit
     for bit.
@@ -178,7 +178,7 @@ def log_holder_estimate(g):
         values = np.real(g.samples)
     else:
         raise TypeError("log_holder_estimate expects a GridFunction")
-    c_local = _c_log_local(grid, grid.shift_maxima(values, np.subtract))
+    c_local = _c_log_local(grid, grid.signed_shift_maxima(values))
     g_inf = float(values.mean())
     weight = np.log(np.e + grid.dist_to_origin)
     c_global = float(np.max(np.abs(values - g_inf) * weight))

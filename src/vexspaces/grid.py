@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-# elements in one temporary of Grid.shift_maxima (2^15 float64 = 256 KiB)
+# elements in one temporary of a Grid shift scan (2^15 float64 = 256 KiB)
 _SCAN_BLOCK = 1 << 15
 
 
@@ -174,34 +174,68 @@ class Grid:
         windows = sliding_window_view(np.tile(values, (2,) * self.dim), self.shape)
         return windows[(slice(self.n, 0, -1),) * self.dim]
 
-    def shift_maxima(self, values, op):
-        """max over x of op(values, V[s]) for every nonzero shift s, V = rolls(values).
+    def _shift_blocks(self, values, op, first):
+        """Yield (start, block): op(values, V[s]) for a block of shifts s as
+        a (shifts, points) array, start being the index of its first shift
+        in C order from the zero shift.  Only shifts whose first component
+        is below `first` are scanned.
 
         op(values, block, out=buf) is elementwise, broadcasts values against
         a block of rolls and writes into buf, as a ufunc does.  One reused
         buffer of at most _SCAN_BLOCK elements (one roll at least) holds
-        every block, so no temporary grows with the number of shifts.  The
-        result is in shifts() order.
+        every block, so no temporary grows with the number of shifts.
         """
-        values = np.asarray(values)
         V = self.rolls(values)
         n = self.n
         per = max(1, _SCAN_BLOCK // self.num_points)  # shifts per block
         if self.dim == 1 or per >= n:
-            rows = min(n, per if self.dim == 1 else per // n)
-            blocks = (slice(a, a + rows) for a in range(0, n, rows))
+            rows = min(first, per if self.dim == 1 else per // n)
+            blocks = (slice(a, min(a + rows, first)) for a in range(0, first, rows))
             buf = np.empty((rows,) + V.shape[1:])
         else:
-            blocks = ((s0, slice(a, a + per)) for s0 in range(n) for a in range(0, n, per))
+            blocks = ((s0, slice(a, a + per)) for s0 in range(first) for a in range(0, n, per))
             buf = np.empty((per,) + V.shape[2:])
-        maxima = np.empty(self.num_points)
-        done = 0
+        start = 0
         for index in blocks:
             block = V[index]
             out = op(values, block, out=buf[: len(block)]).reshape(-1, self.num_points)
-            np.max(out, axis=1, out=maxima[done : done + len(out)])
-            done += len(out)
+            yield start, out
+            start += len(out)
+
+    def shift_maxima(self, values, op):
+        """max over x of op(values, V[s]) for every nonzero shift s, V = rolls(values).
+
+        op is elementwise, as a ufunc (see _shift_blocks); the scan holds at
+        most _SCAN_BLOCK elements at a time.  The result is in shifts() order.
+        """
+        values = np.asarray(values)
+        maxima = np.empty(self.num_points)
+        for start, out in self._shift_blocks(values, op, self.n):
+            np.max(out, axis=1, out=maxima[start : start + len(out)])
         return maxima[1:]
+
+    def signed_shift_maxima(self, values):
+        """D(s) = max over x of values(x) - values(x - s) for every nonzero
+        shift s, in shifts() order: shift_maxima(values, np.subtract) from
+        half of the shifts.
+
+        The difference block of s gives D(s) as its max and D(-s) as minus
+        its min, bit for bit, since a - b == -(b - a) in IEEE arithmetic.
+        Every shift or its reflection has first component at most n/2, so
+        only those are scanned; a shift that is its own reflection (all
+        components 0 or n/2) is scanned once.
+        """
+        values = np.asarray(values)
+        n = self.n
+        first = n // 2 + 1
+        scanned = np.unravel_index(np.arange(first * n ** (self.dim - 1)), self.shape)
+        mirror = np.ravel_multi_index(tuple(-c % n for c in scanned), self.shape)
+        D = np.empty(self.num_points)
+        for start, out in self._shift_blocks(values, np.subtract, first):
+            stop = start + len(out)
+            D[mirror[start:stop]] = -out.min(axis=1)
+            D[start:stop] = out.max(axis=1)
+        return D[1:]
 
     def sample(self, fn):
         """GridFunction from a callable of the coordinate arrays."""

@@ -13,10 +13,11 @@ never fails to bracket.
 
 Every Luxemburg functional of the package is solved to one contract: the
 returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
-infimum, in at most MAX_ITER steps per solver phase.  luxemburg_root is the
-one solver, and it finds its own bracket from any starting point: it halves
-down while the modular stays <= 1 and doubles up while it exceeds 1,
-returning inf where no lam below 2^MAX_ITER times the start is admissible.
+infimum.  luxemburg_root is the one solver, and it finds its own bracket
+from any starting point: it halves down while the modular stays <= 1, to
+the bottom of the double range if it must, and doubles up while it exceeds
+1, returning inf where no lam below 2^MAX_ITER times the start is
+admissible.  The narrowing takes at most MAX_ITER steps.
 It also runs many such functionals as lanes of one call, each lane with its
 own bracket, so that their modulars are evaluated together.
 """
@@ -78,8 +79,11 @@ def _lane(hi, lo):
     It yields each lam it needs the value of, is sent value(lam) back, and
     returns its root through StopIteration.
     """
+    if not math.isfinite(lo):
+        return np.inf
     v_hi = None
-    for _ in range(MAX_ITER):
+    while True:
+        # at most about 2100 halvings take a finite lo to 0
         if lo == 0.0:
             return 0.0
         v_lo = yield lo
@@ -127,11 +131,15 @@ def luxemburg_root(value, hi, lo=None):
     hi is a first guess above lo (hi/2 if None); neither needs to bracket
     the root.  The walk evaluates lo first and halves it while value stays
     <= 1, the last such point becoming hi (0.0 is returned if the halving
-    reaches zero).  If lo already exceeds 1, hi is evaluated and doubled
-    while value exceeds 1, the last such point becoming lo; if none of hi,
-    2 hi, ..., 2^(MAX_ITER-1) hi has value <= 1 the root is inf.  Then the
-    bracket is narrowed until it is within REL_TOL of hi.  A finite result
-    always has value <= 1, and the root exceeds (1 - REL_TOL) times it.
+    underflows to zero, so every root in the double range is reached).  If
+    lo already exceeds 1, hi is evaluated and doubled while value exceeds
+    1, the last such point becoming lo; if none of hi, 2 hi, ...,
+    2^(MAX_ITER-1) hi has value <= 1 the root is inf.  A lo that is not
+    finite (an overflowed start, as where |f/mu|^q overflows in
+    mixed._level_lanes) gives inf at once, with no evaluation: there is no
+    point to halve from.  Then the bracket is narrowed until it is within
+    REL_TOL of hi.  A finite result always has value <= 1, and the root
+    exceeds (1 - REL_TOL) times it.
 
     A modular is a sum of powers of lam, so log value is convex in log lam,
     and linear when the exponent is constant.  Each step therefore takes the

@@ -255,7 +255,7 @@ def make_variable_smoothness(grid, J, s):
         recipe = None
     if s_vals.shape != grid.shape:
         raise ValueError("smoothness values must match the grid")
-    D = grid.shift_maxima(s_vals, np.subtract)
+    D = grid.signed_shift_maxima(s_vals)
     alpha = _c_log_local(grid, D)
     levels = tuple(2.0 ** (j * s_vals) for j in range(J + 1))
     # exact smallest c on the grid for the declared alpha (level 0 gives 1)

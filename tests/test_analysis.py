@@ -397,6 +397,102 @@ def test_symbol_sampling_2d():
     assert np.allclose(vals, x1 / np.sqrt(1.0 + grid.xi_norm**2), rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivative_lattice_blocks_tile_linspace(dim):
+    from vexspaces.analysis import _lattice_blocks
+
+    radius = 2.0 * np.pi * 64
+    axis = np.linspace(-radius, radius, 200_001 if dim == 1 else 513)
+    blocks = list(_lattice_blocks(dim, radius))
+    assert np.array_equal(np.concatenate([b[0].ravel() for b in blocks]), axis)
+    if dim == 2:
+        assert all(np.array_equal(b[1].ravel(), axis) for b in blocks)
+    assert max(b[0].size * b[-1].size ** (dim - 1) for b in blocks) <= 1 << 15
+
+
+def test_symbol_derivative_norm_2d_constant_and_growth(grid2d):
+    assert symbol_derivative_norm(MultiplierSymbol("1", dim=2), 1, grid2d) == 1.0
+    growing = MultiplierSymbol("(1 + xi1^2 + xi2^2)^(1/2)", dim=2)
+    assert symbol_derivative_norm(growing, 1, grid2d) == np.inf
+
+
+# ------------------------------------------------------------- Taylor jets
+
+
+def _falling(n, k):
+    """n (n - 1) ... (n - k + 1), the k-th derivative factor of x^n."""
+    return float(np.prod(np.arange(n - k + 1, n + 1))) if k <= n else 0.0
+
+
+def test_bivariate_jets_exact_on_a_polynomial():
+    m = MultiplierSymbol("xi1^3 * xi2^2", dim=2)
+    x, y = np.meshgrid(np.arange(-3.0, 4.0), np.arange(-2.0, 3.0), indexing="ij")
+    for a in range(5):
+        for b in range(5 - a):
+            exact = _falling(3, a) * x ** max(3 - a, 0) * _falling(2, b) * y ** max(2 - b, 0)
+            assert np.array_equal(m.derivative((a, b), x, y), exact), (a, b)
+
+
+def test_jets_of_compositions_match_closed_forms():
+    x, y = np.meshgrid(np.linspace(0.3, 2.5, 9), np.linspace(-1.5, 1.7, 7), indexing="ij")
+    s = 1.0 + x**2 + y**2
+    e = np.exp(2.0 * x - y)
+    cases = {
+        # exp of a linear form: D^(a,b) = 2^a (-1)^b exp
+        "exp(2 * xi1 - xi2)": {(a, b): 2.0**a * (-1.0) ** b * e
+                               for a in range(4) for b in range(4 - a)},
+        # sin of a linear form: D^(a,b) = 3^b sin(u + (a + b) pi / 2)
+        "sin(xi1 + 3 * xi2)": {(a, b): 3.0**b * np.sin(x + 3.0 * y + 0.5 * np.pi * (a + b))
+                               for a in range(4) for b in range(4 - a)},
+        "cos(xi1 * xi2)": {
+            (1, 0): -y * np.sin(x * y),
+            (1, 1): -np.sin(x * y) - x * y * np.cos(x * y),
+            (2, 0): -(y**2) * np.cos(x * y),
+        },
+        # a constant non-integer power: the recurrence
+        "(1 + xi1^2 + xi2^2)^(-1/2)": {
+            (1, 0): -x * s**-1.5,
+            (1, 1): 3.0 * x * y * s**-2.5,
+            (2, 0): (3.0 * x**2 - s) * s**-2.5,
+        },
+        # a non-constant exponent: exp(b log a)
+        "xi1^xi2": {
+            (1, 0): y * x ** (y - 1.0),
+            (0, 1): x**y * np.log(x),
+            (1, 1): x ** (y - 1.0) * (1.0 + y * np.log(x)),
+            (0, 2): x**y * np.log(x) ** 2,
+        },
+        "exp(sin(xi1)) * cos(xi2)": {
+            (2, 0): (np.cos(x) ** 2 - np.sin(x)) * np.exp(np.sin(x)) * np.cos(y),
+            (1, 1): -np.cos(x) * np.exp(np.sin(x)) * np.sin(y),
+        },
+    }
+    for text, partials in cases.items():
+        m = MultiplierSymbol(text, dim=2)
+        for gamma, exact in partials.items():
+            got = m.derivative(gamma, x, y)
+            assert np.allclose(got, exact, rtol=1e-12, atol=1e-12 * np.abs(exact).max()), (
+                text, gamma)
+
+
+def test_riesz_symbol_derivatives_match_closed_forms():
+    m = MultiplierSymbol("xi1 * (1 + xi1^2)^(-1/2)", dim=1)
+    x = np.linspace(-300.0, 300.0, 6001)
+    s = 1.0 + x**2
+    exact = [
+        x * s**-0.5,
+        s**-1.5,
+        -3.0 * x * s**-2.5,
+        (12.0 * x**2 - 3.0) * s**-3.5,
+        15.0 * x * (3.0 - 4.0 * x**2) * s**-4.5,
+    ]
+    for k, d in enumerate(exact):
+        # weighted as in symbol_derivative_norm, relative to its sup
+        w = s ** (k / 2.0)
+        err = np.abs(m.derivative((k,), x) - d) * w
+        assert err.max() <= 1e-14 * np.max(np.abs(d) * w), k
+
+
 def test_bessel_window_norm_single_mode():
     L, M = 16.0, 4096
     x = -L / 2 + (np.arange(M) + 0.5) * (L / M)
@@ -459,16 +555,12 @@ def test_peetre_1d_memory_stays_bounded():
         tracemalloc.stop()
     assert peak < 2 * 2**20
 
-def test_equal_symbols_share_compiled_functions(grid64):
-    import linecache
-
-    expr = "xi1**3 * (2 + xi1**2)**(-3/2)"  # used by no other test
+def test_equal_symbols_give_identical_arrays(grid64):
+    expr = "xi1^3 * (2 + xi1^2)^(-3/2)"
     first = MultiplierSymbol(expr, dim=1)
-    first.sample(grid64)
-    first.derivative((2,), grid64.xi[0])
-    cached = len(linecache.cache)
     second = MultiplierSymbol(expr, dim=1)
     assert np.array_equal(second.sample(grid64), first.sample(grid64))
-    second.derivative((2,), grid64.xi[0])
-    assert len(linecache.cache) == cached
-    assert second._fn((2,)) is first._fn((2,))
+    for gamma in ((0,), (1,), (2,), (4,)):
+        assert np.array_equal(
+            second.derivative(gamma, grid64.xi[0]), first.derivative(gamma, grid64.xi[0])
+        )

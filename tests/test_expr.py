@@ -122,7 +122,6 @@ def test_coordinate_function_resamples():
 
 
 def test_symbol_text_normalizes_and_validates():
-    assert symbol_text("xi1^2 + 1", dim=1) == "xi1**2 + 1"
     with pytest.raises(ExprError, match="not differentiable"):
         symbol_text("min(xi1, 1)", dim=1)
     with pytest.raises(ExprError, match="xi1/xi2"):

@@ -218,6 +218,36 @@ def test_shift_maxima_match_roll_loop(dim, n, block, monkeypatch):
         assert np.array_equal(got, oracle), op
 
 
+@pytest.mark.parametrize(
+    "dim, n, block",
+    [
+        (1, 16, None),
+        (1, 16, 3 * 16),  # 3 shifts per block; the half scan ends inside a block
+        (1, 4096, None),
+        (2, 16, None),
+        (2, 16, 3 * 256),  # 3 shifts per block inside one row of shifts
+        (2, 16, 3 * 16 * 256),  # 3 rows of shifts per block
+        (2, 64, None),
+    ],
+)
+def test_signed_shift_maxima_match_roll_loop(dim, n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(grid_module, "_SCAN_BLOCK", block)
+    grid = Grid(dim, n)
+    values = np.random.default_rng(43).normal(size=grid.shape)
+    axes = tuple(range(dim))
+    shifts = _all_shifts(grid)
+    oracle = np.array([np.max(values - np.roll(values, s, axis=axes)) for s in shifts])
+    got = grid.signed_shift_maxima(values)
+    # bit for bit at both signs of every shift, the n/2 shifts included
+    assert got.tobytes() == oracle.tobytes()
+    assert got.tobytes() == grid.shift_maxima(values, np.subtract).tobytes()
+    index = {s: i for i, s in enumerate(shifts)}
+    for s in shifts:
+        reflected = tuple(-c % n for c in s)
+        assert got[index[reflected]] == np.max(np.roll(values, s, axis=axes) - values)
+
+
 @pytest.mark.parametrize("dim, n", [(1, 16), (1, 256), (2, 16), (2, 64)])
 def test_shift_distances_match_scalar_distances(dim, n):
     grid = Grid(dim, n)

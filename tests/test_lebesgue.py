@@ -254,6 +254,38 @@ def test_root_solver_brackets_from_below():
     assert np.all(np.abs(roots - c) <= REL_TOL * c)
 
 
+@pytest.mark.parametrize("p", [0.02, 0.01])
+def test_norm_of_a_spike_at_small_p(p):
+    # a one-sample spike of height 1 has norm 64^(-1/p): 4.9e-91 at p = 0.02,
+    # 2.4e-181 at p = 0.01, more than 200 halvings below the start at 1
+    g = Grid(1, 64)
+    x = np.zeros(g.shape)
+    x[5] = 1.0
+    P = VariableExponent.constant(g, p)
+    lam = norm(GridFunction(g, x), P)
+    assert modular(GridFunction(g, x / lam), P).value <= 1.0
+    assert modular(GridFunction(g, x / ((1.0 - 2.0 * REL_TOL) * lam)), P).value > 1.0
+    assert lam == pytest.approx(64.0 ** (-1.0 / p), rel=1e-12)
+
+
+def test_root_solver_non_finite_start_is_inf():
+    # an overflowed start has no point to halve from: inf, with no
+    # evaluation, alone and as one lane of several
+    c = 0.3
+    seen = []
+
+    def value(lam, rows=None):
+        seen.append(lam)
+        return (c / lam) ** 3
+
+    assert luxemburg_root(value, np.inf) == np.inf
+    assert seen == []
+    roots = luxemburg_root(value, np.array([np.inf, 1.0]), np.array([np.inf, 0.5]))
+    assert roots[0] == np.inf
+    assert abs(roots[1] - c) <= REL_TOL * c
+    assert all(len(lams) == 1 for lams in seen)
+
+
 def test_root_solver_power_law_lands_at_once():
     # log value is linear in log lam, so the first secant step hits the root
     c = 0.3
