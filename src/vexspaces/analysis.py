@@ -135,12 +135,6 @@ class AnalysisSystem:
     def levels(self):
         return len(self.masks) - 1
 
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, j):
-        return self.masks[j]
-
     def refine(self, grid):
         if self.recipe is None:
             raise ValueError("system has no resampling recipe")

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..analysis import admissible_system, general_system, theta_system
 from ..exponents import VariableExponent
+from ..expr import ExprError, evaluate, parse_expression
 from ..grid import Grid
 from ..spaces import SpaceSpec
 from ..weights import (
@@ -20,7 +21,6 @@ from ..weights import (
     make_variable_smoothness,
     make_weighted,
 )
-from .expr import ExprError, coordinate_function
 from .signals import SignalError, load_signal
 
 
@@ -51,9 +51,8 @@ class RunConfig:
     corpus_size: int = 12
 
 
-_INT_KEYS = {"dim", "grid_n", "levels", "seed", "order", "corpus_size"}
-_FLOAT_KEYS = {"sigma"}
-_KEYS = {f.name for f in fields(RunConfig)}
+# key -> its RunConfig field annotation; int and float keys parse as numbers
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def read_config_file(path):
@@ -68,7 +67,7 @@ def read_config_file(path):
             if not eq:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key = key.strip().replace("-", "_")
-            if key not in _KEYS:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
@@ -81,13 +80,11 @@ def resolve_config(file_values=None, flag_values=None):
     merged.update({k: v for k, v in (flag_values or {}).items() if v is not None})
     cfg = RunConfig()
     for key, value in merged.items():
-        if key not in _KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
+            if _TYPES[key] in (int, float):
+                value = _TYPES[key](value)
         except ValueError:
             raise ConfigError(f"config key {key}: expected a number, got {value!r}")
         setattr(cfg, key, value)
@@ -96,6 +93,21 @@ def resolve_config(file_values=None, flag_values=None):
     if cfg.scale not in ("B", "F"):
         raise ConfigError("scale must be B or F")
     return cfg
+
+
+def coordinate_function(text):
+    """Wrap an expression in x1 (and x2) as f(*coords) for the
+    recipe-carrying constructors; raise ExprError where it is not finite."""
+    ast = parse_expression(text)
+
+    def fn(*coords):
+        values = np.asarray(evaluate(ast, **dict(zip(("x1", "x2"), coords))), dtype=float)
+        values = np.broadcast_to(values, np.broadcast_shapes(*[c.shape for c in coords]))
+        if not np.all(np.isfinite(values)):
+            raise ExprError("expression is not finite on the grid (division by zero?)")
+        return np.array(values, dtype=float)
+
+    return fn
 
 
 def build_grid(cfg):

@@ -21,7 +21,6 @@ from .config import (
     read_config_file,
     resolve_config,
 )
-from .expr import symbol_text
 from .signals import load_signal
 from .suites import SUITES, run_suites
 
@@ -158,7 +157,7 @@ def cmd_multiplier_check(cfg):
         raise ConfigError("multiplier-check needs --symbol")
     grid = build_grid(cfg)
     spec = build_spec(cfg, grid)
-    m = MultiplierSymbol(symbol_text(cfg.symbol, cfg.dim), dim=cfg.dim)
+    m = MultiplierSymbol(cfg.symbol, dim=cfg.dim)
     rep = spaces.multiplier_bound_checks(
         _corpus(cfg), spec, m, cfg.mode, order=cfg.order
     )

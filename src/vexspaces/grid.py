@@ -126,11 +126,8 @@ class Grid:
     @cached_property
     def dist_to_origin(self):
         """Torus distance of every sample point to the origin, grid shape."""
-        if self.dim == 1:
-            return self.wrap_deltas(self.coords[0])
-        return np.sqrt(
-            self.wrap_deltas(self.coords[0]) ** 2 + self.wrap_deltas(self.coords[1]) ** 2
-        )
+        points = self.coords[0] if self.dim == 1 else self.coords
+        return self.torus_distance(points, np.zeros(self.dim))
 
     def shift_distance(self, shift):
         """Torus distance between a sample and its lattice-shifted image."""
@@ -293,12 +290,6 @@ class GridFunction:
     def max_abs(self):
         return float(np.max(np.abs(self.samples)))
 
-    def is_real(self):
-        return not np.issubdtype(self.samples.dtype, np.complexfloating)
-
-    def real(self):
-        return GridFunction(self.grid, np.real(self.samples))
-
     def _coerce(self, other):
         if isinstance(other, GridFunction):
             if other.grid != self.grid:
@@ -314,19 +305,10 @@ class GridFunction:
     def __sub__(self, other):
         return GridFunction(self.grid, self.samples - self._coerce(other))
 
-    def __rsub__(self, other):
-        return GridFunction(self.grid, self._coerce(other) - self.samples)
-
     def __mul__(self, other):
         return GridFunction(self.grid, self.samples * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return GridFunction(self.grid, self.samples / self._coerce(other))
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.samples)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, max_abs={self.max_abs():.3e})"

@@ -115,7 +115,8 @@ def lq_lp_modular(F, p, q, force_general=False):
     """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
 
     With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
-    and that closed route is taken; force_general keeps the raw root solve
+    and that closed route is taken; where |f_nu|^q overflows, that level,
+    and so the modular, is inf.  force_general keeps the raw root solve
     on the defining infimum (used to cross-check the identity).
     """
     _check_seq(F, p, q)
@@ -125,6 +126,8 @@ def lq_lp_modular(F, p, q, force_general=False):
         for f in F:
             with np.errstate(over="ignore"):
                 aq = np.abs(f.samples) ** q.values
+            if np.isinf(aq).any():
+                return np.inf
             total += lebesgue_norm(GridFunction(F.grid, aq), pq)
         return total
     cell = F.grid.cell_volume
@@ -447,6 +450,7 @@ class MixedEmbeddingReport:
 
     The two monotone ratios must be <= 1 (embedding constant 1); the
     sandwich ratios are finite constants only, NaN when p or q hits inf.
+    A ratio of two zero norms (F = 0) is NaN too.
     """
 
     c_lp_lq_monotone: float  # ||F||_{Lp(lq1)} / ||F||_{Lp(lq0)}
@@ -456,8 +460,10 @@ class MixedEmbeddingReport:
 
 
 def _ratio(x, y):
+    """x / y as a measured constant: x/0 is inf and 0/0, which carries no
+    information, is NaN."""
     if y == 0.0:
-        return 0.0 if x == 0.0 else np.inf
+        return np.nan if x == 0.0 else np.inf
     return x / y
 
 
@@ -510,7 +516,8 @@ def convolution_inequality_report(g, p, q, delta, decay):
 
     The coupling part applies smooth_sequence; the kernel part convolves
     level nu with eta_{nu,decay}.  Analytic constants are attached where
-    the hypotheses hold; elsewhere only measured ratios are reported.
+    the hypotheses hold; elsewhere only measured ratios are reported.  A
+    ratio of two zero norms (g = 0) is NaN.
     """
     grid = g.grid
     base_f = lp_lq_norm(g, p, q)

@@ -200,15 +200,10 @@ def _dist_to_set(grid, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ValueError(f"anchor points need {grid.dim} coordinates")
+    x = grid.coords[0] if grid.dim == 1 else grid.coords
     best = None
     for pt in pts:
-        if grid.dim == 1:
-            d = grid.torus_distance(grid.coords[0], pt[0])
-        else:
-            d = np.sqrt(
-                grid.wrap_deltas(grid.coords[0] - pt[0]) ** 2
-                + grid.wrap_deltas(grid.coords[1] - pt[1]) ** 2
-            )
+        d = grid.torus_distance(x, pt)
         best = d if best is None else np.minimum(best, d)
     return best
 

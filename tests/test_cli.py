@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vexspaces
+import vexspaces.expr
 from vexspaces import Grid, GridFunction
 from vexspaces.cli.config import (
     ConfigError,
@@ -262,6 +263,25 @@ def test_multiplier_check_reports_threshold(tmp_path):
          "--corpus-size", "4"]
     )
     assert rc == 2  # unbounded symbol: config-level rejection
+
+
+def test_multiplier_check_parses_the_symbol_once(monkeypatch):
+    parse = vexspaces.expr.parse_expression
+    texts = []
+
+    def counting_parse(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(vexspaces.expr, "parse_expression", counting_parse)
+    symbol = "xi1 * (1 + xi1^2)^(-1/2)"
+    assert main(["multiplier-check", "--symbol", symbol, "--corpus-size", "2"]) == 0
+    assert texts.count(symbol) == 1
+
+
+def test_non_smooth_symbol_is_config_error(capsys):
+    assert main(["multiplier-check", "--symbol", "min(xi1, 1)", "--corpus-size", "2"]) == 2
+    assert "not differentiable" in capsys.readouterr().err
 
 
 def test_missing_signal_is_config_error(capsys):

@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexspaces import Grid
-from vexspaces.cli.expr import (
-    ExprError,
-    coordinate_function,
-    evaluate,
-    parse_expression,
-    sample_expression,
-    symbol_text,
-)
+from vexspaces.analysis import MultiplierSymbol
+from vexspaces.cli.config import coordinate_function
+from vexspaces.expr import ExprError, evaluate, parse_expression
 
 
 def ev(text, **env):
     return evaluate(parse_expression(text), **env)
+
+
+def sample(text, grid):
+    return coordinate_function(text)(*grid.coords)
 
 
 def test_precedence():
@@ -39,14 +38,14 @@ def test_whitespace_insensitive():
 
 
 def test_sin_range_example(grid64):
-    values = sample_expression("2 + 0.5*sin(6.283185*x1)", grid64)
+    values = sample("2 + 0.5*sin(6.283185*x1)", grid64)
     assert np.all(values >= 1.5) and np.all(values <= 2.5)
     assert values.min() < 1.6 and values.max() > 2.4
 
 
 def test_division_by_zero_is_load_time_error(grid64):
     with pytest.raises(ExprError, match="not finite"):
-        sample_expression("1/(x1 - x1)", grid64)
+        sample("1/(x1 - x1)", grid64)
 
 
 def test_dist_spot_values():
@@ -58,13 +57,13 @@ def test_dist_spot_values():
 
 def test_dist_two_dimensional():
     grid = Grid(2, 16)
-    values = sample_expression("dist(x1, 0.25, 0.75)", grid)
+    values = sample("dist(x1, 0.25, 0.75)", grid)
     x1, x2 = grid.coords
     d1 = np.minimum(np.abs(x1 - 0.25) % 1.0, 1.0 - np.abs(x1 - 0.25) % 1.0)
     d2 = np.minimum(np.abs(x2 - 0.75) % 1.0, 1.0 - np.abs(x2 - 0.75) % 1.0)
     assert np.allclose(values, np.sqrt(d1**2 + d2**2), atol=1e-14)
     with pytest.raises(ExprError, match="2-d"):
-        sample_expression("dist(x1, 0.25, 0.75)", Grid(1, 16))
+        sample("dist(x1, 0.25, 0.75)", Grid(1, 16))
 
 
 def test_syntax_errors_carry_position():
@@ -98,7 +97,7 @@ def test_functions():
 
 def test_unknown_variable_at_evaluation(grid64):
     with pytest.raises(ExprError, match="x2 is not defined"):
-        sample_expression("x2", grid64)
+        sample("x2", grid64)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,11 +120,11 @@ def test_coordinate_function_resamples():
         assert vals.max() == pytest.approx(1.0, abs=1.0 / n)
 
 
-def test_symbol_text_normalizes_and_validates():
+def test_multiplier_symbol_validates_text():
     with pytest.raises(ExprError, match="not differentiable"):
-        symbol_text("min(xi1, 1)", dim=1)
+        MultiplierSymbol("min(xi1, 1)", dim=1)
     with pytest.raises(ExprError, match="xi1/xi2"):
-        symbol_text("x1 + 1", dim=1)
+        MultiplierSymbol("x1 + 1", dim=1)
     with pytest.raises(ExprError, match="1-d"):
-        symbol_text("xi2", dim=1)
-    assert symbol_text("xi1 * xi2", dim=2) == "xi1 * xi2"
+        MultiplierSymbol("xi2", dim=1)
+    assert MultiplierSymbol("xi1 * xi2", dim=2).text == "xi1 * xi2"

@@ -268,6 +268,36 @@ def test_norm_of_a_spike_at_small_p(p):
     assert lam == pytest.approx(64.0 ** (-1.0 / p), rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
+    log_p=st.floats(min_value=np.log10(0.01), max_value=np.log10(64.0)),
+    variable_p=st.booleans(),
+    inf_region=st.booleans(),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_norm_contract_at_extreme_scales(log_amplitude, log_p, variable_p, inf_region, dim, seed):
+    # both sides of the solver contract: modular(f/lam) <= 1, and the root
+    # exceeds (1 - REL_TOL) lam (luxemburg_root), so a 2 REL_TOL smaller lam
+    # is not admissible; amplitudes 1e-300..1e300, p in 0.01..64 (log-uniform,
+    # per sample when variable) and, optionally, a p = inf region; the sample
+    # shape stays in [0.25, 1] so that every norm is inside the double range
+    g = Grid(1, 64) if dim == 1 else Grid(2, 16)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(g, 10.0**log_amplitude * rng.uniform(0.25, 1.0, g.shape))
+    if variable_p:
+        log_p = rng.uniform(np.log10(0.01), np.log10(64.0), g.shape)
+    p_values = np.clip(np.broadcast_to(10.0**log_p, g.shape), 0.01, 64.0)
+    if inf_region:
+        p_values = np.where(rng.random(g.shape) < 0.25, np.inf, p_values)
+    P = VariableExponent(g, p_values)
+    lam = norm(f, P)
+    assert 0.0 < lam < np.inf
+    assert modular(GridFunction(g, f.samples / lam), P).value <= 1.0
+    assert modular(GridFunction(g, f.samples / ((1.0 - 2.0 * REL_TOL) * lam)), P).value > 1.0
+
+
 def test_root_solver_non_finite_start_is_inf():
     # an overflowed start has no point to halve from: inf, with no
     # evaluation, alone and as one lane of several

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -393,6 +394,29 @@ def test_lq_lp_norm_bracket_failure_raises():
     # candidate mu = 2^199
     with pytest.raises(ArithmeticError, match="bracket"):
         lq_lp_norm(F, two, tiny)
+
+
+def test_modular_overflow_is_inf_on_both_routes():
+    # |f|^2 of a 1e200 level overflows a double: the closed route gives inf,
+    # as the defining root solve does, instead of refusing the samples
+    g = Grid(1, 16)
+    F = FunctionSequence([GridFunction(g, np.full(g.shape, 1e200))])
+    two = VariableExponent.constant(g, 2.0)
+    assert lq_lp_modular(F, two, two) == np.inf
+    assert lq_lp_modular(F, two, two, force_general=True) == np.inf
+
+
+def test_ratios_of_a_zero_sequence_are_nan():
+    # 0/0 says nothing about an embedding constant, so it is not reported as 0
+    g = Grid(1, 16)
+    Z = FunctionSequence([g.zeros(), g.zeros()])
+    two = VariableExponent.constant(g, 2.0)
+    three = VariableExponent.constant(g, 3.0)
+    rep = mixed_embedding_check(Z, two, two, three)
+    assert all(np.isnan(c) for c in dataclasses.astuple(rep))
+    rep = convolution_inequality_report(Z, two, two, delta=1.0, decay=4.0)
+    ratios = (rep.c_coupling_lp_lq, rep.c_coupling_lq_lp, rep.c_eta_lp_lq, rep.c_eta_lq_lp)
+    assert all(np.isnan(c) for c in ratios)
 
 
 @settings(max_examples=20, deadline=None)
