@@ -377,9 +377,7 @@ def peetre_maximal(F, a):
         raise ValueError("a must be positive")
     grid = F.grid
     order = np.argsort(grid.shift_distances)
-    # per-axis components of the shifts, nearest first (shift i of
-    # grid.shifts() has C-order flat index i + 1)
-    index = np.array(np.unravel_index(order + 1, grid.shape))
+    index = grid.shift_vectors[order].T  # per-axis components, nearest first
     per = max(1, _SCAN_BLOCK // grid.num_points)
     # weights come from one array power over all distances, the zero shift
     # included, so they equal a full-lattice weight array bit for bit (a

@@ -1,18 +1,21 @@
 """Command-line surface: norms, per-level analysis, invariant suites, and
 the equivalence/comparison reports, all driven by flags or a key = value
 config file.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
-configuration, I/O, or a norm the root solver could not bracket."""
+configuration, I/O, or a norm the root solver could not bracket, 3 an
+internal error (a library bug; the traceback goes to stderr)."""
 
 import argparse
 import dataclasses
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .. import spaces
 from ..analysis import MultiplierSymbol
 from ..lebesgue import REL_TOL, norm as lebesgue_norm
+from ..mixed import BracketError
 from .config import (
     ConfigError,
     build_grid,
@@ -254,11 +257,14 @@ def main(argv=None):
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(file_values, flag_values)
         return _COMMANDS[args.command](cfg)
-    # ConfigError, ExprError and SignalError are ValueErrors; ArithmeticError
-    # is a mixed norm the root solver could not bracket
-    except (ValueError, OSError, ArithmeticError) as e:
+    # ConfigError, ExprError and SignalError are ValueErrors
+    except (ValueError, OSError, BracketError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

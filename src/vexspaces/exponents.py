@@ -30,7 +30,7 @@ class VariableExponent:
     exponent be resampled on a refined grid.
     """
 
-    __slots__ = ("grid", "values", "recipe", "_partner")
+    __slots__ = ("grid", "values", "recipe", "_partner", "_clog")
 
     def __init__(self, grid, values, recipe=None):
         values = np.asarray(values, dtype=np.float64)
@@ -44,6 +44,7 @@ class VariableExponent:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "recipe", recipe)
         object.__setattr__(self, "_partner", None)
+        object.__setattr__(self, "_clog", None)
 
     def __setattr__(self, *_):
         raise AttributeError("VariableExponent is immutable")
@@ -155,13 +156,11 @@ def _c_log_local(grid, D):
     """max over h of max_x |g(x) - g(x-h)| * log(e + 1/d(h)) from a signed scan.
 
     D = grid.signed_shift_maxima(g) holds D(h) = max_x g(x) - g(x-h);
-    D(-h) is the same array at the reflected shifts.  a - b == -(b - a)
+    D(-h) is the same array at grid.reflections.  a - b == -(b - a)
     exactly in floating point, so max(D(h), D(-h)) is the |a - b| scan bit
     for bit.
     """
-    full = np.concatenate(([0.0], D)).reshape(grid.shape)
-    neg = (-np.arange(grid.n)) % grid.n
-    diffs = np.maximum(D, full[np.ix_(*(neg,) * grid.dim)].ravel()[1:])
+    diffs = np.maximum(D, D[grid.reflections])
     return max(0.0, np.max(diffs * np.log(np.e + 1.0 / grid.shift_distances)))
 
 
@@ -186,5 +185,9 @@ def log_holder_estimate(g):
 
 
 def _clog_inv(p):
-    """Grid log-Holder constant c_log_local of 1/p (zero when p is constant)."""
-    return log_holder_estimate(GridFunction(p.grid, p.reciprocal_values())).c_log_local
+    """Grid log-Holder constant c_log_local of 1/p (zero when p is constant),
+    measured once and kept on the immutable exponent."""
+    if p._clog is None:
+        g = GridFunction(p.grid, p.reciprocal_values())
+        object.__setattr__(p, "_clog", log_holder_estimate(g).c_log_local)
+    return p._clog

@@ -8,7 +8,6 @@ distances.
 """
 
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,8 +137,25 @@ class Grid:
         return float(np.sqrt(d0 * d0 + d1 * d1))
 
     @cached_property
+    def shift_vectors(self):
+        """Components of every nonzero lattice shift, shape (n^dim - 1, dim),
+        in C order (the first component outermost).  Every shift scan uses
+        this order, so the first of equal candidates is an argmax.
+        """
+        v = np.array(np.unravel_index(np.arange(1, self.num_points), self.shape)).T
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def reflections(self):
+        """Index of the shift -s for every shift s, in shift_vectors order."""
+        r = np.ravel_multi_index(tuple((-self.shift_vectors % self.n).T), self.shape) - 1
+        r.setflags(write=False)
+        return r
+
+    @cached_property
     def shift_distances(self):
-        """shift_distance of every nonzero lattice shift, in shifts() order."""
+        """shift_distance of every nonzero lattice shift, in shift_vectors order."""
         d = self.wrap_deltas(np.arange(self.n) * self.h)
         if self.dim == 2:
             sq = d * d
@@ -147,16 +163,6 @@ class Grid:
         d = d[1:]
         d.setflags(write=False)
         return d
-
-    def shifts(self):
-        """Iterate (shift, shift_distance) over every nonzero lattice shift.
-
-        Shifts run in C order of their components (in 2D the first component
-        is the outer loop).  shift_maxima and shift_distances follow the same
-        order, so scans that keep the first of equal candidates can take it
-        from an argmax.
-        """
-        return zip(islice(np.ndindex(self.shape), 1, None), self.shift_distances.tolist())
 
     def rolls(self, values):
         """Read-only view V of every lattice roll: V[s] == np.roll(values, s).
@@ -203,7 +209,8 @@ class Grid:
         """max over x of op(values, V[s]) for every nonzero shift s, V = rolls(values).
 
         op is elementwise, as a ufunc (see _shift_blocks); the scan holds at
-        most _SCAN_BLOCK elements at a time.  The result is in shifts() order.
+        most _SCAN_BLOCK elements at a time.  The result is in shift_vectors
+        order.
         """
         values = np.asarray(values)
         maxima = np.empty(self.num_points)
@@ -213,8 +220,8 @@ class Grid:
 
     def signed_shift_maxima(self, values):
         """D(s) = max over x of values(x) - values(x - s) for every nonzero
-        shift s, in shifts() order: shift_maxima(values, np.subtract) from
-        half of the shifts.
+        shift s, in shift_vectors order: shift_maxima(values, np.subtract)
+        from half of the shifts.
 
         The difference block of s gives D(s) as its max and D(-s) as minus
         its min, bit for bit, since a - b == -(b - a) in IEEE arithmetic.
@@ -225,8 +232,7 @@ class Grid:
         values = np.asarray(values)
         n = self.n
         first = n // 2 + 1
-        scanned = np.unravel_index(np.arange(first * n ** (self.dim - 1)), self.shape)
-        mirror = np.ravel_multi_index(tuple(-c % n for c in scanned), self.shape)
+        mirror = np.append(0, self.reflections + 1)  # -s by C-order index, s = 0 too
         D = np.empty(self.num_points)
         for start, out in self._shift_blocks(values, np.subtract, first):
             stop = start + len(out)

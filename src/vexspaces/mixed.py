@@ -38,6 +38,7 @@ from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadra
 from .lebesgue import REL_TOL, _modular_value, luxemburg_root, norm as lebesgue_norm
 
 __all__ = [
+    "BracketError",
     "pointwise_lq",
     "lp_lq_norm",
     "lq_lp_modular",
@@ -53,6 +54,10 @@ __all__ = [
     "ConvolutionInequalityReport",
     "convolution_inequality_report",
 ]
+
+
+class BracketError(ArithmeticError):
+    """A mixed norm that overflows or whose root solve finds no bracket."""
 
 
 def _check_seq(F, p, q):
@@ -198,7 +203,7 @@ def _level_lanes(F, p, q):
             np.divide(x, lam[:, None], out=x)
             with np.errstate(over="ignore"):
                 np.power(x, pv, out=x)
-            return cell * x.sum(axis=1)
+                return cell * x.sum(axis=1)
 
         fin = np.zeros(levels)
         fin[rows] = luxemburg_root(value, hi[rows], lo[rows])
@@ -217,9 +222,8 @@ def lq_lp_norm(F, p, q):
     the secant aims.  Variable finite q solves the outer root over
     _level_lanes; q = inf somewhere keeps lq_lp_modular and its
     _level_infimum.  The outer root walks from mu = peak, halving or
-    doubling until it brackets the root.  Either route raises
-    ArithmeticError when the norm overflows or no mu below 2^MAX_ITER peak
-    is admissible.
+    doubling until it brackets the root.  Either route raises BracketError
+    when the norm overflows or no mu below 2^MAX_ITER peak is admissible.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
@@ -236,7 +240,7 @@ def lq_lp_norm(F, p, q):
             modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
         mu = luxemburg_root(modular, 2.0 * peak, peak)
     if not np.isfinite(mu):
-        raise ArithmeticError("failed to bracket the mixed norm from above")
+        raise BracketError("failed to bracket the mixed norm from above")
     return float(mu)
 
 

@@ -165,28 +165,27 @@ def quasi_norm(f, spec):
     return _mixed_norm(weighted_blocks(f, spec), spec)
 
 
-def maximal_threshold(spec, clog_override=None):
+def maximal_threshold(spec):
     """Lower bound the Peetre exponent a must exceed for the maximal route.
 
-    B-scale: alpha + n/p^- + c_log(1/q) with the grid estimate of c_log
-    (overridable); F-scale: alpha + n/min{p^-, q^-}.
+    B-scale: alpha + n/p^- + c_log(1/q) with c_log measured on the grid;
+    F-scale: alpha + n/min{p^-, q^-}.
     """
     n = spec.grid.dim
     alpha = spec.w.declared_alpha
     if spec.scale == "B":
-        clog = _clog_inv(spec.q) if clog_override is None else float(clog_override)
-        return alpha + n / spec.p.p_minus + clog
+        return alpha + n / spec.p.p_minus + _clog_inv(spec.q)
     return alpha + n / min(spec.p.p_minus, spec.q.p_minus)
 
 
-def quasi_norm_maximal(f, spec, a, clog_override=None):
+def quasi_norm_maximal(f, spec, a):
     """(plain, maximal) mixed norms of the weighted blocks at exponent a.
 
     plain uses the blocks themselves, maximal their Peetre maximal
     functions; plain <= maximal always since y = x enters the supremum.
     The system may be any band system (admissible or general pair).
     """
-    threshold = maximal_threshold(spec, clog_override)
+    threshold = maximal_threshold(spec)
     if not a > threshold:
         raise ValueError(f"a = {a} must exceed the threshold {threshold}")
     if f.grid != spec.grid:
@@ -443,27 +442,18 @@ def lifting_check(corpus, spec, sigma):
     return _equivalence_report(corpus, spec.grid, make)
 
 
-def maximal_equivalence_check(corpus, spec, a=None, clog_override=None):
+def maximal_equivalence_check(corpus, spec):
     """Ratio band of the maximal-route norm over the plain block norm.
 
-    The Peetre exponent and the c_log estimate are frozen on the base grid
-    so both refinement legs run with identical parameters; by pointwise
-    domination every ratio is >= 1.
+    The Peetre exponent a is the base-grid threshold + 1, used on both
+    refinement legs; each leg checks a against its own measured threshold.
+    By pointwise domination every ratio is >= 1.
     """
-    clog = None
-    if spec.scale == "B":
-        clog = _clog_inv(spec.q) if clog_override is None else float(clog_override)
-    threshold = maximal_threshold(spec, clog)
-    a = threshold + 1.0 if a is None else float(a)
+    a = maximal_threshold(spec) + 1.0
 
     def make(grid):
         s = _on(spec, grid)
-
-        def pair(f):
-            plain, maximal = quasi_norm_maximal(f, s, a, clog_override=clog)
-            return maximal, plain
-
-        return pair
+        return lambda f: quasi_norm_maximal(f, s, a)[::-1]  # (maximal, plain)
 
     return _equivalence_report(corpus, spec.grid, make)
 
@@ -630,20 +620,19 @@ def schwartz_embedding_checks(corpus, spec, N):
 # -------------------------------------------------------------- multipliers
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
-    """Measured multiplier bound ||T_m f|| <= C M ||f|| over a corpus."""
+@dataclass(frozen=True, kw_only=True)
+class MultiplierReport(EquivalenceReport):
+    """Measured multiplier bound ||T_m f|| <= C M ||f|| over a corpus.
+
+    pairs are the base-grid (||T_m f||, ||f||).  A multiplier may send a
+    member to 0, so passes does not ask for ratio_min > 0.
+    """
 
     mode: str
     order: float
     threshold: float
     multiplier_norm: float
     constant: float
-    ratio_min: float
-    ratio_max: float
-    corpus_size: int
-    refinement_drift: float
-    pairs: tuple  # base-grid (||T_m f||, ||f||) per corpus member, in corpus order
 
     @property
     def passes(self):
@@ -654,24 +643,24 @@ class MultiplierReport:
         )
 
 
-def multiplier_order_threshold(spec, mode, clog_override=None):
+def multiplier_order_threshold(spec, mode):
     """Bound that 2l (mode "norm_2l") or kappa (mode "h2kappa") must exceed."""
     n = spec.grid.dim
     if mode == "norm_2l":
-        return maximal_threshold(spec, clog_override) + n
+        return maximal_threshold(spec) + n
     if mode == "h2kappa":
-        return maximal_threshold(spec, clog_override) + n / 2.0
+        return maximal_threshold(spec) + n / 2.0
     raise ValueError("mode must be 'norm_2l' or 'h2kappa'")
 
 
-def multiplier_bound_checks(corpus, spec, m, mode, order=None, clog_override=None):
+def multiplier_bound_checks(corpus, spec, m, mode, order=None):
     """Measure the constant in the multiplier inequality for symbol m.
 
     order is the integer l (mode "norm_2l", bound on 2l) or kappa (mode
     "h2kappa"); when omitted the smallest admissible integer is used.  A
     non-finite multiplier norm or an order below the threshold is an error.
     """
-    threshold = multiplier_order_threshold(spec, mode, clog_override)
+    threshold = multiplier_order_threshold(spec, mode)
     if mode == "norm_2l":
         order = int(np.floor(threshold / 2.0)) + 1 if order is None else int(order)
         if not 2 * order > threshold:
@@ -692,16 +681,12 @@ def multiplier_bound_checks(corpus, spec, m, mode, order=None, clog_override=Non
 
     rep = _equivalence_report(corpus, spec.grid, make)
     return MultiplierReport(
-        mode,
-        float(order),
-        threshold,
-        mnorm,
-        rep.ratio_max / mnorm,
-        rep.ratio_min,
-        rep.ratio_max,
-        rep.corpus_size,
-        rep.refinement_drift,
-        rep.pairs,
+        **vars(rep),
+        mode=mode,
+        order=float(order),
+        threshold=threshold,
+        multiplier_norm=mnorm,
+        constant=rep.ratio_max / mnorm,
     )
 
 
@@ -748,8 +733,8 @@ def derivative_sum_check(corpus, spec, kappa):
 # ------------------------------------------------------ classical cross-check
 
 
-def sobolev_cross_check(corpus, grid, s, profile="plateau"):
-    """p = q = 2, weights 2^{js}: quasi-norm vs the direct coefficient form.
+def sobolev_cross_check(corpus, grid, s):
+    """p = q = 2, weights 2^{js}, plateau system: quasi-norm vs coefficients.
 
     The denominator is (sum_xi (1 + |xi|^2)^s |c_xi|^2)^(1/2); the ratio
     band is determined by the mask overlap and must be refinement-stable.
@@ -758,7 +743,7 @@ def sobolev_cross_check(corpus, grid, s, profile="plateau"):
 
     def make(g):
         J = g.max_levels()
-        sys = admissible_system(g, J, profile)
+        sys = admissible_system(g, J)
         p2 = VariableExponent.constant(g, 2.0)
         w = make_generalized(g, J, 2.0 ** (s * np.arange(J + 1, dtype=float)))
         spec = SpaceSpec("B", p2, p2, w, sys, J)

@@ -9,7 +9,8 @@ when
 with d the torus distance.  verify_admissible measures both conditions.
 Condition (i) is a shift scan: the worst ratio max_x w_j(x) / w_j(x - s) for
 every nonzero lattice shift s, at every grid size (Grid.shift_maxima, in
-Grid.shifts() order, so a witness is the first worst (j, s) in that order).
+Grid.shift_vectors order, so a witness is the first worst (j, s) in that
+order).
 Comparisons run on the ratio scale so integer level-shifts (which
 rescale every ratio by an exact power of two) reproduce the unshifted
 comparisons bit for bit.
@@ -120,11 +121,6 @@ class AdmissibilityReport:
     witness_levels: tuple  # (j, flat_index, ratio) of the worst condition-(ii) cell
 
 
-def _shift(grid, i):
-    """The lattice shift at index i of a Grid.shift_maxima result."""
-    return tuple(int(v) for v in np.unravel_index(i + 1, grid.shape))
-
-
 def _scalar_powers(bases, alpha):
     """bases ** alpha for a 1D array, one scalar power per entry.
 
@@ -179,7 +175,7 @@ def verify_admissible(w):
         i = int(np.argmax(cval))  # the first worst shift of this level
         if cval[i] > measured_c:
             measured_c = float(cval[i])
-            wit_spatial = (j, _shift(grid, i), float(worst[i]))
+            wit_spatial = (j, tuple(grid.shift_vectors[i].tolist()), float(worst[i]))
         over = worst > w.declared_c
         need = np.log(worst[over] / w.declared_c) / np.log(bases[over])
         measured_alpha = max(measured_alpha, float(need.max(initial=0.0)))
@@ -321,7 +317,7 @@ def make_weighted(grid, J, rho, s, beta, c=None):
     measured = max(1.0, float(cval[i]))
     witness = None
     if measured > 1.0:
-        witness = (_shift(grid, i), float(worst[i]), float(growth[i]))
+        witness = (tuple(grid.shift_vectors[i].tolist()), float(worst[i]), float(growth[i]))
     if c is not None and measured > c * (1.0 + _REL_SLACK):
         raise ValueError(
             f"rho violates the declared constant {c}: measured {measured} at pair {witness}"

@@ -300,6 +300,19 @@ def test_bracket_failure_is_an_error_not_a_crash(capsys):
     assert "error: failed to bracket" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", [KeyError, ZeroDivisionError])
+def test_library_crash_is_an_internal_error(fault, monkeypatch, capsys):
+    # neither "a check failed" (1) nor "bad configuration" (2)
+    def crash(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(vexspaces.spaces, "lifting_check", crash)
+    assert main(["lift-check", "--corpus-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {fault.__name__}")
+    assert "Traceback" in err and "crash" in err
+
+
 def test_f_scale_norm_of_a_huge_signal(grid64, tmp_path, capsys):
     # |f|^q of a 1e160 signal overflows a double; the F-scale norm must
     # still come out as 1e160 times the unit-amplitude norm, not as an error

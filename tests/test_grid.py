@@ -253,5 +253,10 @@ def test_shift_distances_match_scalar_distances(dim, n):
     grid = Grid(dim, n)
     scalar = [grid.shift_distance(s) for s in _all_shifts(grid)]
     assert np.array_equal(grid.shift_distances, scalar)
-    assert [s for s, _ in grid.shifts()] == _all_shifts(grid)
-    assert [d for _, d in grid.shifts()] == scalar
+    shifts = _all_shifts(grid)
+    assert [tuple(v) for v in grid.shift_vectors.tolist()] == shifts
+    reflected = [tuple(-c % n for c in s) for s in shifts]
+    assert [shifts[i] for i in grid.reflections] == reflected
+    for cached in (grid.shift_vectors, grid.reflections):
+        with pytest.raises(ValueError):
+            cached[0] = 0

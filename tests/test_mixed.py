@@ -25,6 +25,7 @@ from vexspaces.mixed import (
     lq_lp_modular,
     lq_lp_norm,
     mixed_embedding_check,
+    pointwise_lq,
     smooth_sequence,
     smoothing_constants,
 )
@@ -433,3 +434,51 @@ def test_mixed_unit_ball_property_hypothesis(amplitude, seed):
     q = VariableExponent(g, 2.0 + 0.8 * np.cos(2 * np.pi * x + rng.uniform(0, 2 * np.pi)))
     mu = lq_lp_norm(F, p, q)
     assert 1.0 - 1e-8 <= lq_lp_modular(F.scaled(1.0 / mu), p, q) <= 1.0
+
+
+def _wide_exponent(rng, grid, variable, inf_region):
+    """Log-uniform in 0.1..16, constant or per sample; inf on ~1/4 of the
+    samples when inf_region is set."""
+    log_range = np.log10(0.1), np.log10(16.0)
+    values = 10.0 ** rng.uniform(*log_range, grid.shape if variable else None)
+    values = np.clip(np.broadcast_to(values, grid.shape), 0.1, 16.0)
+    if inf_region:
+        values = np.where(rng.random(grid.shape) < 0.25, np.inf, values)
+    return VariableExponent(grid, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
+    variable_p=st.booleans(),
+    variable_q=st.booleans(),
+    inf_regions=st.sampled_from([False, False, False, True]),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_mixed_norm_contracts_at_extreme_scales(
+    log_amplitude, variable_p, variable_q, inf_regions, dim, seed
+):
+    # both sides of the root contract, modular(F/lam) <= 1 and
+    # modular(F/((1 - k REL_TOL) lam)) > 1, for amplitudes 1e-300..1e300
+    # with the sample shape in [0.25, 1] and random signs.  lp_lq_norm is
+    # one lebesgue.norm of pointwise_lq, so k = 2 as for that solver.
+    # lq_lp_norm divides its lane sum by (1 - REL_TOL), and the modular
+    # moves only by about q dlam/lam, so k = 2 + 4/q^-.
+    g = Grid(1, 64) if dim == 1 else Grid(2, 16)
+    rng = np.random.default_rng(seed)
+    shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
+    F = FunctionSequence.from_stack(g, 10.0**log_amplitude * shape)
+    p = _wide_exponent(rng, g, variable_p, inf_regions)
+    q = _wide_exponent(rng, g, variable_q, inf_regions)
+
+    inner = pointwise_lq(F.abs_stack(), q.values)
+    lp_lq_modular = lambda lam: modular(GridFunction(g, inner / lam), p).value
+
+    lam = lp_lq_norm(F, p, q)
+    assert lp_lq_modular(lam) <= 1.0 < lp_lq_modular((1.0 - 2.0 * REL_TOL) * lam)
+
+    lam = lq_lp_norm(F, p, q)
+    k = 2.0 + 4.0 / q.p_minus
+    assert lq_lp_modular(F.scaled(1.0 / lam), p, q) <= 1.0
+    assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0

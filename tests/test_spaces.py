@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vexspaces import Grid, GridFunction, VariableExponent, mixed, spaces
+from vexspaces import Grid, GridFunction, VariableExponent, exponents, mixed, spaces
 from vexspaces.analysis import (
     MultiplierSymbol,
     admissible_system,
@@ -14,11 +14,12 @@ from vexspaces.analysis import (
     lift,
     schwartz_seminorm,
 )
-from vexspaces.exponents import pointwise_max, pointwise_min
+from vexspaces.exponents import _clog_inv, pointwise_max, pointwise_min
 from vexspaces.grid import quadrature
 from vexspaces.lebesgue import norm as lebesgue_norm
 from vexspaces.spaces import (
     EquivalenceReport,
+    MultiplierReport,
     SpaceSpec,
     _band,
     _torus_gauss,
@@ -204,12 +205,16 @@ def test_maximal_threshold_values(grid64, setup):
     assert maximal_threshold(spec_f) == pytest.approx(
         w.declared_alpha + 1.0 / min(pv.p_minus, qv.p_minus), rel=1e-12
     )
-    assert maximal_threshold(spec_b, clog_override=3.0) == pytest.approx(
-        w.declared_alpha + 1.0 / pv.p_minus + 3.0, rel=1e-12
+    # variable q adds the measured log-Holder constant of 1/q
+    spec_bv = SpaceSpec("B", pv, qv, w, sys, J)
+    clog = _clog_inv(qv)
+    assert clog > 0.0
+    assert maximal_threshold(spec_bv) == pytest.approx(
+        w.declared_alpha + 1.0 / pv.p_minus + clog, rel=1e-12
     )
     # the multiplier orders sit n and n/2 above the same base (n = 1 here)
-    assert multiplier_order_threshold(spec_b, "norm_2l", clog_override=3.0) == pytest.approx(
-        w.declared_alpha + 1.0 / pv.p_minus + 3.0 + 1.0, rel=1e-12
+    assert multiplier_order_threshold(spec_bv, "norm_2l") == pytest.approx(
+        w.declared_alpha + 1.0 / pv.p_minus + clog + 1.0, rel=1e-12
     )
     assert multiplier_order_threshold(spec_f, "h2kappa") == pytest.approx(
         w.declared_alpha + 1.0 / min(pv.p_minus, qv.p_minus) + 0.5, rel=1e-12
@@ -241,6 +246,27 @@ def test_maximal_equivalence_reports(grid64, setup):
         spec = SpaceSpec(scale, pv, qv, w, sys, J)
         rep = maximal_equivalence_check(small_corpus, spec)
         assert rep.passes and rep.ratio_min >= 1.0 - 1e-9
+
+
+def test_clog_is_measured_once_per_exponent(grid64, setup, monkeypatch):
+    # c_log(1/q) is kept on the exponent: a B-scale maximal check scans once
+    # per grid leg (N and 2N), and repeated maximal norms do not rescan
+    sys, pv, qv, w = setup
+    scanned = []
+    real = exponents.log_holder_estimate
+
+    def counted(g):
+        scanned.append(g.grid.n)
+        return real(g)
+
+    monkeypatch.setattr(exponents, "log_holder_estimate", counted)
+    spec = SpaceSpec("B", pv, qv, w, sys, J)
+    maximal_equivalence_check(lambda g: standard_corpus(g)[:3], spec)
+    assert scanned == [64, 128]
+    a = maximal_threshold(spec) + 1.0
+    for f in small_corpus(grid64):
+        quasi_norm_maximal(f, spec, a)
+    assert scanned == [64, 128]
 
 
 def test_maximal_on_general_pair(grid64, setup):
@@ -545,9 +571,21 @@ def test_multiplier_riesz_type(grid64, setup):
     for scale, mode in (("B", "norm_2l"), ("F", "h2kappa")):
         spec = SpaceSpec(scale, pv, qv, w, sys, J)
         rep = multiplier_bound_checks(small_corpus, spec, m, mode)
-        assert rep.passes
+        assert isinstance(rep, EquivalenceReport) and rep.passes
         assert 2.0 * rep.order > rep.threshold if mode == "norm_2l" else rep.order > rep.threshold
         assert rep.ratio_max <= rep.constant * rep.multiplier_norm * (1.0 + 1e-12)
+
+
+def test_multiplier_report_is_an_equivalence_report():
+    # the band fields are EquivalenceReport's; a multiplier may send a member
+    # to 0, so ratio_min = 0 passes here and fails a plain equivalence
+    band = (0.0, 2.0, 3, 0.0)
+    extra = dict(mode="norm_2l", order=1.0, threshold=1.0, multiplier_norm=1.0, constant=2.0)
+    rep = MultiplierReport(*band, **extra)
+    assert rep.passes and not EquivalenceReport(*band).passes
+    assert not replace(rep, multiplier_norm=np.inf).passes
+    with pytest.raises(TypeError):
+        MultiplierReport(*band, (), *extra.values())
 
 
 def test_multiplier_threshold_and_infinite_norm(grid64, setup):
