@@ -17,7 +17,7 @@ below DRIFT_LIMIT.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,6 +114,8 @@ class SpaceSpec:
     w: object  # WeightSequence
     system: object  # AnalysisSystem
     J: int
+    # grid -> refined spec; replace() starts a fresh, empty one
+    _refined: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale not in ("B", "F"):
@@ -135,15 +137,22 @@ class SpaceSpec:
         return self.p.grid
 
     def refine(self, grid):
-        """Resample every ingredient onto another grid, keeping J."""
-        return SpaceSpec(
-            self.scale,
-            self.p.refine(grid),
-            self.q.refine(grid),
-            self.w.refine(grid),
-            self.system.refine(grid),
-            self.J,
-        )
+        """Resample every ingredient onto another grid, keeping J.
+
+        The spec is immutable, so the refinement onto one grid is built once
+        (weight scans, system masks) and returned again for any equal grid.
+        """
+        fine = self._refined.get(grid)
+        if fine is None:
+            fine = self._refined[grid] = SpaceSpec(
+                self.scale,
+                self.p.refine(grid),
+                self.q.refine(grid),
+                self.w.refine(grid),
+                self.system.refine(grid),
+                self.J,
+            )
+        return fine
 
 
 def weighted_blocks(f, spec):
@@ -165,17 +174,20 @@ def quasi_norm(f, spec):
     return _mixed_norm(weighted_blocks(f, spec), spec)
 
 
+def _alpha_n_over(spec, r):
+    """alpha + n/r, the one base of the maximal and Schwartz thresholds."""
+    return spec.w.declared_alpha + spec.grid.dim / r
+
+
 def maximal_threshold(spec):
     """Lower bound the Peetre exponent a must exceed for the maximal route.
 
     B-scale: alpha + n/p^- + c_log(1/q) with c_log measured on the grid;
     F-scale: alpha + n/min{p^-, q^-}.
     """
-    n = spec.grid.dim
-    alpha = spec.w.declared_alpha
     if spec.scale == "B":
-        return alpha + n / spec.p.p_minus + _clog_inv(spec.q)
-    return alpha + n / min(spec.p.p_minus, spec.q.p_minus)
+        return _alpha_n_over(spec, spec.p.p_minus) + _clog_inv(spec.q)
+    return _alpha_n_over(spec, min(spec.p.p_minus, spec.q.p_minus))
 
 
 def quasi_norm_maximal(f, spec, a):
@@ -595,7 +607,7 @@ def schwartz_embedding_checks(corpus, spec, N):
 
     Needs N > alpha + n/p^-; psi is a fixed centered bump.
     """
-    threshold = spec.w.declared_alpha + spec.grid.dim / spec.p.p_minus
+    threshold = _alpha_n_over(spec, spec.p.p_minus)
     if not N > threshold:
         raise ValueError(f"need N > {threshold}, got N = {N}")
     grid = spec.grid

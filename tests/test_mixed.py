@@ -14,6 +14,7 @@ from vexspaces import (
     modular,
 )
 from vexspaces import norm as lebesgue_norm
+from vexspaces.analysis import admissible_system
 from vexspaces.lebesgue import REL_TOL
 from vexspaces.mixed import (
     _scaled_hurwitz_zeta,
@@ -29,6 +30,8 @@ from vexspaces.mixed import (
     smooth_sequence,
     smoothing_constants,
 )
+from vexspaces.spaces import SpaceSpec, quasi_norm, weighted_blocks
+from vexspaces.weights import make_variable_smoothness
 
 from conftest import random_band_limited
 
@@ -482,3 +485,46 @@ def test_mixed_norm_contracts_at_extreme_scales(
     k = 2.0 + 4.0 / q.p_minus
     assert lq_lp_modular(F.scaled(1.0 / lam), p, q) <= 1.0
     assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
+    scale=st.sampled_from(["B", "F"]),
+    variable_p=st.booleans(),
+    variable_q=st.booleans(),
+    inf_regions=st.sampled_from([False, False, False, True]),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_quasi_norm_contracts_at_extreme_scales(
+    log_amplitude, scale, variable_p, variable_q, inf_regions, dim, seed
+):
+    # the same two-sided root contract for both quasi_norm scales, on the
+    # mixed norm of weighted_blocks(f, spec) with that norm's k (2 + 4/q^-
+    # for B, 2 for F), and homogeneity quasi_norm(c f) = c quasi_norm(f)
+    # within k REL_TOL.  The F-scale needs p^+, q^+ < inf, so only B-scale
+    # draws get inf regions.
+    g = Grid(1, 64) if dim == 1 else Grid(2, 16)
+    J = 3
+    rng = np.random.default_rng(seed)
+    shape = rng.uniform(0.25, 1.0, g.shape) * rng.choice([-1.0, 1.0], g.shape)
+    c = 10.0**log_amplitude
+    p = _wide_exponent(rng, g, variable_p, inf_regions and scale == "B")
+    q = _wide_exponent(rng, g, variable_q, inf_regions and scale == "B")
+    w = make_variable_smoothness(g, J, lambda *x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x[0]))
+    spec = SpaceSpec(scale, p, q, w, admissible_system(g, J), J)
+
+    f = GridFunction(g, c * shape)
+    lam = quasi_norm(f, spec)
+    blocks = weighted_blocks(f, spec)
+    if scale == "B":
+        k = 2.0 + 4.0 / q.p_minus
+        assert lq_lp_modular(blocks.scaled(1.0 / lam), p, q) <= 1.0
+        assert lq_lp_modular(blocks.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0
+    else:
+        k = 2.0
+        inner = pointwise_lq(blocks.abs_stack(), q.values)
+        assert modular(GridFunction(g, inner / lam), p).value <= 1.0
+        assert modular(GridFunction(g, inner / ((1.0 - k * REL_TOL) * lam)), p).value > 1.0
+    assert lam == pytest.approx(c * quasi_norm(GridFunction(g, shape), spec), rel=k * REL_TOL)

@@ -85,13 +85,57 @@ def test_spec_validation(grid64, setup):
         SpaceSpec("B", pv.refine(other), qv, w, sys, J)
 
 
+def _varsmooth(grid):
+    return make_variable_smoothness(grid, J, lambda x: 0.5 + 0.25 * np.sin(2.0 * np.pi * x))
+
+
 def test_spec_refine(grid64, setup):
-    sys, pv, qv, w = setup
-    spec = SpaceSpec("B", pv, qv, w, sys, J)
-    fine = spec.refine(Grid(1, 128))
+    sys, pv, qv, _ = setup
+    spec = SpaceSpec("B", pv, qv, _varsmooth(grid64), sys, J)
+    g = Grid(1, 128)
+    fine = spec.refine(g)
     assert fine.grid.n == 128 and fine.J == J
     assert fine.system.metadata["profile"] == "plateau"
     assert fine.w.levels[3].shape == (128,)
+    # built once per grid, and bit-identical to a fresh refinement
+    assert spec.refine(Grid(1, 128)) is fine
+    assert spec.refine(Grid(1, 256)) is not fine
+    fresh = SpaceSpec(
+        spec.scale, pv.refine(g), qv.refine(g), spec.w.refine(g), sys.refine(g), J
+    )
+    declared = lambda s: (
+        s.scale, s.J, s.w.declared_alpha, s.w.declared_alpha1, s.w.declared_alpha2, s.w.declared_c
+    )
+    assert declared(fine) == declared(fresh)
+    assert np.array_equal(fine.p.values, fresh.p.values)
+    assert np.array_equal(fine.q.values, fresh.q.values)
+    assert all(np.array_equal(a, b) for a, b in zip(fine.w.levels, fresh.w.levels))
+    assert all(np.array_equal(a, b) for a, b in zip(fine.system.masks, fresh.system.masks))
+
+
+def test_replaced_spec_refines_its_own_ingredients(grid64, setup):
+    sys, pv, qv, w = setup
+    spec = SpaceSpec("B", pv, qv, w, sys, J)
+    g = Grid(1, 128)
+    spec.refine(g)
+    other = _varsmooth(grid64)
+    fine = replace(spec, w=other).refine(g)
+    assert fine is not spec.refine(g)
+    assert all(np.array_equal(a, b) for a, b in zip(fine.w.levels, other.refine(g).levels))
+
+
+def test_checks_on_one_spec_refine_the_weight_once(grid64, setup):
+    # the 2N leg of every check reaches its spec through SpaceSpec.refine,
+    # so two reports on one varsmooth spec build the 2N weight once
+    sys, pv, qv, _ = setup
+    base = _varsmooth(grid64)
+    refines = []
+    w = replace(base, recipe=lambda g, JJ: refines.append(g) or base.recipe(g, JJ))
+    spec = SpaceSpec("F", pv, qv, w, sys, J)
+    corpus = lambda g: standard_corpus(g)[:2]
+    assert maximal_equivalence_check(corpus, spec).passes
+    assert local_means_equivalence_check(corpus, spec).passes
+    assert refines == [Grid(1, 128)]
 
 
 def test_zero_function(grid64, setup):
