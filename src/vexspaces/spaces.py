@@ -141,6 +141,9 @@ class SpaceSpec:
 
         The spec is immutable, so the refinement onto one grid is built once
         (weight scans, system masks) and returned again for any equal grid.
+        It is kept, with no size limit, as long as this spec lives: a spec
+        refined onto k grids holds k refined specs (their p, q, weight levels
+        and system masks).
         """
         fine = self._refined.get(grid)
         if fine is None:
@@ -174,9 +177,9 @@ def quasi_norm(f, spec):
     return _mixed_norm(weighted_blocks(f, spec), spec)
 
 
-def _alpha_n_over(spec, r):
-    """alpha + n/r, the one base of the maximal and Schwartz thresholds."""
-    return spec.w.declared_alpha + spec.grid.dim / r
+def _alpha_n_over_p(spec):
+    """alpha + n/p^-: the Schwartz threshold and the B-scale maximal base."""
+    return spec.w.declared_alpha + spec.grid.dim / spec.p.p_minus
 
 
 def maximal_threshold(spec):
@@ -186,8 +189,8 @@ def maximal_threshold(spec):
     F-scale: alpha + n/min{p^-, q^-}.
     """
     if spec.scale == "B":
-        return _alpha_n_over(spec, spec.p.p_minus) + _clog_inv(spec.q)
-    return _alpha_n_over(spec, min(spec.p.p_minus, spec.q.p_minus))
+        return _alpha_n_over_p(spec) + _clog_inv(spec.q)
+    return spec.w.declared_alpha + spec.grid.dim / min(spec.p.p_minus, spec.q.p_minus)
 
 
 def quasi_norm_maximal(f, spec, a):
@@ -607,7 +610,7 @@ def schwartz_embedding_checks(corpus, spec, N):
 
     Needs N > alpha + n/p^-; psi is a fixed centered bump.
     """
-    threshold = _alpha_n_over(spec, spec.p.p_minus)
+    threshold = _alpha_n_over_p(spec)
     if not N > threshold:
         raise ValueError(f"need N > {threshold}, got N = {N}")
     grid = spec.grid

@@ -136,6 +136,9 @@ def test_checks_on_one_spec_refine_the_weight_once(grid64, setup):
     assert maximal_equivalence_check(corpus, spec).passes
     assert local_means_equivalence_check(corpus, spec).passes
     assert refines == [Grid(1, 128)]
+    # what the spec keeps afterwards: the 2N spec only, whose own cache is empty
+    assert list(spec._refined) == [Grid(1, 128)]
+    assert spec._refined[Grid(1, 128)]._refined == {}
 
 
 def test_zero_function(grid64, setup):
