@@ -6,13 +6,14 @@ time.  Cross-field validity (e.g. F-scale needs a finite q) is checked
 when the space description is assembled.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..analysis import admissible_system, general_system, theta_system
 from ..exponents import VariableExponent
-from ..expr import ExprError, evaluate, parse_expression
+from ..expr import ExprError, InputError, evaluate, parse_expression
 from ..grid import Grid
 from ..spaces import SpaceSpec
 from ..weights import (
@@ -24,7 +25,7 @@ from ..weights import (
 from .signals import SignalError, load_signal
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -59,7 +60,11 @@ def read_config_file(path):
     """Parse "key = value" lines; '#' lines are comments."""
     values = {}
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not a text file ({e.reason})") from None
+        for line_no, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -92,6 +97,12 @@ def resolve_config(file_values=None, flag_values=None):
         raise ConfigError("dim must be 1 or 2")
     if cfg.scale not in ("B", "F"):
         raise ConfigError("scale must be B or F")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.corpus_size < 1:
+        raise ConfigError("corpus_size must be >= 1")
+    if not math.isfinite(cfg.sigma):
+        raise ConfigError("sigma must be finite")
     return cfg
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: norms, per-level analysis, invariant suites, and
 the equivalence/comparison reports, all driven by flags or a key = value
 config file.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
-configuration, I/O, or a norm the root solver could not bracket, 3 an
+input (an InputError: configuration, expression, signal file or check
+argument), I/O, or a norm outside the double range or that the root
+solver could not bracket (BracketError), 3 any other exception, an
 internal error (a library bug; the traceback goes to stderr)."""
 
 import argparse
@@ -14,8 +16,8 @@ import numpy as np
 
 from .. import spaces
 from ..analysis import MultiplierSymbol
-from ..lebesgue import REL_TOL, norm as lebesgue_norm
-from ..mixed import BracketError
+from ..expr import InputError
+from ..lebesgue import REL_TOL, BracketError, norm as lebesgue_norm
 from .config import (
     ConfigError,
     build_grid,
@@ -257,8 +259,8 @@ def main(argv=None):
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(file_values, flag_values)
         return _COMMANDS[args.command](cfg)
-    # ConfigError, ExprError and SignalError are ValueErrors
-    except (ValueError, OSError, BracketError) as e:
+    # ConfigError, ExprError and SignalError are InputErrors
+    except (InputError, OSError, BracketError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

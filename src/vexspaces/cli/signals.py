@@ -10,12 +10,13 @@ import re
 
 import numpy as np
 
+from ..expr import InputError
 from ..grid import GridFunction
 
 _HEADER = re.compile(r"#\s*dim\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s*$")
 
 
-class SignalError(ValueError):
+class SignalError(InputError):
     pass
 
 
@@ -51,7 +52,10 @@ def _parse_fields(line, line_no):
 def load_signal(path, grid):
     """Read a signal file onto a grid; raise SignalError on format problems."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise SignalError(f"{path}: not a text file ({e.reason})") from None
     data = []
     for line_no, line in enumerate(raw, start=1):
         stripped = line.strip()

@@ -24,7 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 
-class ExprError(ValueError):
+class InputError(ValueError):
+    """Input that cannot be used: a configuration value, an expression, a
+    signal file, or a check argument outside the check's hypotheses.  The
+    CLI reports it as bad configuration (exit 2)."""
+
+
+class ExprError(InputError):
     """Parse or evaluation failure; carries the source position if known."""
 
     def __init__(self, message, position=None):

@@ -47,6 +47,7 @@ from .grid import (
     quadrature,
     spectral_derivative,
 )
+from .expr import InputError
 from .lebesgue import norm as lebesgue_norm
 from .mixed import lp_lq_norm, lq_lp_norm
 from .weights import make_generalized
@@ -665,7 +666,7 @@ def multiplier_order_threshold(spec, mode):
         return maximal_threshold(spec) + n
     if mode == "h2kappa":
         return maximal_threshold(spec) + n / 2.0
-    raise ValueError("mode must be 'norm_2l' or 'h2kappa'")
+    raise InputError("mode must be 'norm_2l' or 'h2kappa'")
 
 
 def multiplier_bound_checks(corpus, spec, m, mode, order=None):
@@ -673,21 +674,22 @@ def multiplier_bound_checks(corpus, spec, m, mode, order=None):
 
     order is the integer l (mode "norm_2l", bound on 2l) or kappa (mode
     "h2kappa"); when omitted the smallest admissible integer is used.  A
-    non-finite multiplier norm or an order below the threshold is an error.
+    non-finite multiplier norm, an order below the threshold or an unknown
+    mode raises InputError (a ValueError).
     """
     threshold = multiplier_order_threshold(spec, mode)
     if mode == "norm_2l":
         order = int(np.floor(threshold / 2.0)) + 1 if order is None else int(order)
         if not 2 * order > threshold:
-            raise ValueError(f"need 2l > {threshold}, got l = {order}")
+            raise InputError(f"need 2l > {threshold}, got l = {order}")
         mnorm = symbol_derivative_norm(m, order, spec.grid)
     else:
         order = int(np.floor(threshold)) + 1 if order is None else int(order)
         if not order > threshold:
-            raise ValueError(f"need kappa > {threshold}, got kappa = {order}")
+            raise InputError(f"need kappa > {threshold}, got kappa = {order}")
         mnorm = dyadic_bessel_norm(m, float(order), spec.grid, J=spec.J)
     if not np.isfinite(mnorm):
-        raise ValueError("multiplier norm is infinite for this symbol")
+        raise InputError("multiplier norm is infinite for this symbol")
 
     def make(grid):
         s = _on(spec, grid)

@@ -8,6 +8,7 @@ import pytest
 import vexspaces
 import vexspaces.expr
 from vexspaces import Grid, GridFunction
+from vexspaces.expr import ExprError, InputError
 from vexspaces.cli.config import (
     ConfigError,
     build_spec,
@@ -117,6 +118,23 @@ def test_config_errors(tmp_path):
         resolve_config({}, {"dim": 3})
     with pytest.raises(ConfigError, match="expected a number"):
         resolve_config({}, {"seed": "lots"})
+    with pytest.raises(ConfigError, match="seed must be"):
+        resolve_config({}, {"seed": "-1"})
+    with pytest.raises(ConfigError, match="corpus_size must be"):
+        resolve_config({}, {"corpus_size": "0"})
+    with pytest.raises(ConfigError, match="sigma must be"):
+        resolve_config({}, {"sigma": "nan"})
+
+
+def test_input_errors_share_one_base_class(tmp_path, capsys):
+    # the CLI maps InputError, not every ValueError, to exit 2
+    for error in (ConfigError, ExprError, SignalError):
+        assert issubclass(error, InputError)
+    binary = tmp_path / "f.bin"
+    binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x81]))
+    assert main(["norm", "--signal", str(binary)]) == 2
+    assert main(["norm", "--config", str(binary), "--signal", str(binary)]) == 2
+    assert "not a text file" in capsys.readouterr().err
 
 
 def test_build_weight_families(grid64):
@@ -300,9 +318,10 @@ def test_bracket_failure_is_an_error_not_a_crash(capsys):
     assert "error: failed to bracket" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", [KeyError, ZeroDivisionError])
+@pytest.mark.parametrize("fault", [KeyError, ZeroDivisionError, ValueError])
 def test_library_crash_is_an_internal_error(fault, monkeypatch, capsys):
-    # neither "a check failed" (1) nor "bad configuration" (2)
+    # neither "a check failed" (1) nor "bad configuration" (2): only an
+    # InputError is bad input, a bare ValueError is a library bug
     def crash(*args, **kwargs):
         raise fault("injected")
 

@@ -12,7 +12,7 @@ from vexspaces import (
     holder_pairing,
     characteristic_norm_check,
 )
-from vexspaces.lebesgue import REL_TOL, luxemburg_root
+from vexspaces.lebesgue import REL_TOL, BracketError, luxemburg_root
 from conftest import random_band_limited
 
 # Adaptive-quadrature oracle for integral_0^1 x^(1+x) dx, frozen; a live
@@ -268,6 +268,22 @@ def test_norm_of_a_spike_at_small_p(p):
     assert lam == pytest.approx(64.0 ** (-1.0 / p), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.02, 0.01])
+def test_norm_below_the_double_range_raises(p):
+    # a spike of height 1e-300 has norm 1e-300 * 64^(-1/p), at most 7.5e-337:
+    # no double lam > 0 has modular <= 1, and 0 would divide f by 0
+    g = Grid(1, 64)
+    x = np.zeros(g.shape)
+    x[5] = 1e-300
+    with pytest.raises(BracketError, match="below the double range"):
+        norm(GridFunction(g, x), VariableExponent.constant(g, p))
+    # the same spike next to a p = inf region with a nonzero sample: the
+    # norm is that sample's ess-sup, in range
+    P = VariableExponent(g, np.where(np.arange(64) == 9, np.inf, p))
+    x[9] = 1e-300
+    assert norm(GridFunction(g, x), P) == 1e-300
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
@@ -371,3 +387,73 @@ def test_root_solver_lanes_from_warm_brackets():
     assert np.all((c / roots) ** 3 <= 1.0)
     assert np.all(roots - c <= REL_TOL * roots)
     assert lams[0].tolist() == lo.tolist()  # no halving before a warm lo
+
+
+def _modular_with_slope(a, pv):
+    """The modular of a / lam on a measure-1 grid of a.size cells and its
+    slope d log value / d log lam = -sum pv t / sum t."""
+
+    def value(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (a / lam) ** pv
+            return np.sum(t) / a.size, -np.dot(t, pv) / np.sum(t)
+
+    return value
+
+
+def test_root_solver_tangent_lands_at_once_on_a_power_law():
+    # log value is linear in log lam, so the first tangent is exact: the
+    # walk's tangent lands REL_TOL/4 above the root and the next point
+    # REL_TOL/2 below it closes the bracket
+    c = 0.3
+    lams = []
+
+    def value(lam):
+        lams.append(lam)
+        return (c / lam) ** 3, -3.0
+
+    for start in (1e-6, 1.5 * c, 1e6):
+        lams.clear()
+        root = luxemburg_root(value, start)
+        assert len(lams) <= 3
+        assert (c / root) ** 3 <= 1.0
+        assert root - c <= REL_TOL * root
+
+
+def test_root_solver_tangent_steps_keep_the_contract():
+    # modulars with exponents spread over four decades, from starts far
+    # below and far above the root: tangent steps keep both sides of the
+    # contract, agree with the secant within REL_TOL and take fewer steps
+    rng = np.random.default_rng(4)
+    secant_steps = tangent_steps = 0
+    for _ in range(40):
+        a = rng.uniform(0.0, 1.0, 64) ** rng.uniform(0.0, 6.0)
+        pv = 10.0 ** rng.uniform(-2.0, 2.0, 64)
+        with_slope = _modular_with_slope(a, pv)
+        without = lambda lam: with_slope(lam)[0]
+        for start in (1e-9, 1e9):
+            counted = []
+            root = luxemburg_root(lambda lam: counted.append(lam) or with_slope(lam), start)
+            tangent_steps += len(counted)
+            assert without(root) <= 1.0 < without((1.0 - REL_TOL) * root)
+            counted.clear()
+            secant = luxemburg_root(lambda lam: counted.append(lam) or without(lam), start)
+            secant_steps += len(counted)
+            assert abs(root - secant) <= REL_TOL * secant
+    assert tangent_steps < 0.6 * secant_steps
+
+
+def test_root_solver_tangent_lanes_match_one_lane_calls():
+    # with slopes too, a lane takes exactly the steps of a one-lane call
+    rng = np.random.default_rng(12)
+    a = rng.uniform(0.0, 2.0, size=(6, 64)) ** 3
+    pv = rng.uniform(0.3, 5.0, size=64)
+    hi = a.max(axis=1)
+
+    def lanes(lam, rows):
+        t = (a[rows] / lam[:, None]) ** pv
+        return t.sum(axis=1) / 64.0, -(t @ pv) / t.sum(axis=1)
+
+    roots = luxemburg_root(lanes, hi)
+    one_lane = [luxemburg_root(_modular_with_slope(a[r], pv), h) for r, h in enumerate(hi.tolist())]
+    assert roots.tolist() == one_lane

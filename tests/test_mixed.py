@@ -15,8 +15,9 @@ from vexspaces import (
 )
 from vexspaces import norm as lebesgue_norm
 from vexspaces.analysis import admissible_system
-from vexspaces.lebesgue import REL_TOL
+from vexspaces.lebesgue import REL_TOL, luxemburg_root
 from vexspaces.mixed import (
+    BracketError,
     _scaled_hurwitz_zeta,
     convolution_inequality_report,
     eta_integrability_probe,
@@ -400,6 +401,28 @@ def test_lq_lp_norm_bracket_failure_raises():
         lq_lp_norm(F, two, tiny)
 
 
+def test_levels_below_the_double_range_add_zero():
+    # a level of one 1e-20 sample next to a flat level: at q = 16 its
+    # infimum is below the double range, so it adds 0 to the modular, and
+    # the norm is that of the flat level alone; a whole sequence below the
+    # range raises as lebesgue.norm does
+    g = Grid(2, 16)
+    stack = np.zeros((2,) + g.shape)
+    stack[0] = 1.0
+    stack[1, 5, 5] = 1e-20
+    F = FunctionSequence.from_stack(g, stack)
+    two = VariableExponent.constant(g, 2.0)
+    q = VariableExponent(g, 16.0 + 0.5 * np.cos(2 * np.pi * g.coords[0]))
+    lam = lq_lp_norm(F, two, q)
+    assert lam == pytest.approx(1.0, rel=4.0 * REL_TOL)
+    assert lq_lp_modular(F.scaled(1.0 / lam), two, q) <= 1.0
+    spike = np.zeros((2,) + g.shape)
+    spike[0, 3, 4] = 1e-300
+    tiny = VariableExponent.constant(g, 0.01)
+    with pytest.raises(BracketError, match="below the double range"):
+        lq_lp_norm(FunctionSequence.from_stack(g, spike), tiny, q)
+
+
 def test_modular_overflow_is_inf_on_both_routes():
     # |f|^2 of a 1e200 level overflows a double: the closed route gives inf,
     # as the defining root solve does, instead of refusing the samples
@@ -485,6 +508,44 @@ def test_mixed_norm_contracts_at_extreme_scales(
     k = 2.0 + 4.0 / q.p_minus
     assert lq_lp_modular(F.scaled(1.0 / lam), p, q) <= 1.0
     assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
+    variable_p=st.booleans(),
+    inf_region=st.sampled_from([False, False, False, True]),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, inf_region, dim, seed):
+    # for q0 <= q1 pointwise every level infimum can only fall, so the
+    # l_q1(L_p) norm is at most the l_q0(L_p) norm.  Both q are variable, so
+    # both norms take the lane route with tangent steps; that route must
+    # also agree with the outer root solve over the defining infimum
+    # (lq_lp_modular with force_general, secant steps).  p may have a
+    # p = inf region, whose levels are ess-sups.  Each computed norm lies
+    # within k REL_TOL above its root, k = 2 + 4/q^- as in the contract
+    # test above, so that is the slack of both comparisons (the two routes
+    # differed by up to 10 REL_TOL at q^- = 0.1 before tangent steps too).
+    g = Grid(1, 64) if dim == 1 else Grid(2, 16)
+    rng = np.random.default_rng(seed)
+    shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
+    F = FunctionSequence.from_stack(g, 10.0**log_amplitude * shape)
+    p = _wide_exponent(rng, g, variable_p, inf_region)
+    q0 = _wide_exponent(rng, g, True, False)
+    q1 = VariableExponent(g, np.minimum(q0.values * rng.uniform(1.0, 3.0, g.shape), 16.0))
+    assert np.all(q1.values >= q0.values)
+
+    k = 2.0 + 4.0 / q0.p_minus
+    lam0, lam1 = lq_lp_norm(F, p, q0), lq_lp_norm(F, p, q1)
+    assert lam1 <= lam0 * (1.0 + k * REL_TOL)
+
+    peak = max(f.max_abs() for f in F)
+    general = luxemburg_root(
+        lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q1, force_general=True), 2.0 * peak, peak
+    )
+    assert lam1 == pytest.approx(general, rel=(2.0 + 4.0 / q1.p_minus) * REL_TOL)
 
 
 @settings(max_examples=40, deadline=None)
