@@ -18,8 +18,9 @@ from any starting point: it halves down while the modular stays <= 1, to
 the bottom of the double range if it must (a norm below that range raises
 BracketError), and doubles up while it exceeds 1, returning inf where no
 lam below 2^MAX_ITER times the start is admissible.  The narrowing takes
-at most MAX_ITER steps.  Given the slope of the modular it takes tangent
-(Newton) steps instead; mixed.lq_lp_norm gives it for variable finite q.
+at most MAX_ITER steps.  Its one step rule is the tangent (Newton) step on
+log modular over log lam: every modular of the package gives its slope,
+and a value without one takes the chord through its two latest points.
 It also runs many such functionals as lanes of one call, each lane with its
 own bracket, so that their modulars are evaluated together.
 """
@@ -84,9 +85,8 @@ def modular(f, p):
 
 def _tangent(lam, v, s):
     """Root of the tangent to log value over log lam at (lam, v) with slope
-    s, aimed REL_TOL/4 above as the secant aims; None where there is no
-    tangent (no slope, a value of 0 or inf, or a slope that is not finite
-    and negative)."""
+    s, aimed REL_TOL/4 above it; None where there is no tangent (no slope,
+    a value of 0, inf or NaN, or a slope that is not finite and negative)."""
     if s is None or not (0.0 < v < np.inf and -np.inf < s < 0.0):
         return None
     # a factor on lam, not exp(log lam + step): log lam ~ 700 would cost
@@ -103,88 +103,80 @@ def _lane(hi, lo):
     """
     if not math.isfinite(lo):
         return np.inf
-    v_hi = s_hi = None
+    chord = []  # the latest point that took a chord slope, log lam, log value
+
+    def point(lam, sent):
+        """[lam, value, slope] of an evaluation.  A value without a slope
+        takes the chord slope through the lane's two latest finite, nonzero
+        points; the older point's chord is dropped, since its root is a
+        point already evaluated."""
+        pt = [lam, *sent]
+        if pt[2] is None and 0.0 < pt[1] < np.inf:
+            x, y = math.log(lam), math.log(pt[1])
+            if chord and chord[1] != x:
+                pt[2] = (y - chord[2]) / (x - chord[1])
+                chord[0][2] = None
+            chord[:] = pt, x, y
+        return pt
+
+    hi_pt = None
     misses = 0  # tangent steps in a row that did not pass the root
     while True:
         # at most about 3 x 2100 steps take a finite lo to 0
         if lo == 0.0:
             return 0.0
-        v_lo, s_lo = yield lo
-        if v_lo > 1.0:
+        lo_pt = point(lo, (yield lo))
+        if lo_pt[1] > 1.0:
             break
-        hi, v_hi, s_hi = lo, v_lo, s_lo
+        hi, hi_pt = lo, lo_pt
         # two tangent steps that do not pass the root are followed by a
         # halving (the second closes the bracket where the first landed)
-        t = _tangent(hi, v_hi, s_hi) if s_hi is not None and misses < 2 else None
+        t = _tangent(*hi_pt) if misses < 2 else None
         if t is not None and t > 0.0:
             misses += 1
             lo = min(t, (1.0 - 0.5 * REL_TOL) * hi)
         else:
             misses = 0
             lo = hi / 2.0
-    if v_hi is None:
+    if hi_pt is None:
         top = hi * 2.0 ** (MAX_ITER - 1)
         step = np.inf  # the last step up
         for _ in range(MAX_ITER):
             # a tangent step is taken where it reaches past the doubling
             # point or at most halves the last step
-            t = None if s_lo is None else _tangent(lo, v_lo, s_lo)
+            t = _tangent(*lo_pt)
             if t is not None:
                 t = max(t, (1.0 + 0.5 * REL_TOL) * lo)
                 if t >= hi or t - lo <= 0.5 * step:
                     hi = min(t, top)
             step = hi - lo
-            v_hi, s_hi = yield hi
-            if v_hi <= 1.0:
+            hi_pt = point(hi, (yield hi))
+            if hi_pt[1] <= 1.0:
                 break
             if hi >= top:
                 return np.inf
-            lo, v_lo, s_lo = hi, v_hi, s_hi
+            lo, lo_pt = hi, hi_pt
             hi *= 2.0
         else:
             return np.inf
-    a, b = (hi, v_hi, s_hi), (lo, v_lo, s_lo)  # the two latest points
-    widths = [np.inf] * 3  # bracket widths at the start of each step
+    a, b = hi_pt, lo_pt  # the two latest points
     gaps = [np.inf] * 3  # |log| of each tangent step
     for _ in range(MAX_ITER):
         if hi - lo <= REL_TOL * hi:
             break
-        widths.append(hi - lo)
-        tangents = None
-        if a[2] is not None or b[2] is not None:
-            tangents = [(t, x[0]) for x in (a, b) if (t := _tangent(*x)) is not None]
-        if tangents:
-            lam = _tangent_step(tangents, lo, hi, gaps)
-        else:
-            lam = _secant_step(a, b, lo, hi, widths)
-        v, s = yield lam
-        if v <= 1.0:
+        tangents = [(t, x[0]) for x in (a, b) if (t := _tangent(*x)) is not None]
+        lam = _tangent_step(tangents, lo, hi, gaps)
+        a, b = b, point(lam, (yield lam))
+        if b[1] <= 1.0:
             hi = lam
         else:
             lo = lam
-        a, b = b, (lam, v, s)
     return hi
 
 
-def _secant_step(a, b, lo, hi, widths):
-    """Next point of a narrowing without slopes: the secant through the
-    latest points a and b, (lam, value, slope) each, or the midpoint."""
-    lam = 0.5 * (lo + hi)
-    (lam_a, v_a, _), (lam_b, v_b, _) = a, b
-    if 0.0 < v_a < np.inf and 0.0 < v_b < np.inf and widths[-1] <= 0.5 * widths[-4]:
-        x_a, x_b = math.log(lam_a), math.log(lam_b)
-        y_a, y_b = math.log(v_a), math.log(v_b)
-        if (y_b - y_a) * (x_b - x_a) < 0.0:
-            x = x_b - y_b * (x_b - x_a) / (y_b - y_a)
-            lam = math.exp(min(max(x, math.log(lo)), math.log(hi)))
-            lam *= 1.0 + 0.25 * REL_TOL
-    margin = 0.5 * REL_TOL * hi
-    return min(max(lam, lo + margin), hi - margin)
-
-
 def _tangent_step(tangents, lo, hi, gaps):
-    """Next point of a narrowing with slopes: one of the (tangent root,
-    point) pairs, or the midpoint in log lam."""
+    """Next point of a narrowing: one of the (tangent root, point) pairs,
+    or the midpoint in log lam."""
     lam = math.sqrt(lo) * math.sqrt(hi)
     # every tangent root of a convex log value is below the root, so the
     # higher one inside the bracket is the better; up to REL_TOL/2 above hi
@@ -218,27 +210,21 @@ def luxemburg_root(value, hi, lo=None):
     always has value <= 1, and the root exceeds (1 - REL_TOL) times it.
 
     A modular is a sum of powers of lam, so log value is convex in log lam,
-    and linear when the exponent is constant.  Each step therefore takes the
-    secant on (log lam, log value) through the two latest evaluations, which
-    lands on the root at once in the linear case and converges superlinearly
-    otherwise.  The midpoint replaces it where it is undefined (a value of 0
-    or inf, or log value not decreasing) and where the bracket has not halved
-    over the last three steps, so the bracket halves at least every fourth
-    step.  (The first secant steps after the halving move only hi, so a
-    two-step window would cut short a secant that is converging.)  Every
-    point stays REL_TOL/2 * hi inside the bracket, which closes it on the
-    step after the secant lands.  The secant aims REL_TOL/4 above its root,
-    so where it is exact the returned hi has value below 1 by far more than
-    rounding: modular(f/hi) <= 1 holds however f/hi is computed.
-
-    Tangent steps: value may return (value, slope) with slope = d log value
-    / d log lam at lam.  The steps then go to the root of the tangent to
-    log value at a point (Newton's step), aimed REL_TOL/4 above it as the
-    secant aims, instead of to the halving or doubling point or the secant.
-    On a convex log value every tangent root lies below the root, so from
-    below the steps converge from one side, quadratically, and the aim
-    carries the last one across.  Safeguards keep the walk and the
-    narrowing finite on any value:
+    and linear when the exponent is constant.  Every step goes to the root
+    of a tangent to log value over log lam (Newton's step), aimed REL_TOL/4
+    above it.  value returns (value, slope) with slope = d log value /
+    d log lam at lam, which for a modular sum t of terms t ~ lam^-w is
+    -sum(w t) / sum(t).  A value returned alone takes the chord slope
+    through the lane's two latest finite, nonzero points, the secant's
+    slope; the older point's chord is then dropped, since its root is a
+    point already evaluated.  On a convex log value every tangent root lies
+    below the root, so from below the steps converge from one side,
+    quadratically, and the aim carries the last one across: where log value
+    is linear the first tangent is exact, and the next point, REL_TOL/2
+    below it, closes the bracket.  The aim leaves the returned hi with
+    value below 1 by far more than rounding, so modular(f/hi) <= 1 holds
+    however f/hi is computed.  Safeguards keep the walk and the narrowing
+    finite on any value:
     - walking down, the tangent root of the last point (at most
       (1 - REL_TOL/2) times it) replaces the halving; two tangent steps in
       a row that stay at value <= 1 (the second closes a bracket where the
@@ -257,9 +243,9 @@ def luxemburg_root(value, hi, lo=None):
     The halving window measures the tangent step, not the bracket,
     because a sequence that converges from one side leaves the far end of
     the bracket where it is.  A value of 0 or inf, or a slope that is not
-    finite and negative, gives no tangent; a walk step from a point
-    without one, and a narrowing step where neither latest point has one,
-    is the step described above for a call without slopes.
+    finite and negative, gives no tangent: the walk then halves or doubles,
+    and a narrowing step where neither latest point has one goes to the
+    midpoint.
 
     Lanes: with hi (and lo) arrays of one entry per lane, the call solves
     every lane at once.  value(lam, rows) then gets the lam of the lanes
@@ -303,7 +289,8 @@ def luxemburg_root(value, hi, lo=None):
 def norm(f, p):
     """Luxemburg quasi-norm of f in L_{p(.)} on the grid.
 
-    Root solve (luxemburg_root) on the modular of f/lam; the returned value
+    Root solve (luxemburg_root) on the modular of f/lam and its slope
+    -sum(p t) / sum(t) over the terms t = |f/lam|^p; the returned value
     lam satisfies modular(f/lam) <= 1 and is within REL_TOL of the infimum.
     A nonzero f whose norm is below the double range raises BracketError:
     no double lam > 0 has modular(f/lam) <= 1, and 0 would divide f by 0.
@@ -322,8 +309,10 @@ def norm(f, p):
     pv, cell_volume = p.values[finite], f.grid.cell_volume
 
     def value(lam):
-        with np.errstate(over="ignore"):
-            return cell_volume * np.sum((af / lam) ** pv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (af / lam) ** pv
+            total = float(t.sum())
+            return cell_volume * total, -pv.dot(t) / total
 
     # on a measure-1 domain the modular at lam = max|f| is <= 1 already
     lam = max(ess, luxemburg_root(value, float(af.max())))

@@ -19,12 +19,12 @@ over the stacked levels, every lane warm-started from the nearest mu
 already solved: with c = mu'/mu > 1, lam_nu(mu') lies in
 [c^-q^+ lam_nu(mu), c^-q^- lam_nu(mu)] by monotonicity and homogeneity.
 The same lane pass gives the slope of each level infimum in mu, and of
-each lane's modular in its lam, so on this route alone both the outer
-solve and the lanes take tangent (Newton) steps: 5 outer steps per norm
-on the benchmark's besov_1d round, where secant steps took 7.5.  Where
-q = inf somewhere the outer solve runs over lq_lp_modular, with secant
-steps.  A level infimum below the double range adds 0 to the modular; a
-norm below it raises BracketError.
+each lane's modular in its lam, for the tangent (Newton) steps of
+luxemburg_root.  Where q = inf somewhere the outer solve runs over
+lq_lp_modular, whose level infima give their slopes too; the outer
+modular gives none, so its steps take the chord slope.  A level infimum
+below the double range adds 0 to the modular; a norm below it raises
+BracketError.
 
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
@@ -105,7 +105,8 @@ def _level_infimum(abs_samples, p, q, cell_volume):
     a fixed amount to the modular; if nothing varies with lam the infimum is
     0 when the fixed part is admissible and inf otherwise.  Otherwise the
     root solve walks from lam = 1 (halving or doubling) and returns inf if
-    no lam up to 2^MAX_ITER is admissible.
+    no lam up to 2^MAX_ITER is admissible.  Its value gives the slope over
+    the finite-p terms t, -sum (p/q) t / sum t, with p/q = 0 where q = inf.
     """
     q_inf = ~np.isfinite(q.values)
     inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
@@ -115,11 +116,18 @@ def _level_infimum(abs_samples, p, q, cell_volume):
         return np.inf
     if not abs_samples[~q_inf].any():
         return 0.0
+    p_inf = ~np.isfinite(p.values)
+    pv = p.values[~p_inf]
+    weights = pv * inv_q[~p_inf]  # each term scales as lam^-p/q
 
     def value(lam):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             scaled = abs_samples * lam**-inv_q
-        return _modular_value(scaled, p.values, cell_volume)[0]
+            if np.any(scaled[p_inf] > 1.0):
+                return np.inf, None
+            t = scaled[~p_inf] ** pv
+            total = float(t.sum())
+            return cell_volume * total, -weights.dot(t) / total
 
     return luxemburg_root(value, 2.0, 1.0)
 
@@ -262,12 +270,12 @@ def lq_lp_norm(F, p, q):
 
     Constant finite q needs no outer solve: the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
-    modular of F/peak, aimed REL_TOL/4 above the root in the modular as
-    the secant aims.  Variable finite q solves the outer root over
-    _level_lanes, which gives each modular with its slope, so the outer
-    solve takes tangent (Newton) steps on log modular over log mu; q = inf
-    somewhere keeps lq_lp_modular and its _level_infimum, with secant
-    steps.  The outer root walks from mu = peak until it brackets the
+    modular of F/peak, aimed REL_TOL/4 above the root in the modular.
+    Variable finite q solves the outer root over _level_lanes, which gives
+    each modular with its slope, so the outer solve takes tangent (Newton)
+    steps on log modular over log mu; q = inf somewhere keeps
+    lq_lp_modular and its _level_infimum, and the outer steps take the
+    chord slope.  The outer root walks from mu = peak until it brackets the
     root.  Either route raises BracketError when the norm is outside the
     double range or no mu below 2^MAX_ITER peak is admissible.
     """

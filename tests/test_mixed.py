@@ -523,7 +523,7 @@ def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, i
     # l_q1(L_p) norm is at most the l_q0(L_p) norm.  Both q are variable, so
     # both norms take the lane route with tangent steps; that route must
     # also agree with the outer root solve over the defining infimum
-    # (lq_lp_modular with force_general, secant steps).  p may have a
+    # (lq_lp_modular with force_general, chord steps).  p may have a
     # p = inf region, whose levels are ess-sups.  Each computed norm lies
     # within k REL_TOL above its root, k = 2 + 4/q^- as in the contract
     # test above, so that is the slack of both comparisons (the two routes

@@ -812,8 +812,8 @@ def test_b_scale_root_solve_work_count(monkeypatch):
     # constant q is one modular call; variable q is one outer root solve
     # whose value(mu) solves the level infima as warm-started lanes, both
     # with tangent steps.  They take 5 outer evaluations and 20 lane steps
-    # (5, 5, 4, 3, 3); the budgets allow one more of each.  Secant steps
-    # took 8 and 47, bisection needs ~45 outer evaluations
+    # (5, 5, 4, 3, 3); the budgets allow one more of each.  Bisection
+    # needs ~45 outer evaluations
     grid, J, x, w, system, f = _b_spec_parts()
     two = VariableExponent.constant(grid, 2.0)
     p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
