@@ -126,7 +126,7 @@ def _lane(hi, lo):
         if lo == 0.0:
             return 0.0
         lo_pt = point(lo, (yield lo))
-        if lo_pt[1] > 1.0:
+        if not lo_pt[1] <= 1.0:  # NaN reads as above 1, as everywhere
             break
         hi, hi_pt = lo, lo_pt
         # two tangent steps that do not pass the root are followed by a
@@ -245,7 +245,8 @@ def luxemburg_root(value, hi, lo=None):
     the bracket where it is.  A value of 0 or inf, or a slope that is not
     finite and negative, gives no tangent: the walk then halves or doubles,
     and a narrowing step where neither latest point has one goes to the
-    midpoint.
+    midpoint.  A NaN value reads as above 1 in the walk and the narrowing
+    alike.
 
     Lanes: with hi (and lo) arrays of one entry per lane, the call solves
     every lane at once.  value(lam, rows) then gets the lam of the lanes

@@ -270,13 +270,14 @@ def lq_lp_norm(F, p, q):
 
     Constant finite q needs no outer solve: the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
-    modular of F/peak, aimed REL_TOL/4 above the root in the modular.
-    Variable finite q solves the outer root over _level_lanes, which gives
-    each modular with its slope, so the outer solve takes tangent (Newton)
-    steps on log modular over log mu; q = inf somewhere keeps
-    lq_lp_modular and its _level_infimum, and the outer steps take the
-    chord slope.  The outer root walks from mu = peak until it brackets the
-    root.  Either route raises BracketError when the norm is outside the
+    modular of F/peak over (1 - REL_TOL).  Each level norm of F/mu lands
+    anywhere in its own REL_TOL bracket, and this margin, the one
+    _level_lanes takes, keeps lq_lp_modular(F/mu) <= 1.  Variable finite
+    q solves the outer root over _level_lanes, which gives each modular
+    with its slope, so the outer solve takes tangent (Newton) steps on log
+    modular over log mu; q = inf somewhere keeps lq_lp_modular and its
+    _level_infimum, and the outer steps take the chord slope.  The outer
+    root walks from mu = peak until it brackets the root.  Either route raises BracketError when the norm is outside the
     double range or no mu below 2^MAX_ITER peak is admissible.
     """
     _check_seq(F, p, q)
@@ -286,7 +287,7 @@ def lq_lp_norm(F, p, q):
     if q.p_plus < np.inf and q.is_constant():
         m = lq_lp_modular(F.scaled(1.0 / peak), p, q)
         with np.errstate(over="ignore"):
-            mu = peak * np.float64(m * (1.0 + 0.25 * REL_TOL)) ** (1.0 / q.p_plus)
+            mu = peak * np.float64(m / (1.0 - REL_TOL)) ** (1.0 / q.p_plus)
     else:
         if q.p_plus < np.inf:
             modular = _level_lanes(F, p, q)

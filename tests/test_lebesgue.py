@@ -12,7 +12,9 @@ from vexspaces import (
     holder_pairing,
     characteristic_norm_check,
 )
+from vexspaces import lebesgue
 from vexspaces.lebesgue import REL_TOL, BracketError, luxemburg_root
+from vexspaces.spaces import standard_corpus
 from conftest import random_band_limited
 
 # Adaptive-quadrature oracle for integral_0^1 x^(1+x) dx, frozen; a live
@@ -240,6 +242,9 @@ def test_root_solver_contract():
     assert root - 5.0 <= REL_TOL * root
     # a value that never falls to 1: no bracket, so the root is inf
     assert luxemburg_root(lambda lam: 2.0, 2.0, 1.0) == np.inf
+    # a NaN value reads as above 1, in the walk as in the narrowing
+    root = luxemburg_root(lambda lam: np.nan if lam < 0.5 else lam**-2, 0.25)
+    assert 1.0 <= root < 1.0 / (1.0 - REL_TOL)
 
 
 def test_root_solver_brackets_from_below():
@@ -331,6 +336,28 @@ def test_root_solver_non_finite_start_is_inf():
     assert roots[0] == np.inf
     assert abs(roots[1] - c) <= REL_TOL * c
     assert all(len(lams) == 1 for lams in seen)
+
+
+@pytest.mark.parametrize("variable, budget", [(False, 3), (True, 5)])
+def test_norm_work_count(monkeypatch, variable, budget):
+    # norm gives the root solve its slope: at p = 2 the modular is a power
+    # law in lam and every norm of the corpus closes in 3 evaluations, at
+    # p = 2 + 0.5 sin in 5
+    g = Grid(1, 256)
+    x = g.coords[0]
+    p = VariableExponent(g, 2.0 + 0.5 * variable * np.sin(2 * np.pi * x))
+    counts = []
+
+    def root(value, hi, lo=None):
+        counted = []
+        lam = luxemburg_root(lambda lam: counted.append(lam) or value(lam), hi, lo)
+        counts.append(len(counted))
+        return lam
+
+    monkeypatch.setattr(lebesgue, "luxemburg_root", root)
+    for f in standard_corpus(g):
+        norm(f, p)
+    assert len(counts) == 50 and max(counts) <= budget
 
 
 def test_root_solver_power_law_lands_at_once():
