@@ -106,10 +106,8 @@ def _lane(hi, lo):
     chord = []  # the latest point that took a chord slope, log lam, log value
 
     def point(lam, sent):
-        """[lam, value, slope] of an evaluation.  A value without a slope
-        takes the chord slope through the lane's two latest finite, nonzero
-        points; the older point's chord is dropped, since its root is a
-        point already evaluated."""
+        """[lam, value, slope] of an evaluation, with the chord slope where
+        value gives none (see luxemburg_root)."""
         pt = [lam, *sent]
         if pt[2] is None and 0.0 < pt[1] < np.inf:
             x, y = math.log(lam), math.log(pt[1])
@@ -126,7 +124,7 @@ def _lane(hi, lo):
         if lo == 0.0:
             return 0.0
         lo_pt = point(lo, (yield lo))
-        if not lo_pt[1] <= 1.0:  # NaN reads as above 1, as everywhere
+        if not lo_pt[1] <= 1.0:  # NaN reads as above 1, as in the narrowing
             break
         hi, hi_pt = lo, lo_pt
         # two tangent steps that do not pass the root are followed by a
@@ -213,8 +211,8 @@ def luxemburg_root(value, hi, lo=None):
     and linear when the exponent is constant.  Every step goes to the root
     of a tangent to log value over log lam (Newton's step), aimed REL_TOL/4
     above it.  value returns (value, slope) with slope = d log value /
-    d log lam at lam, which for a modular sum t of terms t ~ lam^-w is
-    -sum(w t) / sum(t).  A value returned alone takes the chord slope
+    d log lam at lam, which is -sum(w t) / sum(t) for a modular that sums
+    terms t ~ lam^-w.  A value returned alone takes the chord slope
     through the lane's two latest finite, nonzero points, the secant's
     slope; the older point's chord is then dropped, since its root is a
     point already evaluated.  On a convex log value every tangent root lies
@@ -245,8 +243,7 @@ def luxemburg_root(value, hi, lo=None):
     the bracket where it is.  A value of 0 or inf, or a slope that is not
     finite and negative, gives no tangent: the walk then halves or doubles,
     and a narrowing step where neither latest point has one goes to the
-    midpoint.  A NaN value reads as above 1 in the walk and the narrowing
-    alike.
+    midpoint.  A NaN value reads as above 1 throughout.
 
     Lanes: with hi (and lo) arrays of one entry per lane, the call solves
     every lane at once.  value(lam, rows) then gets the lam of the lanes
@@ -290,8 +287,7 @@ def luxemburg_root(value, hi, lo=None):
 def norm(f, p):
     """Luxemburg quasi-norm of f in L_{p(.)} on the grid.
 
-    Root solve (luxemburg_root) on the modular of f/lam and its slope
-    -sum(p t) / sum(t) over the terms t = |f/lam|^p; the returned value
+    Root solve (luxemburg_root) on the modular of f/lam; the returned value
     lam satisfies modular(f/lam) <= 1 and is within REL_TOL of the infimum.
     A nonzero f whose norm is below the double range raises BracketError:
     no double lam > 0 has modular(f/lam) <= 1, and 0 would divide f by 0.

@@ -105,8 +105,7 @@ def _level_infimum(abs_samples, p, q, cell_volume):
     a fixed amount to the modular; if nothing varies with lam the infimum is
     0 when the fixed part is admissible and inf otherwise.  Otherwise the
     root solve walks from lam = 1 (halving or doubling) and returns inf if
-    no lam up to 2^MAX_ITER is admissible.  Its value gives the slope over
-    the finite-p terms t, -sum (p/q) t / sum t, with p/q = 0 where q = inf.
+    no lam up to 2^MAX_ITER is admissible.
     """
     q_inf = ~np.isfinite(q.values)
     inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
@@ -270,15 +269,15 @@ def lq_lp_norm(F, p, q):
 
     Constant finite q needs no outer solve: the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
-    modular of F/peak over (1 - REL_TOL).  Each level norm of F/mu lands
-    anywhere in its own REL_TOL bracket, and this margin, the one
-    _level_lanes takes, keeps lq_lp_modular(F/mu) <= 1.  Variable finite
-    q solves the outer root over _level_lanes, which gives each modular
-    with its slope, so the outer solve takes tangent (Newton) steps on log
-    modular over log mu; q = inf somewhere keeps lq_lp_modular and its
-    _level_infimum, and the outer steps take the chord slope.  The outer
-    root walks from mu = peak until it brackets the root.  Either route raises BracketError when the norm is outside the
-    double range or no mu below 2^MAX_ITER peak is admissible.
+    modular of F/peak over (1 - REL_TOL), the margin _level_lanes takes:
+    each level of F/mu lands anywhere in its own REL_TOL bracket.
+    Variable finite q solves the outer root over _level_lanes, which gives
+    each modular with its slope, so the outer solve takes tangent (Newton)
+    steps on log modular over log mu; q = inf somewhere keeps
+    lq_lp_modular and its _level_infimum, with chord slopes outside.  The
+    outer root walks from mu = peak until it brackets the root.  Either
+    route raises BracketError when the norm is outside the double range or
+    no mu below 2^MAX_ITER peak is admissible.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
