@@ -103,7 +103,7 @@ def _lane(hi, lo):
     """
     if not math.isfinite(lo):
         return np.inf
-    chord = []  # the latest point that took a chord slope, log lam, log value
+    chord = []  # latest finite, nonzero point without a given slope; log lam, log value
 
     def point(lam, sent):
         """[lam, value, slope] of an evaluation, with the chord slope where
