@@ -5,6 +5,12 @@ pin down the whole artifact: samples sit at cell midpoints ``(i + 1/2) / n``
 (midpoint quadrature), the resolvable frequency set is ``{2*pi*k : -n/2 <= k
 < n/2}`` per axis in FFT order, and distances are always wrap-around torus
 distances.
+
+A GridFunction is transformed once: coefficients() keeps its Fourier
+coefficients on it, read-only, so every spectral operator applied to one
+signal (Littlewood-Paley bands, local means, lifts, multipliers,
+derivatives) shares that one forward FFT.  A function synthesize() returns
+starts without coefficients of its own.
 """
 
 from functools import cached_property
@@ -101,6 +107,10 @@ class Grid:
         if self.dim == 1:
             return ax
         return np.multiply.outer(ax, ax)
+
+    @cached_property
+    def _phase_inverse(self):
+        return np.conj(self._phase_forward)
 
     def max_levels(self):
         """Largest J with the whole dyadic annulus 2^(J+1) inside Nyquist."""
@@ -270,22 +280,27 @@ class Grid:
 
 
 class GridFunction:
-    """Immutable sampled function on a Grid.  Samples must be finite."""
+    """Immutable sampled function on a Grid.  Samples must be finite.
 
-    __slots__ = ("grid", "samples")
+    The samples are a private read-only copy.  coefficients() keeps the
+    Fourier coefficients on the function the first time it transforms it.
+    """
+
+    __slots__ = ("grid", "samples", "_coeffs")
 
     def __init__(self, grid, samples):
         samples = np.asarray(samples)
         if samples.shape != grid.shape:
             raise ValueError(f"samples shape {samples.shape} != grid shape {grid.shape}")
-        if not np.issubdtype(samples.dtype, np.complexfloating):
-            samples = samples.astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        # one private copy; complex samples keep their dtype, others become float64
+        dtype = None if samples.dtype.kind == "c" else np.float64
+        samples = np.array(samples, dtype=dtype, order="C")
+        if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
-        samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GridFunction is immutable")
@@ -384,10 +399,16 @@ def coefficients(f):
     """Fourier coefficients on the grid frequency set, FFT order.
 
     c_k = h^dim * sum_i f(x_i) exp(-i xi_k . x_i); band-limited functions
-    are recovered exactly by synthesize().
+    are recovered exactly by synthesize().  f is transformed once: the
+    array is kept on f and every later call returns that same read-only
+    array.
     """
-    g = f.grid
-    return np.fft.fftn(f.samples) * g._phase_forward / g.num_points
+    if f._coeffs is None:
+        g = f.grid
+        c = np.fft.fftn(f.samples) * g._phase_forward / g.num_points
+        c.setflags(write=False)
+        object.__setattr__(f, "_coeffs", c)
+    return f._coeffs
 
 
 def synthesize(grid, coeffs):
@@ -395,7 +416,7 @@ def synthesize(grid, coeffs):
     coeffs = np.asarray(coeffs)
     if coeffs.shape != grid.shape:
         raise ValueError("coefficient array must match grid shape")
-    samples = np.fft.ifftn(coeffs * np.conj(grid._phase_forward)) * grid.num_points
+    samples = np.fft.ifftn(coeffs * grid._phase_inverse) * grid.num_points
     return GridFunction(grid, samples)
 
 

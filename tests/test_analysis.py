@@ -339,6 +339,20 @@ def test_apply_multiplier_agreements(grid64):
         apply_multiplier(f, np.full(grid64.shape, np.inf))
 
 
+def test_spectral_operators_share_one_forward_transform(grid64, monkeypatch):
+    rng = np.random.default_rng(37)
+    f = random_band_limited(grid64, rng)
+    forward = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: forward.append(1) or fftn(*a, **k))
+    littlewood_paley(f, admissible_system(grid64, 5, "plateau"))
+    local_means(f, J=5, laplacian_order=1)
+    lift(f, 1.3)
+    apply_multiplier(f, grid64.xi[0])
+    schwartz_seminorm(f, 2)
+    assert len(forward) == 1
+
+
 def test_schwartz_seminorm_basics(grid64):
     assert schwartz_seminorm(grid64.zeros(), 3) == 0.0
     one = GridFunction(grid64, np.ones(grid64.shape))

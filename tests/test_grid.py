@@ -128,6 +128,48 @@ def test_convolution_commutes_band_limited():
     assert np.max(np.abs(a.samples - b.samples)) < 1e-12 * max(a.max_abs(), 1e-30)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 256), (2, 16)])
+def test_coefficients_are_one_shared_read_only_transform(dim, n):
+    rng = np.random.default_rng(n + dim)
+    g = Grid(dim, n)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    c = coefficients(f)
+    fresh = np.fft.fftn(f.samples) * g._phase_forward / g.num_points
+    assert c.tobytes() == fresh.tobytes()
+    assert coefficients(f) is c
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 1.0
+    # synthesize still inverts with the conjugate phase, bit for bit
+    back = np.fft.ifftn(c * np.conj(g._phase_forward)) * g.num_points
+    assert synthesize(g, c).samples.tobytes() == back.tobytes()
+
+
+def test_synthesized_function_transforms_itself():
+    # a band keeps no coefficients of its input: its own come from its samples
+    rng = np.random.default_rng(13)
+    g = Grid(1, 64)
+    f = random_band_limited(g, rng)
+    out = convolve(f, np.exp(-g.xi_norm**2 / 100.0))
+    fresh = np.fft.fftn(out.samples) * g._phase_forward / g.num_points
+    assert coefficients(out) is not coefficients(f)
+    assert coefficients(out).tobytes() == fresh.tobytes()
+
+
+def test_grid_function_copies_its_samples_once():
+    g = Grid(2, 16)
+    ints = np.arange(256).reshape(g.shape)
+    f = GridFunction(g, ints.T)  # a Fortran-order view
+    assert f.samples.dtype == np.float64 and f.samples.flags.c_contiguous
+    assert np.array_equal(f.samples, ints.T)
+    z = np.ones(g.shape, dtype=np.complex64)
+    fz = GridFunction(g, z)
+    assert fz.samples.dtype == np.complex64 and not np.shares_memory(fz.samples, z)
+    src = np.ones(g.shape)
+    fr = GridFunction(g, src)
+    src[0, 0] = 2.0
+    assert fr.samples[0, 0] == 1.0 and not fr.samples.flags.writeable
+
+
 def test_torus_distance_wraps():
     g = Grid(1, 64)
     assert g.torus_distance(0.1, 0.9) == pytest.approx(0.2)

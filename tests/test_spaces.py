@@ -141,6 +141,21 @@ def test_checks_on_one_spec_refine_the_weight_once(grid64, setup):
     assert spec._refined[Grid(1, 128)]._refined == {}
 
 
+def test_local_means_check_transforms_each_member_once(monkeypatch):
+    # both characterizations of a member share its one forward FFT:
+    # 2 members x 2 grid legs, where one FFT per band made 48
+    grid = Grid(2, 32)
+    JJ = grid.max_levels()
+    two = VariableExponent.constant(grid, 2.0)
+    w = make_generalized(grid, JJ, 2.0 ** (0.5 * np.arange(JJ + 1, dtype=float)))
+    spec = SpaceSpec("F", two, two, w, admissible_system(grid, JJ), JJ)
+    forward = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: forward.append(1) or fftn(*a, **k))
+    assert local_means_equivalence_check(lambda g: standard_corpus(g)[:2], spec).passes
+    assert len(forward) == 4
+
+
 def test_zero_function(grid64, setup):
     sys, pv, qv, w = setup
     zero = grid64.zeros()
