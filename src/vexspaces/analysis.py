@@ -368,37 +368,58 @@ def peetre_maximal(F, a):
     Entry j at x is the exact maximum over grid points y of
     |F_j(y)| / (1 + |2^j (x - y)|^a), with the torus metric.  This is an
     under-approximation of the continuum supremum, adequate because level
-    j data is band-limited and varies on scale 2^(-j) >> h.  Shifts are
-    scanned nearest first, in blocks of rolled copies of at most
-    _SCAN_BLOCK elements, and the scan stops once max |F_j| times the next
-    weight cannot raise any entry.
+    j data is band-limited and varies on scale 2^(-j) >> h.
+
+    Shifts are scanned one symmetry class at a time.  Class (k, b),
+    0 <= b <= k <= n/2 (b = 0 in 1D), holds the shifts (+-k, +-b) and
+    (+-b, +-k); their Grid.shift_distances are bitwise equal (h is dyadic
+    and wrapping is exact), so they share one weight w.  Rounding a product
+    by a fixed w >= 0 is monotone, so max_s |F_j|(x - s) w equals
+    w max_s |F_j|(x - s) bit for bit, and a class costs one multiply.  Its
+    maximum is separable: pair maxima over +-k along one axis, then over +-b
+    along the other, on slices of one doubled copy of |F_j|.  Classes go
+    ring by ring in Chebyshev radius k, and only ring k's two pair maxima
+    are held.  A class is skipped, and the scan stops, only where max |F_j|
+    times its weight, or the largest weight of the rings left, cannot raise
+    any entry; no step assumes that rounded weights fall with distance.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     grid = F.grid
-    order = np.argsort(grid.shift_distances)
-    index = grid.shift_vectors[order].T  # per-axis components, nearest first
-    per = max(1, _SCAN_BLOCK // grid.num_points)
-    # weights come from one array power over all distances, the zero shift
-    # included, so they equal a full-lattice weight array bit for bit (a
-    # scalar power can differ by an ulp)
-    dist = np.concatenate(([0.0], grid.shift_distances))
+    dim, n, half = grid.dim, grid.n, grid.n // 2
+    # the distance of class (k, b) sits at [k, b]; one array power over all
+    # classes gives every shift the bits of its full-lattice weight
+    dist = np.concatenate(([0.0], grid.shift_distances)).reshape(grid.shape)
+    dist = np.ascontiguousarray(dist[(slice(half + 1),) * dim])
+    rows = np.empty((n, 2 * n)[:dim])  # ring k's pair maxima, doubled along axis 1
+    if dim == 2:
+        cols, m = np.empty((2 * n, n)), np.empty((n, n))
     out = []
     for j, f in enumerate(F):
-        av = np.abs(f.samples)
-        rolled = grid.rolls(av)
-        w = (1.0 / (1.0 + (2.0**j * dist) ** a))[1:][order]  # nonincreasing
-        peak = float(av.max())
-        best = av.copy()
-        for start in range(0, len(w), per):
-            # a shift weighted at most best.min() / peak raises no entry, and
-            # neither does any farther one
-            stop = start + np.count_nonzero(peak * w[start : start + per] > best.min())
-            if stop == start:
+        w = 1.0 / (1.0 + (2.0**j * dist) ** a)
+        ring = w if dim == 1 else np.tril(w).max(axis=1)  # largest weight of ring k
+        left = np.maximum.accumulate(ring[::-1])[::-1]  # ... of rings k and beyond
+        best = np.abs(f.samples)
+        peak = float(best.max())
+        twice = np.tile(best, (2,) * dim)  # |F_j|(x - s) == twice[x - s + n]
+        for k in range(1, half + 1):
+            bmin = best.min()
+            if not peak * left[k] > bmin:
                 break
-            block = rolled[tuple(index[:, start:stop])]
-            block *= w[start:stop].reshape((-1,) + (1,) * grid.dim)
-            np.maximum(best, block.max(axis=0), out=best)
+            minus, plus = slice(n - k, 2 * n - k), slice(k, k + n)  # x - k, x + k
+            np.maximum(twice[minus], twice[plus], out=rows)  # shifts (+-k, 0)
+            if dim == 1:
+                rows *= w[k]
+                np.maximum(best, rows, out=best)
+                continue
+            np.maximum(twice[:, minus], twice[:, plus], out=cols)  # shifts (0, +-k)
+            for b in np.flatnonzero(peak * w[k, : k + 1] > bmin):
+                minus, plus = slice(n - b, 2 * n - b), slice(b, b + n)
+                np.maximum(rows[:, minus], rows[:, plus], out=m)  # shifts (+-k, +-b)
+                np.maximum(m, cols[minus], out=m)  # and (+-b, +-k)
+                np.maximum(m, cols[plus], out=m)
+                m *= w[k, b]
+                np.maximum(best, m, out=best)
         out.append(GridFunction(grid, best))
     return FunctionSequence(out)
 

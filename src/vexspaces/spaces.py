@@ -311,66 +311,74 @@ def _chirp_member(grid, a, b, a2=None, b2=None):
 class _Corpus(Sequence):
     """Read-only corpus; a member is sampled when it is indexed.
 
-    Slices return lists of sampled members.
+    Member parameters come from one iterator, drawn in stream order up to
+    the highest member indexed so far, so every access order gives the same
+    members.  Slices return lists of sampled members.
     """
 
-    def __init__(self, grid, members):
+    def __init__(self, grid, size, draws):
         self._grid = grid
-        self._members = tuple(members)  # (sampler, parameters)
+        self._size = size
+        self._draws = draws  # (sampler, parameters) per member, in order
+        self._members = []
 
     def __len__(self):
-        return len(self._members)
+        return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._sample(m) for m in self._members[i]]
-        return self._sample(self._members[i])
-
-    def _sample(self, member):
-        sampler, params = member
+            return [self[k] for k in range(*i.indices(self._size))]
+        i = range(self._size)[i]  # IndexError past the end, as a list
+        while len(self._members) <= i:
+            self._members.append(next(self._draws))
+        sampler, params = self._members[i]
         return GridFunction(self._grid, sampler(self._grid, *params))
 
 
-def standard_corpus(grid, seed=2026):
-    """Fifty fixed signals: 20 band-limited, 10 bumps, 10 modes, 10 chirps.
-
-    All random parameters are drawn before the grid is touched and every
-    signal is sampled from a closed form, so the same seed produces the
-    same underlying functions at any resolution.  No member is zero.  The
-    result is a read-only sequence that samples a member only when it is
-    indexed, so a caller taking the first few pays for those alone.
-    """
+def _corpus_draws(dim, seed):
+    """(sampler, parameters) of the 50 standard members, drawn lazily."""
     rng = np.random.default_rng(seed)
-    members = []
     # 20 random trigonometric polynomials with decaying amplitudes
     for _ in range(20):
-        if grid.dim == 1:
+        if dim == 1:
             ks = np.arange(1, 17, dtype=float)
             amps = rng.standard_normal(ks.size) / (1.0 + ks) ** 1.5
             phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
-            members.append((_trig_1d, (amps, phases, rng.uniform(-0.5, 0.5))))
+            yield _trig_1d, (amps, phases, rng.uniform(-0.5, 0.5))
         else:
             k1 = rng.integers(-5, 6, size=12)
             k2 = rng.integers(-5, 6, size=12)
             amps = rng.standard_normal(12) / (1.0 + np.hypot(k1, k2)) ** 1.5
             phases = rng.uniform(0.0, 2.0 * np.pi, 12)
-            members.append((_trig_2d, (k1, k2, amps, phases, rng.uniform(-0.5, 0.5))))
+            yield _trig_2d, (k1, k2, amps, phases, rng.uniform(-0.5, 0.5))
     # 10 gaussian bumps
     for _ in range(10):
-        center = rng.uniform(0.0, 1.0, size=grid.dim)
+        center = rng.uniform(0.0, 1.0, size=dim)
         width = rng.uniform(0.04, 0.12)
-        members.append((_bump, (center, width, rng.uniform(0.5, 2.0))))
+        yield _bump, (center, width, rng.uniform(0.5, 2.0))
     # 10 single modes with random phases
-    modes = _MODES_1D if grid.dim == 1 else _MODES_2D
+    modes = _MODES_1D if dim == 1 else _MODES_2D
     for i in range(10):
-        members.append((_mode, (modes[i], rng.uniform(0.0, 2.0 * np.pi))))
+        yield _mode, (modes[i], rng.uniform(0.0, 2.0 * np.pi))
     # 10 smooth frequency-modulated chirps
     for _ in range(10):
         ab = (rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0))
-        if grid.dim == 2:
+        if dim == 2:
             ab += (rng.uniform(1.0, 4.0), rng.uniform(0.5, 2.0))
-        members.append((_chirp_member, ab))
-    return _Corpus(grid, members)
+        yield _chirp_member, ab
+
+
+def standard_corpus(grid, seed=2026):
+    """Fifty fixed signals: 20 band-limited, 10 bumps, 10 modes, 10 chirps.
+
+    The random parameters depend on the seed and the dimension alone, and
+    every signal is sampled from a closed form, so the same seed produces
+    the same underlying functions at any resolution.  No member is zero.
+    The result is a read-only sequence that draws a member's parameters
+    and samples it only when it is indexed, so a caller taking the first
+    few pays for those alone.
+    """
+    return _Corpus(grid, 50, _corpus_draws(grid.dim, seed))
 
 
 # ------------------------------------------------- equivalence measurement

@@ -234,6 +234,25 @@ def test_peetre_2d_matches_direct_max():
     assert np.allclose(M[j].samples.ravel(), brute, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_peetre_2d_matches_index_gather(n):
+    # max over y of |F_j|(y) w[(x - y) mod n], with w the weight array over
+    # every lattice shift, the zero shift included
+    grid = Grid(2, n)
+    f = random_band_limited(grid, np.random.default_rng(n), kmax=5)
+    F = littlewood_paley(f, admissible_system(grid, grid.max_levels(), "plateau"))
+    dist = np.concatenate(([0.0], grid.shift_distances))
+    x0, x1 = np.divmod(np.arange(grid.num_points), n)
+    idx = ((x0[:, None] - x0[None, :]) % n) * n + (x1[:, None] - x1[None, :]) % n
+    for a in (0.7, 3.12, 9.0):
+        M = peetre_maximal(F, a)
+        for j, level in enumerate(F):
+            av = np.abs(level.samples).ravel()
+            w = 1.0 / (1.0 + (2.0**j * dist) ** a)
+            oracle = np.max(av[None, :] * w[idx], axis=1)
+            assert np.array_equal(M[j].samples.ravel(), oracle)
+
+
 def test_peetre_rejects_bad_a(lp_levels):
     with pytest.raises(ValueError, match="positive"):
         peetre_maximal(lp_levels, 0.0)
@@ -568,6 +587,22 @@ def test_peetre_1d_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_peetre_2d_memory_stays_bounded():
+    # one level's doubled copy and ring pair maxima at a time: about 12
+    # arrays of the grid's size, next to the 7 output levels
+    grid = Grid(2, 128)
+    f = random_band_limited(grid, np.random.default_rng(34), kmax=6)
+    F = littlewood_paley(f, admissible_system(grid, 6, "plateau"))
+    tracemalloc.start()
+    try:
+        peetre_maximal(F, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
 
 def test_equal_symbols_give_identical_arrays(grid64):
     expr = "xi1^3 * (2 + xi1^2)^(-3/2)"

@@ -302,3 +302,21 @@ def test_shift_distances_match_scalar_distances(dim, n):
     for cached in (grid.shift_vectors, grid.reflections):
         with pytest.raises(ValueError):
             cached[0] = 0
+
+
+@pytest.mark.parametrize(
+    "dim, n", [(1, n) for n in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)]
+    + [(2, n) for n in (16, 32, 64, 128)],
+)
+def test_shift_distances_constant_on_symmetry_classes(dim, n):
+    # the shifts (+-a, +-b) and (+-b, +-a) share one distance bit for bit
+    # (h is dyadic and wrapping is exact), so they share one Peetre weight
+    grid = Grid(dim, n)
+    full = np.concatenate(([0.0], grid.shift_distances)).reshape(grid.shape)
+    fold = np.minimum(np.arange(n), n - np.arange(n))  # |s| on the torus
+    if dim == 1:
+        canon = full[fold]
+    else:
+        i, k = fold[:, None], fold[None, :]
+        canon = full[np.maximum(i, k), np.minimum(i, k)]
+    assert full.tobytes() == canon.tobytes()

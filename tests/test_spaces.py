@@ -750,6 +750,23 @@ def test_standard_corpus_samples_only_indexed_members(grid64, monkeypatch):
         corpus[0] = head[0]
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_standard_corpus_any_access_order(dim, n):
+    # parameters are drawn in stream order only as far as the highest index
+    # asked for, so the members do not depend on the order of access
+    grid = Grid(dim, n)
+    ordered = [f.samples for f in standard_corpus(grid)]
+    lazy = standard_corpus(grid)
+    assert len(lazy) == 50 and len(lazy[:2]) == 2 and len(lazy._members) == 2
+    picked = {i: lazy[i].samples for i in (37, 3, 49, 0, 21)}
+    picked[48] = lazy[-2].samples
+    for i, f in zip(range(45, 50), lazy[45:]):
+        picked[i] = f.samples
+    assert all(np.array_equal(v, ordered[i]) for i, v in picked.items())
+    with pytest.raises(IndexError):
+        lazy[50]
+
+
 def test_standard_corpus_band_limited(grid64):
     from vexspaces import coefficients
 
