@@ -33,6 +33,7 @@ from .analysis import (
 )
 from .spaces import (
     SpaceSpec,
+    Band,
     EquivalenceReport,
     standard_corpus,
     quasi_norm,
@@ -82,6 +83,7 @@ __all__ = [
     "apply_multiplier",
     "MultiplierSymbol",
     "SpaceSpec",
+    "Band",
     "EquivalenceReport",
     "standard_corpus",
     "quasi_norm",

@@ -55,10 +55,8 @@ from .weights import make_generalized
 __all__ = [
     "DRIFT_LIMIT",
     "SpaceSpec",
+    "Band",
     "EquivalenceReport",
-    "EmbeddingReport",
-    "SandwichReport",
-    "SchwartzEmbeddingReport",
     "MultiplierReport",
     "standard_corpus",
     "weighted_blocks",
@@ -87,22 +85,41 @@ __all__ = [
 DRIFT_LIMIT = 0.3
 
 
+@dataclass(frozen=True)
+class Band:
+    """Measured ratio band num/den over a corpus.
+
+    pairs holds every member's (num, den) in corpus order; corpus_size is
+    the number of members whose ratio was used.
+    """
+
+    ratio_min: float
+    ratio_max: float
+    corpus_size: int
+    pairs: tuple
+
+    def __post_init__(self):
+        if self.ratio_min > self.ratio_max:
+            raise ValueError("ratio_min must not exceed ratio_max")
+
+
 def _band(pairs):
-    """(min, max, count) of num/den over (num, den) pairs, as Python floats.
+    """Band of num/den over (num, den) pairs, bounds as Python floats.
 
     The one reducer behind every constant measured over a corpus: a 0/0
     member carries no information and is skipped, x/0 is inf, and count
     is the number of members whose ratio was used.  A corpus with no
     usable member raises rather than reporting a constant of 0.
     """
-    ratios = []
-    for num, den in pairs:
-        if den == 0.0 and num == 0.0:
-            continue
-        ratios.append(np.inf if den == 0.0 else num / den)
+    pairs = tuple(pairs)
+    ratios = [
+        np.inf if den == 0.0 else num / den
+        for num, den in pairs
+        if not (den == 0.0 and num == 0.0)
+    ]
     if not ratios:
         raise ValueError("corpus produced no usable ratios")
-    return float(min(ratios)), float(max(ratios)), len(ratios)
+    return Band(float(min(ratios)), float(max(ratios)), len(ratios), pairs)
 
 
 @dataclass(frozen=True)
@@ -144,8 +161,10 @@ class SpaceSpec:
         (weight scans, system masks) and returned again for any equal grid.
         It is kept, with no size limit, as long as this spec lives: a spec
         refined onto k grids holds k refined specs (their p, q, weight levels
-        and system masks).
+        and system masks).  The spec's own grid returns the spec itself.
         """
+        if grid == self.grid:
+            return self
         fine = self._refined.get(grid)
         if fine is None:
             fine = self._refined[grid] = SpaceSpec(
@@ -159,12 +178,16 @@ class SpaceSpec:
         return fine
 
 
-def weighted_blocks(f, spec):
-    """The sequence (w_j (phi_j * f))_{j <= J}."""
+def _bands(f, spec):
+    """The unweighted blocks (phi_j * f)_{j <= J}."""
     if f.grid != spec.grid:
         raise ValueError("function and spec live on different grids")
-    F = littlewood_paley(f, spec.system)
-    return FunctionSequence(F.entries[: spec.J + 1]).weighted(spec.w.levels)
+    return FunctionSequence(littlewood_paley(f, spec.system).entries[: spec.J + 1])
+
+
+def weighted_blocks(f, spec):
+    """The sequence (w_j (phi_j * f))_{j <= J}."""
+    return _bands(f, spec).weighted(spec.w.levels)
 
 
 def _mixed_norm(blocks, spec):
@@ -204,10 +227,7 @@ def quasi_norm_maximal(f, spec, a):
     threshold = maximal_threshold(spec)
     if not a > threshold:
         raise ValueError(f"a = {a} must exceed the threshold {threshold}")
-    if f.grid != spec.grid:
-        raise ValueError("function and spec live on different grids")
-    F = littlewood_paley(f, spec.system)
-    F = FunctionSequence(F.entries[: spec.J + 1])
+    F = _bands(f, spec)
     plain = _mixed_norm(F.weighted(spec.w.levels), spec)
     M = peetre_maximal(F, a)
     maximal = _mixed_norm(M.weighted(spec.w.levels), spec)
@@ -253,7 +273,7 @@ def quasi_triangle_probe(spec, pairs):
     return _band(
         (quasi_norm(f + g, spec), quasi_norm(f, spec) + quasi_norm(g, spec))
         for f, g in pairs
-    )[1]
+    ).ratio_max
 
 
 # ------------------------------------------------------------------ corpus
@@ -385,18 +405,10 @@ def standard_corpus(grid, seed=2026):
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """Measured ratio band over a corpus plus its refinement drift."""
+class EquivalenceReport(Band):
+    """Base-grid ratio band over a corpus plus its refinement drift."""
 
-    ratio_min: float
-    ratio_max: float
-    corpus_size: int
     refinement_drift: float
-    pairs: tuple = ()  # base-grid (num, den) per corpus member, in corpus order
-
-    def __post_init__(self):
-        if self.ratio_min > self.ratio_max:
-            raise ValueError("ratio_min must not exceed ratio_max")
 
     @property
     def passes(self):
@@ -409,18 +421,17 @@ class EquivalenceReport:
 
 def _equivalence_report(corpus, grid, make_pair_fn):
     """Band of num/den over corpus(grid), drift measured against 2N."""
-    pair = make_pair_fn(grid)
-    pairs = tuple(pair(f) for f in corpus(grid))
-    lo, hi, count = _band(pairs)
-    fine = Grid(grid.dim, 2 * grid.n)
-    pair = make_pair_fn(fine)
-    lo2, hi2, _ = _band(pair(f) for f in corpus(fine))
-    drift = abs(np.log(hi / lo) - np.log(hi2 / lo2))
-    return EquivalenceReport(lo, hi, count, float(drift), pairs)
 
+    def leg(g):
+        pair = make_pair_fn(g)
+        return _band(pair(f) for f in corpus(g))
 
-def _on(spec, grid):
-    return spec if grid == spec.grid else spec.refine(grid)
+    band, fine = leg(grid), leg(Grid(grid.dim, 2 * grid.n))
+    drift = abs(
+        np.log(band.ratio_max / band.ratio_min)
+        - np.log(fine.ratio_max / fine.ratio_min)
+    )
+    return EquivalenceReport(**vars(band), refinement_drift=float(drift))
 
 
 def pair_independence_check(corpus, spec_a, spec_b):
@@ -432,7 +443,7 @@ def pair_independence_check(corpus, spec_a, spec_b):
     and takes only the system from spec_b.
     """
     if spec_a.scale != spec_b.scale or spec_a.J != spec_b.J:
-        raise ValueError("specs must differ only in the analysis system")
+        raise InputError("specs must differ only in the analysis system")
     if not (
         np.array_equal(spec_a.p.values, spec_b.p.values)
         and np.array_equal(spec_a.q.values, spec_b.q.values)
@@ -441,13 +452,13 @@ def pair_independence_check(corpus, spec_a, spec_b):
             for wa, wb in zip(spec_a.w.levels, spec_b.w.levels)
         )
     ):
-        raise ValueError("specs must differ only in the analysis system")
+        raise InputError("specs must differ only in the analysis system")
     for s in (spec_a, spec_b):
         if s.system.kind != "admissible_pair":
-            raise ValueError("pair independence is claimed for admissible pairs")
+            raise InputError("pair independence is claimed for admissible pairs")
 
     def make(grid):
-        sa = _on(spec_a, grid)
+        sa = spec_a.refine(grid)
         sb = spec_b if sa is spec_a else replace(sa, system=spec_b.system.refine(grid))
         return lambda f: (quasi_norm(f, sa), quasi_norm(f, sb))
 
@@ -459,7 +470,7 @@ def lifting_check(corpus, spec, sigma):
     to ||f|| in the source space."""
 
     def make(grid):
-        s = _on(spec, grid)
+        s = spec.refine(grid)
         target = replace(s, w=s.w.shifted(-float(sigma)))
         return lambda f: (quasi_norm(lift(f, sigma), target), quasi_norm(f, s))
 
@@ -476,7 +487,7 @@ def maximal_equivalence_check(corpus, spec):
     a = maximal_threshold(spec) + 1.0
 
     def make(grid):
-        s = _on(spec, grid)
+        s = spec.refine(grid)
         return lambda f: quasi_norm_maximal(f, s, a)[::-1]  # (maximal, plain)
 
     return _equivalence_report(corpus, spec.grid, make)
@@ -487,7 +498,7 @@ def local_means_equivalence_check(corpus, spec, laplacian_order=1):
     with the default kernels of analysis.local_means."""
 
     def make(grid):
-        s = _on(spec, grid)
+        s = spec.refine(grid)
 
         def pair(f):
             return (
@@ -503,33 +514,17 @@ def local_means_equivalence_check(corpus, spec, laplacian_order=1):
 # -------------------------------------------------------------- embeddings
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Measured constant of one norm inequality over a corpus."""
-
-    variant: str
-    skipped: bool
-    reason: str
-    constant: float
-    condition_value: float
-    corpus_size: int  # members whose ratio was used
-
-
 def q_monotone_embedding_check(corpus, spec, q1):
-    """Growing the summability exponent can only shrink the norm band."""
+    """Band of ||f||_{q1} / ||f||_{q0}: growing q can only shrink the norm,
+    so ratio_max is the measured embedding constant."""
     if np.any(q1.values < spec.q.values):
-        return EmbeddingReport(
-            "q_monotone", True, "need q0 <= q1 pointwise", np.nan, np.nan, 0
-        )
+        raise InputError("need q0 <= q1 pointwise")
     if spec.scale == "F" and not np.isfinite(q1.p_plus):
-        return EmbeddingReport(
-            "q_monotone", True, "F-scale needs q1_plus < inf", np.nan, np.nan, 0
-        )
+        raise InputError("F-scale needs q1_plus < inf")
     target = replace(spec, q=q1)
-    _, constant, count = _band(
+    return _band(
         (quasi_norm(f, target), quasi_norm(f, spec)) for f in corpus(spec.grid)
     )
-    return EmbeddingReport("q_monotone", False, "", constant, np.nan, count)
 
 
 def _q_star(q0, q1):
@@ -544,18 +539,17 @@ def _q_star(q0, q1):
 def weight_pair_embedding_check(corpus, spec, v, q1=None):
     """Weight-for-weight embedding with the q*-summability condition.
 
-    Reports the mixed norm of the ratios (v_j/w_j)_j — l_{q*}(L_inf) on
-    the B-scale, L_inf(l_{q*}) on the F-scale — alongside the measured
-    constant of ||f||_{target} <= C ||f||_{source}.
+    Returns (band, condition): the band of ||f||_{target} / ||f||_{source},
+    whose ratio_max is the measured constant C, and the mixed norm of the
+    ratios (v_j/w_j)_j — l_{q*}(L_inf) on the B-scale, L_inf(l_{q*}) on the
+    F-scale.
     """
     grid = spec.grid
     q1 = spec.q if q1 is None else q1
     if spec.scale == "F" and not (
         np.isfinite(spec.q.p_plus) and np.isfinite(q1.p_plus)
     ):
-        return EmbeddingReport(
-            "weight_pair", True, "F-scale needs finite q0, q1", np.nan, np.nan, 0
-        )
+        raise InputError("F-scale needs finite q0, q1")
     qstar = _q_star(spec.q, q1)
     ratios = FunctionSequence(
         [
@@ -569,62 +563,43 @@ def weight_pair_embedding_check(corpus, spec, v, q1=None):
     else:
         condition = lp_lq_norm(ratios, p_inf, qstar)
     target = replace(spec, w=v, q=q1)
-    _, constant, count = _band(
-        (quasi_norm(f, target), quasi_norm(f, spec)) for f in corpus(grid)
-    )
-    return EmbeddingReport("weight_pair", False, "", constant, condition, count)
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Constants of B_{min(p,q)} -> F -> B_{max(p,q)} over a corpus."""
-
-    constant_in: float
-    constant_out: float
-    corpus_size: int  # members used, the smaller count of the two constants
+    band = _band((quasi_norm(f, target), quasi_norm(f, spec)) for f in corpus(grid))
+    return band, condition
 
 
 def bf_sandwich_check(corpus, f_spec):
-    """Measure both constants of the two-sided scale comparison."""
+    """Bands (inward, outward) of the comparison B_{min(p,q)} -> F ->
+    B_{max(p,q)}: ||f||_F / ||f||_{B_min} and ||f||_{B_max} / ||f||_F."""
     if f_spec.scale != "F":
-        raise ValueError("the sandwich starts from an F-scale spec")
+        raise InputError("the sandwich starts from an F-scale spec")
     b_lo = replace(f_spec, scale="B", q=pointwise_min(f_spec.p, f_spec.q))
     b_hi = replace(f_spec, scale="B", q=pointwise_max(f_spec.p, f_spec.q))
     norms = [
         (quasi_norm(f, b_lo), quasi_norm(f, f_spec), quasi_norm(f, b_hi))
         for f in corpus(f_spec.grid)
     ]
-    _, c_in, n_in = _band((mid, lo) for lo, mid, _ in norms)
-    _, c_out, n_out = _band((hi, mid) for _, mid, hi in norms)
-    return SandwichReport(c_in, c_out, min(n_in, n_out))
+    return (
+        _band((mid, lo) for lo, mid, _ in norms),
+        _band((hi, mid) for _, mid, hi in norms),
+    )
 
 
 # ------------------------------------------------- smooth-signal inequalities
 
 
-@dataclass(frozen=True)
-class SchwartzEmbeddingReport:
-    """Constants tying quasi-norms to seminorm and pairing bounds."""
-
-    seminorm_constant: float
-    pairing_constant: float
-    seminorm_order: int
-    threshold: float
-    corpus_size: int  # members used, the smaller count of the two constants
-
-
 def schwartz_embedding_checks(corpus, spec, N):
-    """(a) sup_j ||w_j (phi_j*f)||_p against the order-N decay seminorm;
-    (b) |quadrature(f psi)| against the q = inf B-scale quasi-norm.
+    """Bands (seminorm, pairing): (a) sup_j ||w_j (phi_j*f)||_p over the
+    order-N decay seminorm; (b) |quadrature(f psi)| over the q = inf
+    B-scale quasi-norm.
 
     Needs N > alpha + n/p^-; psi is a fixed centered bump.
     """
     threshold = _alpha_n_over_p(spec)
     if not N > threshold:
-        raise ValueError(f"need N > {threshold}, got N = {N}")
+        raise InputError(f"need N > {threshold}, got N = {N}")
     grid = spec.grid
     fns = list(corpus(grid))
-    _, c_semi, n_semi = _band(
+    seminorm = _band(
         (
             max(lebesgue_norm(e, spec.p) for e in weighted_blocks(f, spec)),
             schwartz_seminorm(f, N),
@@ -635,10 +610,8 @@ def schwartz_embedding_checks(corpus, spec, N):
     b_inf = replace(
         spec, scale="B", q=VariableExponent.constant(grid, np.inf)
     )
-    _, c_pair, n_pair = _band(
-        (abs(quadrature(f * psi)), quasi_norm(f, b_inf)) for f in fns
-    )
-    return SchwartzEmbeddingReport(c_semi, c_pair, N, threshold, min(n_semi, n_pair))
+    pairing = _band((abs(quadrature(f * psi)), quasi_norm(f, b_inf)) for f in fns)
+    return seminorm, pairing
 
 
 # -------------------------------------------------------------- multipliers
@@ -700,7 +673,7 @@ def multiplier_bound_checks(corpus, spec, m, mode, order=None):
         raise InputError("multiplier norm is infinite for this symbol")
 
     def make(grid):
-        s = _on(spec, grid)
+        s = spec.refine(grid)
         mask = m.sample(grid)
         return lambda f: (quasi_norm(apply_multiplier(f, mask), s), quasi_norm(f, s))
 
@@ -722,9 +695,9 @@ def bessel_scale_multiplier_check(corpus, p, s, m, system, J, kappa=None):
     1 < p^- <= p^+ < inf; the threshold reduces to n/min{p^-, 2} + n/2.
     """
     if s < 0.0:
-        raise ValueError("need s >= 0")
+        raise InputError("need s >= 0")
     if not (1.0 < p.p_minus and np.isfinite(p.p_plus)):
-        raise ValueError("need 1 < p_minus and p_plus < inf")
+        raise InputError("need 1 < p_minus and p_plus < inf")
     grid = p.grid
     q2 = VariableExponent.constant(grid, 2.0)
     w = make_generalized(grid, J, 2.0 ** (s * np.arange(J + 1, dtype=float)))
@@ -737,11 +710,11 @@ def derivative_sum_check(corpus, spec, kappa):
     (-kappa)-shifted-weight space, against the source norm."""
     kappa = int(kappa)
     if kappa < 0:
-        raise ValueError("kappa must be a nonnegative integer")
+        raise InputError("kappa must be a nonnegative integer")
     gammas = multi_indices(spec.grid.dim, kappa)
 
     def make(grid):
-        s = _on(spec, grid)
+        s = spec.refine(grid)
         target = replace(s, w=s.w.shifted(-float(kappa)))
 
         def pair(f):

@@ -208,21 +208,21 @@ def test_c05_embedding_inequalities():
         )
         for scale in ("B", "F"):
             spec = SpaceSpec(scale, p, q0, w, sys, J)
-            rep = q_monotone_embedding_check(corpus, spec, q1)
-            assert not rep.skipped
-            assert rep.constant <= 1.0 + 1e-9
+            band = q_monotone_embedding_check(corpus, spec, q1)
+            assert band.ratio_max <= 1.0 + 1e-9
             instances += 1
-        srep = bf_sandwich_check(corpus, SpaceSpec("F", p, q0, w, sys, J))
-        assert np.isfinite(srep.constant_in) and np.isfinite(srep.constant_out)
-        assert srep.constant_in <= 1.0 + 1e-9 and srep.constant_out <= 1.0 + 1e-9
-        sandwich_constants.append((srep.constant_in, srep.constant_out))
+        inward, outward = bf_sandwich_check(corpus, SpaceSpec("F", p, q0, w, sys, J))
+        c_in, c_out = inward.ratio_max, outward.ratio_max
+        assert np.isfinite(c_in) and np.isfinite(c_out)
+        assert c_in <= 1.0 + 1e-9 and c_out <= 1.0 + 1e-9
+        sandwich_constants.append((c_in, c_out))
         instances += 2
     # refinement stability of the sandwich constants on a subsample
     spec64 = _variable_spec(grid, J, "F", seed=77)
-    rep64 = bf_sandwich_check(corpus, spec64)
-    rep128 = bf_sandwich_check(corpus, spec64.refine(Grid(1, 128)))
-    drift_in = abs(np.log(rep64.constant_in) - np.log(rep128.constant_in))
-    drift_out = abs(np.log(rep64.constant_out) - np.log(rep128.constant_out))
+    in64, out64 = bf_sandwich_check(corpus, spec64)
+    in128, out128 = bf_sandwich_check(corpus, spec64.refine(Grid(1, 128)))
+    drift_in = abs(np.log(in64.ratio_max) - np.log(in128.ratio_max))
+    drift_out = abs(np.log(out64.ratio_max) - np.log(out128.ratio_max))
     assert drift_in < 0.3 and drift_out < 0.3
     assert instances == 100
     print(f"embeddings: 100 inequality instances, all C <= 1+1e-9; sandwich "

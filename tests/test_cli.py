@@ -267,6 +267,16 @@ def test_lift_check_band_matches_csv(tmp_path):
     _report_band_matches_csv(out_dir, 4)
 
 
+def test_multiplier_check_band_matches_csv(tmp_path):
+    out_dir = tmp_path / "mc"
+    rc = main(
+        ["multiplier-check", "--symbol", "xi1 * (1 + xi1^2)^(-1/2)",
+         "--corpus-size", "4", "--out", str(out_dir)]
+    )
+    assert rc == 0
+    _report_band_matches_csv(out_dir, 4)
+
+
 def test_multiplier_check_reports_threshold(tmp_path):
     out_dir = tmp_path / "mc"
     rc = main(

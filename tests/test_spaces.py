@@ -17,7 +17,9 @@ from vexspaces.analysis import (
 from vexspaces.exponents import _clog_inv, pointwise_max, pointwise_min
 from vexspaces.grid import quadrature
 from vexspaces.lebesgue import norm as lebesgue_norm
+from vexspaces.expr import InputError
 from vexspaces.spaces import (
+    Band,
     EquivalenceReport,
     MultiplierReport,
     SpaceSpec,
@@ -453,19 +455,18 @@ def test_q_monotone_embedding(grid64, setup):
     )
     for scale in ("B", "F"):
         spec = SpaceSpec(scale, pv, qv, w, sys, J)
-        rep = q_monotone_embedding_check(small_corpus, spec, q_big)
-        assert not rep.skipped
-        assert rep.constant <= 1.0 + 1e-9
+        band = q_monotone_embedding_check(small_corpus, spec, q_big)
+        assert band.ratio_max <= 1.0 + 1e-9
     same = q_monotone_embedding_check(small_corpus, spec, qv)
-    assert same.constant == 1.0
+    assert same.ratio_max == 1.0
 
 
-def test_q_monotone_embedding_skips_unordered(grid64, setup):
+def test_q_monotone_embedding_refuses_unordered(grid64, setup):
     sys, pv, qv, w = setup
     spec = SpaceSpec("B", pv, qv, w, sys, J)
     q_small = VariableExponent.constant(grid64, 1.0)
-    rep = q_monotone_embedding_check(small_corpus, spec, q_small)
-    assert rep.skipped and "pointwise" in rep.reason
+    with pytest.raises(InputError, match="pointwise"):
+        q_monotone_embedding_check(small_corpus, spec, q_small)
 
 
 def test_weight_pair_embedding_variable_smoothness(grid64, setup):
@@ -477,29 +478,28 @@ def test_weight_pair_embedding_variable_smoothness(grid64, setup):
     q1 = VariableExponent.constant(grid64, 1.5)
     for scale in ("B", "F"):
         spec = SpaceSpec(scale, pv, q0, w0, sys, J)
-        rep = weight_pair_embedding_check(small_corpus, spec, w1, q1)
-        assert not rep.skipped
-        assert np.isfinite(rep.condition_value)
-        assert 0.0 < rep.constant <= rep.condition_value * (1.0 + 1e-9)
+        band, condition = weight_pair_embedding_check(small_corpus, spec, w1, q1)
+        assert np.isfinite(condition)
+        assert 0.0 < band.ratio_max <= condition * (1.0 + 1e-9)
 
 
 def test_weight_pair_identity(grid64, setup):
     sys, pv, _, w = setup
     q2 = VariableExponent.constant(grid64, 2.0)
     spec = SpaceSpec("B", pv, q2, w, sys, J)
-    rep = weight_pair_embedding_check(small_corpus, spec, w, q2)
-    assert rep.constant == 1.0
+    band, condition = weight_pair_embedding_check(small_corpus, spec, w, q2)
+    assert band.ratio_max == 1.0
     # constant q makes q* = inf, and v_j/w_j = 1, so the condition is sup_j 1
-    assert rep.condition_value == pytest.approx(1.0, rel=1e-12)
+    assert condition == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bf_sandwich(grid64, setup):
     sys, pv, qv, w = setup
     spec = SpaceSpec("F", pv, qv, w, sys, J)
-    rep = bf_sandwich_check(small_corpus, spec)
-    assert rep.corpus_size == 6
-    assert rep.constant_in <= 1.0 + 1e-9
-    assert rep.constant_out <= 1.0 + 1e-9
+    inward, outward = bf_sandwich_check(small_corpus, spec)
+    assert inward.corpus_size == outward.corpus_size == 6
+    assert inward.ratio_max <= 1.0 + 1e-9
+    assert outward.ratio_max <= 1.0 + 1e-9
     with pytest.raises(ValueError, match="F-scale"):
         bf_sandwich_check(small_corpus, SpaceSpec("B", pv, qv, w, sys, J))
 
@@ -511,9 +511,9 @@ def test_schwartz_embedding(grid64, setup):
     sys, pv, qv, w = setup
     spec = SpaceSpec("B", pv, qv, w, sys, J)
     bumps = lambda g: standard_corpus(g)[20:28]
-    rep = schwartz_embedding_checks(bumps, spec, N=3)
-    assert rep.seminorm_constant > 0.0 and np.isfinite(rep.seminorm_constant)
-    assert rep.pairing_constant > 0.0 and np.isfinite(rep.pairing_constant)
+    seminorm, pairing = schwartz_embedding_checks(bumps, spec, N=3)
+    assert seminorm.ratio_max > 0.0 and np.isfinite(seminorm.ratio_max)
+    assert pairing.ratio_max > 0.0 and np.isfinite(pairing.ratio_max)
     with pytest.raises(ValueError, match="need N >"):
         schwartz_embedding_checks(bumps, spec, N=0)
 
@@ -522,8 +522,12 @@ def test_schwartz_embedding(grid64, setup):
 
 
 def test_band_rule():
-    # 0/0 is skipped, x/0 is inf, the count is the members used
-    assert _band([(0.0, 0.0), (1.0, 0.0), (2.0, 4.0)]) == (0.5, np.inf, 2)
+    # 0/0 is skipped, x/0 is inf, the count is the members used, and the
+    # pairs are every member's, in order
+    pairs = ((0.0, 0.0), (1.0, 0.0), (2.0, 4.0))
+    assert _band(iter(pairs)) == Band(0.5, np.inf, 2, pairs)
+    with pytest.raises(ValueError, match="ratio_min"):
+        Band(2.0, 1.0, 2, pairs)
     with pytest.raises(ValueError, match="no usable ratios"):
         _band([(0.0, 0.0)])
 
@@ -544,6 +548,77 @@ def test_uninformative_corpus_raises(grid64, setup):
     for check in checks:
         with pytest.raises(ValueError, match="no usable ratios"):
             check()
+
+
+def test_argument_refusals_are_input_errors(grid64, setup):
+    # a check refusing its arguments raises InputError (CLI exit 2), never
+    # a bare ValueError (exit 3, a library bug)
+    sys, pv, qv, w = setup
+    spec_b = SpaceSpec("B", pv, qv, w, sys, J)
+    q_inf = VariableExponent.constant(grid64, np.inf)
+    p_bad = VariableExponent.constant(grid64, 1.0)
+    m = MultiplierSymbol("1", dim=1)
+    refusals = [
+        (lambda: q_monotone_embedding_check(small_corpus, spec_b, p_bad), "pointwise"),
+        (lambda: q_monotone_embedding_check(
+            small_corpus, replace(spec_b, scale="F"), q_inf), "q1_plus"),
+        (lambda: weight_pair_embedding_check(
+            small_corpus, replace(spec_b, scale="F"), w, q_inf), "finite q0, q1"),
+        (lambda: bf_sandwich_check(small_corpus, spec_b), "F-scale"),
+        (lambda: schwartz_embedding_checks(small_corpus, spec_b, N=0), "need N >"),
+        (lambda: pair_independence_check(
+            small_corpus, spec_b, replace(spec_b, q=pv)), "differ only"),
+        (lambda: bessel_scale_multiplier_check(small_corpus, pv, -1.0, m, sys, J), "s >= 0"),
+        (lambda: bessel_scale_multiplier_check(small_corpus, p_bad, 1.0, m, sys, J), "p_minus"),
+        (lambda: derivative_sum_check(small_corpus, spec_b, -1), "nonnegative"),
+    ]
+    for check, reason in refusals:
+        with pytest.raises(InputError, match=reason):
+            check()
+
+
+_RIESZ = MultiplierSymbol("xi1 * (1 + xi1**2)**(-1/2)", dim=1)
+
+# every corpus check in spaces, as (corpus, B spec, F spec) -> its bands
+_BAND_CHECKS = {
+    "pair_independence": lambda c, b, f: [pair_independence_check(
+        c, b, replace(b, system=admissible_system(b.grid, J, "hann"))
+    )],
+    "lifting": lambda c, b, f: [lifting_check(c, b, 1.0)],
+    "maximal": lambda c, b, f: [maximal_equivalence_check(c, f)],
+    "local_means": lambda c, b, f: [local_means_equivalence_check(c, f)],
+    "multiplier": lambda c, b, f: [multiplier_bound_checks(c, b, _RIESZ, "norm_2l")],
+    "bessel_multiplier": lambda c, b, f: [
+        bessel_scale_multiplier_check(c, b.p, 1.0, _RIESZ, b.system, J)
+    ],
+    "derivative_sum": lambda c, b, f: [derivative_sum_check(c, b, 1)],
+    "sobolev": lambda c, b, f: [sobolev_cross_check(c, b.grid, 1.0)],
+    "q_monotone": lambda c, b, f: [
+        q_monotone_embedding_check(c, b, VariableExponent(b.grid, b.q.values + 1.0))
+    ],
+    "weight_pair": lambda c, b, f: [weight_pair_embedding_check(c, b, b.w)[0]],
+    "bf_sandwich": lambda c, b, f: list(bf_sandwich_check(c, f)),
+    "schwartz": lambda c, b, f: list(schwartz_embedding_checks(c, b, N=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_CHECKS))
+def test_every_check_keeps_its_pairs(grid64, setup, name):
+    # a zero member in the middle: its 0/0 pair is kept in place but not used
+    sys, pv, qv, w = setup
+    corpus = lambda g: [standard_corpus(g)[0], g.zeros(), standard_corpus(g)[1]]
+    spec_b = SpaceSpec("B", pv, qv, w, sys, J)
+    spec_f = SpaceSpec("F", pv, qv, w, sys, J)
+    for band in _BAND_CHECKS[name](corpus, spec_b, spec_f):
+        assert isinstance(band, Band)
+        assert len(band.pairs) == 3
+        assert band.pairs[1] == (0.0, 0.0)
+        assert all(num != 0.0 for num, _ in band.pairs[::2])
+        assert band.corpus_size == 2
+        again = _band(band.pairs)
+        assert (again.ratio_min, again.ratio_max, again.corpus_size) == (
+            band.ratio_min, band.ratio_max, band.corpus_size
+        )
 
 
 def _reducer_specs():
@@ -573,14 +648,14 @@ def test_constants_match_per_member_loop(spec, fns):
     v = make_variable_smoothness(grid, spec.J, lambda *x: 0.3 + 0.1 * np.sin(2 * np.pi * x[0]))
 
     target = replace(spec, q=q1)
-    rep = q_monotone_embedding_check(corpus, spec, q1)
+    band = q_monotone_embedding_check(corpus, spec, q1)
     expect = max(quasi_norm(f, target) / quasi_norm(f, spec) for f in fns)
-    assert (rep.constant, rep.corpus_size) == (expect, len(fns))
+    assert (band.ratio_max, band.corpus_size) == (expect, len(fns))
 
     target = replace(spec, w=v, q=q1)
-    rep = weight_pair_embedding_check(corpus, spec, v, q1)
+    band, _ = weight_pair_embedding_check(corpus, spec, v, q1)
     expect = max(quasi_norm(f, target) / quasi_norm(f, spec) for f in fns)
-    assert (rep.constant, rep.corpus_size) == (expect, len(fns))
+    assert (band.ratio_max, band.corpus_size) == (expect, len(fns))
 
     pairs = list(zip(fns, fns[1:] + fns[:1]))
     expect = max(
@@ -592,14 +667,13 @@ def test_constants_match_per_member_loop(spec, fns):
     if spec.scale == "F":
         b_lo = replace(spec, scale="B", q=pointwise_min(spec.p, spec.q))
         b_hi = replace(spec, scale="B", q=pointwise_max(spec.p, spec.q))
-        rep = bf_sandwich_check(corpus, spec)
+        inward, outward = bf_sandwich_check(corpus, spec)
         c_in = max(quasi_norm(f, spec) / quasi_norm(f, b_lo) for f in fns)
         c_out = max(quasi_norm(f, b_hi) / quasi_norm(f, spec) for f in fns)
-        assert (rep.constant_in, rep.constant_out, rep.corpus_size) == (
-            c_in, c_out, len(fns)
-        )
+        assert (inward.ratio_max, outward.ratio_max) == (c_in, c_out)
+        assert inward.corpus_size == outward.corpus_size == len(fns)
         return
-    rep = schwartz_embedding_checks(corpus, spec, N=3)
+    seminorm, pairing = schwartz_embedding_checks(corpus, spec, N=3)
     c_semi = max(
         max(lebesgue_norm(e, spec.p) for e in weighted_blocks(f, spec))
         / schwartz_seminorm(f, 3)
@@ -608,9 +682,8 @@ def test_constants_match_per_member_loop(spec, fns):
     psi = GridFunction(grid, _torus_gauss(grid, (0.5,) * grid.dim, 0.1))
     b_inf = replace(spec, scale="B", q=VariableExponent.constant(grid, np.inf))
     c_pair = max(abs(quadrature(f * psi)) / quasi_norm(f, b_inf) for f in fns)
-    assert (rep.seminorm_constant, rep.pairing_constant, rep.corpus_size) == (
-        c_semi, c_pair, len(fns)
-    )
+    assert (seminorm.ratio_max, pairing.ratio_max) == (c_semi, c_pair)
+    assert seminorm.corpus_size == pairing.corpus_size == len(fns)
 
 
 # -------------------------------------------------------------- multipliers
@@ -641,13 +714,13 @@ def test_multiplier_riesz_type(grid64, setup):
 def test_multiplier_report_is_an_equivalence_report():
     # the band fields are EquivalenceReport's; a multiplier may send a member
     # to 0, so ratio_min = 0 passes here and fails a plain equivalence
-    band = (0.0, 2.0, 3, 0.0)
+    band = (0.0, 2.0, 3, (), 0.0)
     extra = dict(mode="norm_2l", order=1.0, threshold=1.0, multiplier_norm=1.0, constant=2.0)
     rep = MultiplierReport(*band, **extra)
     assert rep.passes and not EquivalenceReport(*band).passes
     assert not replace(rep, multiplier_norm=np.inf).passes
     with pytest.raises(TypeError):
-        MultiplierReport(*band, (), *extra.values())
+        MultiplierReport(*band, *extra.values())
 
 
 def test_multiplier_threshold_and_infinite_norm(grid64, setup):
@@ -785,11 +858,11 @@ def test_standard_corpus_2d():
 
 def test_equivalence_report_contract():
     with pytest.raises(ValueError, match="ratio_min"):
-        EquivalenceReport(2.0, 1.0, 5, 0.0)
-    good = EquivalenceReport(1.0, 2.0, 5, 0.1)
-    assert good.passes
-    assert not EquivalenceReport(1.0, np.inf, 5, 0.1).passes
-    assert not EquivalenceReport(1.0, 2.0, 5, 0.31).passes
+        EquivalenceReport(2.0, 1.0, 5, (), 0.0)
+    good = EquivalenceReport(1.0, 2.0, 5, (), 0.1)
+    assert good.passes and isinstance(good, Band)
+    assert not EquivalenceReport(1.0, np.inf, 5, (), 0.1).passes
+    assert not EquivalenceReport(1.0, 2.0, 5, (), 0.31).passes
 
 
 # ------------------------------------------------------------------ 2d smoke
