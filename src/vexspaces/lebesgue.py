@@ -14,18 +14,21 @@ never fails to bracket.
 Every Luxemburg functional of the package is solved to one contract: the
 returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
 infimum.  luxemburg_root is the one solver, and it finds its own bracket
-from any starting point: it halves down while the modular stays <= 1, to
-the bottom of the double range if it must (a norm below that range raises
-BracketError), and doubles up while it exceeds 1, returning inf where no
-lam below 2^MAX_ITER times the start is admissible.  The narrowing takes
-at most MAX_ITER steps.  Its one step rule is the tangent (Newton) step on
-log modular over log lam: every modular of the package gives its slope,
-and a value without one takes the chord through its two latest points.
+from any starting point: one loop walks down while the modular stays <= 1
+and up while it exceeds 1, squaring its step factor on every walk step,
+and then narrows the bracket, all in at most MAX_ITER evaluations.  The
+walk has no cap inside the double range: it returns 0.0 only where the
+smallest subnormal is admissible (a norm below the range raises
+BracketError) and inf only where the largest finite double is not.  Its
+one step rule is the tangent (Newton) step on log modular over log lam:
+every modular of the package gives its slope, and a value without one
+takes the chord through its two latest points.
 It also runs many such functionals as lanes of one call, each lane with its
 own bracket, so that their modulars are evaluated together.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,8 @@ __all__ = [
 REL_TOL = 1e-13
 MAX_ITER = 200
 _LOG_MAX = 709.0  # math.exp of more overflows
+_TINY = math.ulp(0.0)  # the ends of the positive doubles
+_HUGE = sys.float_info.max
 
 
 class BracketError(ArithmeticError):
@@ -85,10 +90,11 @@ def modular(f, p):
 
 def _tangent(lam, v, s):
     """Root of the tangent to log value over log lam at (lam, v) with slope
-    s, aimed REL_TOL/4 above it; None where there is no tangent (no slope,
-    a value of 0, inf or NaN, or a slope that is not finite and negative)."""
+    s, aimed REL_TOL/4 above it; 0.0, below every bracket, where there is
+    no tangent (no slope, a value of 0, inf or NaN, or a slope that is not
+    finite and negative)."""
     if s is None or not (0.0 < v < np.inf and -np.inf < s < 0.0):
-        return None
+        return 0.0
     # a factor on lam, not exp(log lam + step): log lam ~ 700 would cost
     # the last digits of a step near REL_TOL
     return lam * math.exp(min(-math.log(v) / s, _LOG_MAX)) * (1.0 + 0.25 * REL_TOL)
@@ -117,133 +123,110 @@ def _lane(hi, lo):
             chord[:] = pt, x, y
         return pt
 
-    hi_pt = None
-    misses = 0  # tangent steps in a row that did not pass the root
-    while True:
-        # at most about 3 x 2100 steps take a finite lo to 0
-        if lo == 0.0:
-            return 0.0
-        lo_pt = point(lo, (yield lo))
-        if not lo_pt[1] <= 1.0:  # NaN reads as above 1, as in the narrowing
-            break
-        hi, hi_pt = lo, lo_pt
-        # two tangent steps that do not pass the root are followed by a
-        # halving (the second closes the bracket where the first landed)
-        t = _tangent(*hi_pt) if misses < 2 else None
-        if t is not None and t > 0.0:
-            misses += 1
-            lo = min(t, (1.0 - 0.5 * REL_TOL) * hi)
-        else:
-            misses = 0
-            lo = hi / 2.0
-    if hi_pt is None:
-        top = hi * 2.0 ** (MAX_ITER - 1)
-        step = np.inf  # the last step up
-        for _ in range(MAX_ITER):
-            # a tangent step is taken where it reaches past the doubling
-            # point or at most halves the last step
-            t = _tangent(*lo_pt)
-            if t is not None:
-                t = max(t, (1.0 + 0.5 * REL_TOL) * lo)
-                if t >= hi or t - lo <= 0.5 * step:
-                    hi = min(t, top)
-            step = hi - lo
-            hi_pt = point(hi, (yield hi))
-            if hi_pt[1] <= 1.0:
-                break
-            if hi >= top:
-                return np.inf
-            lo, lo_pt = hi, hi_pt
-            hi *= 2.0
-        else:
-            return np.inf
-    a, b = hi_pt, lo_pt  # the two latest points
-    gaps = [np.inf] * 3  # |log| of each tangent step
-    for _ in range(MAX_ITER):
-        if hi - lo <= REL_TOL * hi:
-            break
-        tangents = [(t, x[0]) for x in (a, b) if (t := _tangent(*x)) is not None]
-        lam = _tangent_step(tangents, lo, hi, gaps)
+    up, down, inf = 1.0 + 0.5 * REL_TOL, 1.0 - 0.5 * REL_TOL, math.inf
+    below, above = 0.0, inf  # latest points with value > 1 and <= 1
+    b, tb = (0.0, 0.0, None), 0.0  # the latest point and its tangent root; none yet
+    gaps = [inf] * 3  # |log| of each tangent step
+    grow = 2.0  # the walk's factor, squared on every walk step
+    lam = max(lo, _TINY)
+    for i in range(MAX_ITER):
         a, b = b, point(lam, (yield lam))
-        if b[1] <= 1.0:
-            hi = lam
+        if b[1] <= 1.0:  # NaN reads as above 1
+            above = lam
         else:
-            lo = lam
-    return hi
-
-
-def _tangent_step(tangents, lo, hi, gaps):
-    """Next point of a narrowing: one of the (tangent root, point) pairs,
-    or the midpoint in log lam."""
-    lam = math.sqrt(lo) * math.sqrt(hi)
-    # every tangent root of a convex log value is below the root, so the
-    # higher one inside the bracket is the better; up to REL_TOL/2 above hi
-    # is inside (the aim and rounding)
-    inside = [(t, base) for t, base in tangents if lo < t <= (1.0 + 0.5 * REL_TOL) * hi]
-    if inside:
-        t, base = max(inside)
-        gaps.append(abs(math.log(t / base)))
-        # a root within REL_TOL/2 of hi is a closing step: it closes the
-        # bracket or moves hi down by REL_TOL/2
-        if t >= (1.0 - 0.5 * REL_TOL) * hi or gaps[-1] <= 0.5 * gaps[-4]:
-            lam = t
-    # margins relative to each end: a tangent may land far below hi
-    return min(max(lam, (1.0 + 0.5 * REL_TOL) * lo), (1.0 - 0.5 * REL_TOL) * hi)
+            below = lam
+        if above == inf:  # walking up
+            if below == _HUGE:
+                return inf
+            lam = hi if i == 0 else grow * below
+            grow = min(grow * grow, _HUGE)
+        elif below == 0.0:  # walking down
+            if above == _TINY:
+                return 0.0
+            lam = above / grow
+            grow = min(grow * grow, _HUGE)
+        elif above - below <= REL_TOL * above:
+            break
+        else:  # narrowing
+            lam = math.sqrt(below) * math.sqrt(above)
+        # a point keeps its tangent root until a later chord drops its slope
+        ta, tb = (tb if a[2] is not None else 0.0), _tangent(*b)
+        # every tangent root of a convex log value is below the root, so the
+        # higher one inside the bracket is the better; up to REL_TOL/2 above
+        # `above` is inside (the aim and rounding)
+        top = up * above
+        t, base = (tb, b[0]) if below < tb <= top else (0.0, 0.0)
+        if below < ta <= top and (ta, a[0]) > (t, base):
+            t, base = ta, a[0]
+        if t:
+            gaps.append(abs(math.log(t / base)))
+            # a root within REL_TOL/2 of `above` is a closing step: it closes
+            # the bracket or moves `above` down by REL_TOL/2
+            if t >= down * above or gaps[-1] <= 0.5 * gaps[-4] or (above == inf and t >= lam):
+                lam = t
+        # margins relative to each end: a tangent may land far below `above`
+        lam = min(max(lam, up * below, _TINY), down * above, _HUGE)
+    return above
 
 
 def luxemburg_root(value, hi, lo=None):
     """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
 
     hi is a first guess above lo (hi/2 if None); neither needs to bracket
-    the root.  The walk evaluates lo first and halves it while value stays
-    <= 1, the last such point becoming hi (0.0 is returned if the halving
-    underflows to zero: the root is below the double range, and callers
-    that return it as a norm raise BracketError).  If lo already exceeds
-    1, hi is evaluated and doubled while value exceeds 1, the last such
-    point becoming lo; if none of hi, 2 hi, ..., 2^(MAX_ITER-1) hi has
-    value <= 1 the root is inf.  A lo that is not finite (an overflowed
-    start, as where |f/mu|^q overflows in mixed._level_lanes) gives inf at
-    once, with no evaluation: there is no point to halve from.  Then the
-    bracket is narrowed until it is within REL_TOL of hi.  A finite result
-    always has value <= 1, and the root exceeds (1 - REL_TOL) times it.
+    the root.  One loop of at most MAX_ITER evaluations keeps two ends:
+    below, the latest point with value > 1, and above, the latest with
+    value <= 1.  Each step evaluates one point, moves the end its value
+    falls on, and the loop returns above once above - below <= REL_TOL
+    above.  A finite result always has value <= 1, and the root exceeds
+    (1 - REL_TOL) times it.  The first point is lo (the smallest subnormal
+    if lo is 0.0); a lo that is not finite (an overflowed start, as where
+    |f/mu|^q overflows in mixed._level_lanes) gives inf at once, with no
+    evaluation: there is no point to walk from.
+
+    While one end is unknown the loop walks, a galloping (doubly
+    exponential) search in the manner of Bentley and Yao's unbounded
+    search: up to hi at the first step and to grow * below after it, down
+    to above / grow.  grow starts at 2 and squares on every walk step, so
+    the walk crosses the whole double range in about a dozen steps, with
+    no cap; its points are clamped to the positive doubles.  The loop
+    returns 0.0 only where the smallest subnormal has value <= 1 (the root
+    is below the double range, and callers that return it as a norm raise
+    BracketError), and inf only where the largest finite double has value
+    > 1.  With both ends known the fallback point is the midpoint in log
+    lam.
 
     A modular is a sum of powers of lam, so log value is convex in log lam,
-    and linear when the exponent is constant.  Every step goes to the root
-    of a tangent to log value over log lam (Newton's step), aimed REL_TOL/4
-    above it.  value returns (value, slope) with slope = d log value /
-    d log lam at lam, which is -sum(w t) / sum(t) for a modular that sums
-    terms t ~ lam^-w.  A value returned alone takes the chord slope
-    through the lane's two latest finite, nonzero points, the secant's
-    slope; the older point's chord is then dropped, since its root is a
-    point already evaluated.  On a convex log value every tangent root lies
-    below the root, so from below the steps converge from one side,
+    and linear when the exponent is constant.  The one step rule is the
+    root of a tangent to log value over log lam (Newton's step), aimed
+    REL_TOL/4 above it.  value returns (value, slope) with slope = d log
+    value / d log lam at lam, which is -sum(w t) / sum(t) for a modular
+    that sums terms t ~ lam^-w.  A value returned alone takes the chord
+    slope through the lane's two latest finite, nonzero points, the
+    secant's slope; the older point's chord is then dropped, since its root
+    is a point already evaluated.  On a convex log value every tangent root
+    lies below the root, so from below the steps converge from one side,
     quadratically, and the aim carries the last one across: where log value
     is linear the first tangent is exact, and the next point, REL_TOL/2
-    below it, closes the bracket.  The aim leaves the returned hi with
-    value below 1 by far more than rounding, so modular(f/hi) <= 1 holds
-    however f/hi is computed.  Safeguards keep the walk and the narrowing
-    finite on any value:
-    - walking down, the tangent root of the last point (at most
-      (1 - REL_TOL/2) times it) replaces the halving; two tangent steps in
-      a row that stay at value <= 1 (the second closes a bracket where the
-      first landed) are followed by a halving;
-    - walking up, the tangent root (at least (1 + REL_TOL/2) lo) replaces
-      the first guess or the doubling where it lies beyond that point (a
-      lower bound of the root there) or at most halves the last step up;
-      the points stop at 2^(MAX_ITER-1) hi as the doubling does, and
-      MAX_ITER points with value > 1 give inf;
-    - narrowing, the step goes to the higher of the two latest points'
-      tangent roots inside the bracket (up to REL_TOL/2 above hi, the aim
-      and rounding) where that root is within REL_TOL/2 of hi (a closing
-      step) or its distance to its point in log lam has halved over the
-      last three tangent steps; otherwise to the midpoint in log lam.
-      Points stay a factor REL_TOL/2 inside each end.
-    The halving window measures the tangent step, not the bracket,
-    because a sequence that converges from one side leaves the far end of
-    the bracket where it is.  A value of 0 or inf, or a slope that is not
-    finite and negative, gives no tangent: the walk then halves or doubles,
-    and a narrowing step where neither latest point has one goes to the
-    midpoint.  A NaN value reads as above 1 throughout.
+    below it, closes the bracket.  The aim leaves the returned lam with
+    value below 1 by far more than rounding, so modular(f/lam) <= 1 holds
+    however f/lam is computed.
+
+    One guard, as in safeguarded Newton (rtsafe, Numerical Recipes 3rd ed.
+    9.4), serves every phase: the step goes to the higher of the two
+    latest points' tangent roots inside the bracket (up to REL_TOL/2 above
+    `above`, the aim and rounding) where that root
+    - is within REL_TOL/2 of above (a closing step: it closes the bracket
+      or moves above down by REL_TOL/2),
+    - or is at most half as far from its point in log lam as the tangent
+      step three tangent steps before (the first three steps pass),
+    - or, walking up, lies at or past the walk's next point (a lower bound
+      of the root there);
+    otherwise to the fallback.  Points stay a factor REL_TOL/2 inside each
+    known end.  The halving window measures the tangent step, not the
+    bracket, because a sequence that converges from one side leaves the far
+    end of the bracket where it is.  A value of 0 or inf, or a slope that is
+    not finite and negative, gives no tangent, so the step after such
+    points is the fallback.  A NaN value reads as above 1.
 
     Lanes: with hi (and lo) arrays of one entry per lane, the call solves
     every lane at once.  value(lam, rows) then gets the lam of the lanes
@@ -251,7 +234,8 @@ def luxemburg_root(value, hi, lo=None):
     values and slopes as two arrays); each lane keeps its own bracket and
     step state and closes on its own, so a lane takes exactly the steps of
     a one-lane call.  A lo from a warm start (a bound known to lie below
-    the root) skips the halving.  Returns an array of roots, one per lane.
+    the root) is the first point, with no walk before it.  Returns an
+    array of roots, one per lane.
     """
     if np.ndim(hi) == 0:
         lane = _lane(hi, hi / 2.0 if lo is None else lo)

@@ -23,8 +23,8 @@ each lane's modular in its lam, for the tangent (Newton) steps of
 luxemburg_root.  Where q = inf somewhere the outer solve runs over
 lq_lp_modular, whose level infima give their slopes too; the outer
 modular gives none, so its steps take the chord slope.  A level infimum
-below the double range adds 0 to the modular; a norm below it raises
-BracketError.
+below the double range adds 0 to the modular and one above it makes the
+modular inf; a norm outside the range raises BracketError.
 
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
@@ -104,8 +104,8 @@ def _level_infimum(abs_samples, p, q, cell_volume):
     On {q = inf} the scaling is lam-independent, so that region contributes
     a fixed amount to the modular; if nothing varies with lam the infimum is
     0 when the fixed part is admissible and inf otherwise.  Otherwise the
-    root solve walks from lam = 1 (halving or doubling) and returns inf if
-    no lam up to 2^MAX_ITER is admissible.
+    root solve walks from lam = 1 and returns inf only where no double lam
+    is admissible (an infimum above the double range).
     """
     q_inf = ~np.isfinite(q.values)
     inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
@@ -276,8 +276,7 @@ def lq_lp_norm(F, p, q):
     steps on log modular over log mu; q = inf somewhere keeps
     lq_lp_modular and its _level_infimum, with chord slopes outside.  The
     outer root walks from mu = peak until it brackets the root.  Either
-    route raises BracketError when the norm is outside the double range or
-    no mu below 2^MAX_ITER peak is admissible.
+    route raises BracketError when the norm is outside the double range.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)

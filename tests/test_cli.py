@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -277,6 +278,60 @@ def test_multiplier_check_band_matches_csv(tmp_path):
     _report_band_matches_csv(out_dir, 4)
 
 
+# SHA-256 of (report.txt, ratios.csv) of each report command at the CLI
+# defaults; a change to the numerics that moves any printed digit shows here
+GOLDEN_REPORTS = {
+    ("compare-pairs", 0): (
+        "d8cfc017d1e4e7e19ab8f66ef6b9b5be147bccc9481eacd68517afd9b07ad36e",
+        "5d988a851be3282dc86faa333290d962c43c311593177a0b0ffe59e7aeb724ef",
+    ),
+    ("compare-pairs", 1): (
+        "face7cf58a0337ee424fc1a5a8020fa818b5b82c44498050e3fbcfcdc1b6a6fb",
+        "4706a8a0ac7dfccbc4b98c46e8c6fb8af3cf4e11c2fd5d65a9afde8546162e23",
+    ),
+    ("compare-pairs", 2): (
+        "e05b14dc90ccfd41ecc4b0cf7940e3b5888ad723d937974036e74fc003ab52ba",
+        "ddeaec83773e698aae341224ecb15ee724b0607b9c202de1638ac36f7fd5f6ab",
+    ),
+    ("lift-check", 0): (
+        "c42916bd2149be0fc5977401fb5977d99405199a2ce8c33a5ae4c9aa3a9bc399",
+        "f31f0925b8ef2b31440f43df8ad2b75d5649237a7055df1d6a1f135c8672e707",
+    ),
+    ("lift-check", 1): (
+        "8c3d56fd2a6a83cf53dd0b78b19fe0fa891d6775c55e46789b2ecdead2a16144",
+        "a2d1ddd899cb22d107b1df57933976a4758e3236735f6738276698195ec137ad",
+    ),
+    ("lift-check", 2): (
+        "aaff780901cd899a8a0e584b98a41cd06cb4805f6f1a9692e8d66121b7072d7f",
+        "4518f7fc9c1966b2f04a31f0ee991dd556752c6ca1cf36bcd6da35abcc101e1b",
+    ),
+    ("multiplier-check", 0): (
+        "373dadf8b507d32e30d009caab7e38ba6cac0ffee5c26290156a075813a3835e",
+        "2b166c448e58359a597f4d4864b25a76b6690b7a647c979f6034a3f1dad8c25b",
+    ),
+    ("multiplier-check", 1): (
+        "ff72f60acb07546c78f6ad3d8babe2404559f63ed74a3a88ee862a12c058de31",
+        "ccf65ab56d6fecaf915c7e3aa9a1abfd02883ba968944dad702e85536e91ea77",
+    ),
+    ("multiplier-check", 2): (
+        "29c4c4080cf504ad3f42b266ebad52d5720c555180307d9e7cf7b18ceeffcb57",
+        "c8ffcaffc8a15797c54c7de883b44be4e91635263bb6a1baef02c43954d929e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, seed", sorted(GOLDEN_REPORTS))
+def test_report_bytes_are_pinned(command, seed, tmp_path):
+    extra = ["--symbol", "xi1 * (1 + xi1^2)^(-1/2)"] if command == "multiplier-check" else []
+    out_dir = tmp_path / command
+    assert main([command, *extra, "--seed", str(seed), "--out", str(out_dir)]) == 0
+    digests = tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("report.txt", "ratios.csv")
+    )
+    assert digests == GOLDEN_REPORTS[command, seed]
+
+
 def test_multiplier_check_reports_threshold(tmp_path):
     out_dir = tmp_path / "mc"
     rc = main(
@@ -323,7 +378,7 @@ def test_missing_file_is_io_error(grid64):
 
 def test_bracket_failure_is_an_error_not_a_crash(capsys):
     # at q = 0.001 the B-scale modular of f/mu decays like mu^-0.001, so the
-    # outer bracket search runs out of candidates
+    # norm, peak times the modular of f/peak to the power 1000, overflows
     assert main(["lift-check", "--q", "0.001", "--corpus-size", "2"]) == 2
     assert "error: failed to bracket" in capsys.readouterr().err
 

@@ -233,9 +233,11 @@ def test_root_solver_contract():
     root = luxemburg_root(step, 5.0)
     assert step(root) <= 1.0
     assert root - c <= REL_TOL * root
-    # a value that never exceeds 1: the halving runs down to 0.0
+    # a value that never exceeds 1: the walk runs down to the smallest
+    # subnormal, which is admissible, and returns 0.0
     assert luxemburg_root(lambda lam: 0.0, 1e-300) == 0.0
-    # a start below the root: the walk doubles up to 8 and bisects down to 5
+    # a start below the root: the walk steps up to 2, then by its squared
+    # factor to 8, and bisects down to 5
     step5 = lambda lam: 0.0 if lam >= 5.0 else 2.0
     root = luxemburg_root(step5, 2.0, 1.0)
     assert step5(root) <= 1.0
@@ -263,7 +265,7 @@ def test_root_solver_brackets_from_below():
 @pytest.mark.parametrize("p", [0.02, 0.01])
 def test_norm_of_a_spike_at_small_p(p):
     # a one-sample spike of height 1 has norm 64^(-1/p): 4.9e-91 at p = 0.02,
-    # 2.4e-181 at p = 0.01, more than 200 halvings below the start at 1
+    # 2.4e-181 at p = 0.01, 600 factors of 2 below the start at 1
     g = Grid(1, 64)
     x = np.zeros(g.shape)
     x[5] = 1.0
@@ -321,7 +323,7 @@ def test_norm_contract_at_extreme_scales(log_amplitude, log_p, variable_p, inf_r
 
 
 def test_root_solver_non_finite_start_is_inf():
-    # an overflowed start has no point to halve from: inf, with no
+    # an overflowed start has no point to walk from: inf, with no
     # evaluation, alone and as one lane of several
     c = 0.3
     seen = []
@@ -402,7 +404,7 @@ def test_root_solver_lanes_match_one_lane_calls():
 
 def test_root_solver_lanes_from_warm_brackets():
     # lanes warm-started inside their brackets land like cold ones; a lo
-    # that is not below the root falls back to halving from there
+    # that is not below the root walks down from there
     c = np.array([0.3, 2.0, 5.0])
     lams = []
 
@@ -415,7 +417,7 @@ def test_root_solver_lanes_from_warm_brackets():
     roots = luxemburg_root(lanes, hi, lo)
     assert np.all((c / roots) ** 3 <= 1.0)
     assert np.all(roots - c <= REL_TOL * roots)
-    assert lams[0].tolist() == lo.tolist()  # no halving before a warm lo
+    assert lams[0].tolist() == lo.tolist()  # no step before a warm lo
 
 
 def _modular_with_slope(a, pv):
@@ -449,11 +451,40 @@ def test_root_solver_tangent_lands_at_once_on_a_power_law():
         assert root - c <= REL_TOL * root
 
 
+@pytest.mark.parametrize(
+    "c, start", [(1e100, 1.0), (1e300, 1e-300), (1e-300, 1e300), (1e-250, 1.0)]
+)
+def test_root_solver_gallops_to_far_roots(c, start):
+    # the walk squares its factor on every step, so it crosses the double
+    # range in a few steps either way; where (c/lam)^3 overflows to inf or
+    # underflows to 0 there is no tangent, and the walk alone moves
+    lams = []
+
+    def value(lam):
+        lams.append(lam)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.float64(c / lam) ** 3, -3.0
+
+    root = luxemburg_root(value, start)
+    assert len(lams) <= 15
+    assert abs(root - c) <= REL_TOL * c
+    assert value(root)[0] <= 1.0
+
+
+def test_root_solver_reaches_both_ends_of_the_double_range():
+    # a root at either end of the positive doubles is found, not read as
+    # 0.0 or inf: the walk evaluates the smallest subnormal and the largest
+    # finite double before it gives up
+    tiny, huge = 5e-324, np.finfo(float).max
+    assert luxemburg_root(lambda lam: 0.0 if lam >= 2.0 * tiny else 2.0, 1.0) == 2.0 * tiny
+    assert luxemburg_root(lambda lam: 0.0 if lam >= huge else 2.0, 1.0) == huge
+
+
 def test_root_solver_tangent_steps_keep_the_contract():
     # modulars with exponents spread over four decades, from starts far
     # below and far above the root: steps on given slopes and on chord
     # slopes (a value returned alone) both keep both sides of the contract
-    # and agree within REL_TOL.  They take 1510 and 2224 evaluations
+    # and agree within REL_TOL.  They take 1023 and 1842 evaluations
     rng = np.random.default_rng(4)
     chord_steps = tangent_steps = 0
     for _ in range(40):
@@ -471,7 +502,7 @@ def test_root_solver_tangent_steps_keep_the_contract():
             chord_steps += len(counted)
             assert without(chord) <= 1.0 < without((1.0 - REL_TOL) * chord)
             assert abs(root - chord) <= REL_TOL * chord
-    assert tangent_steps <= 1510 and chord_steps <= 2224
+    assert tangent_steps <= 1023 and chord_steps <= 1842
 
 
 def test_root_solver_tangent_lanes_match_one_lane_calls():

@@ -395,8 +395,8 @@ def test_lq_lp_norm_bracket_failure_raises():
     F = FunctionSequence([GridFunction(g, np.ones(g.shape)) for _ in range(8)])
     two = VariableExponent.constant(g, 2.0)
     tiny = VariableExponent.constant(g, 0.001)
-    # the modular of F/mu is 8 mu^-0.001, still 6.97 at the last bracket
-    # candidate mu = 2^199
+    # the modular of F/mu is 8 mu^-0.001, still 3.9 at the largest double:
+    # the norm, 8^1000, is above the double range
     with pytest.raises(ArithmeticError, match="bracket"):
         lq_lp_norm(F, two, tiny)
 
@@ -431,6 +431,19 @@ def test_modular_overflow_is_inf_on_both_routes():
     two = VariableExponent.constant(g, 2.0)
     assert lq_lp_modular(F, two, two) == np.inf
     assert lq_lp_modular(F, two, two, force_general=True) == np.inf
+
+
+def test_general_route_reaches_a_far_level_infimum(grid64):
+    # |f|^4 of a 1e20 level is near 1e80, so its infimum lies far above the
+    # start at 1: the defining root solve reaches it, as the closed route
+    # does, instead of reading it as inf
+    x = grid64.coords[0]
+    F = FunctionSequence([GridFunction(grid64, 1e20 * (1.5 + np.cos(2 * np.pi * x)))])
+    p = VariableExponent(grid64, 2.0 + 0.5 * np.sin(2 * np.pi * x))
+    q = VariableExponent.constant(grid64, 4.0)
+    closed = lq_lp_modular(F, p, q)
+    assert 7e80 < closed < 8e80
+    assert lq_lp_modular(F, p, q, force_general=True) == pytest.approx(closed, rel=4.0 * REL_TOL)
 
 
 def test_ratios_of_a_zero_sequence_are_nan():

@@ -917,7 +917,7 @@ def test_b_scale_q_inf_root_solve_work_count(monkeypatch):
     # where q = inf on a quarter of the grid the outer solve runs over
     # lq_lp_modular on chord slopes and each level infimum takes tangent
     # steps on its own slope.  They take 9 outer evaluations and at most 7
-    # per level solve, whose roots lie near 7e-22, 70 halvings below the
+    # per level solve, whose roots lie near 7e-22, 70 factors of 2 below the
     # start; the budgets allow one more
     grid, J, x, w, system, f = _b_spec_parts()
     p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))

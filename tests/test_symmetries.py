@@ -1,0 +1,132 @@
+"""Torus symmetries as properties (metamorphic tests).
+
+A lattice roll, the reflection x -> -x and, in 2D, the axis swap, applied
+to f, p, q and every weight level at once, leave every norm unchanged.
+Each norm ends somewhere inside its root solve's REL_TOL bracket, so the
+two sides may differ by a few REL_TOL; no property needs more.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vexspaces import Grid, GridFunction, VariableExponent
+from vexspaces.analysis import admissible_system
+from vexspaces.grid import FunctionSequence
+from vexspaces.lebesgue import REL_TOL, norm
+from vexspaces.mixed import lp_lq_norm, lq_lp_norm
+from vexspaces.spaces import SpaceSpec, quasi_norm
+from vexspaces.weights import make_2microlocal
+
+TOL = 4.0 * REL_TOL
+J = 3
+
+
+def _grid(dim):
+    return Grid(1, 64) if dim == 1 else Grid(2, 16)
+
+
+@st.composite
+def symmetries(draw):
+    """(grid, map on sample arrays, seed)."""
+    grid = _grid(draw(st.sampled_from([1, 2])))
+    kinds = ["roll", "reflect"] + (["swap"] if grid.dim == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    axes = tuple(range(grid.dim))
+    if kind == "roll":
+        shift = tuple(draw(st.integers(1, grid.n - 1)) for _ in axes)
+        op = lambda a: np.roll(a, shift, axis=axes)
+    elif kind == "reflect":  # sample i goes to sample -i (mod n)
+        op = lambda a: np.roll(np.flip(a, axis=axes), 1, axis=axes)
+    else:
+        op = lambda a: a.T
+    return grid, op, draw(st.integers(0, 2**16))
+
+
+def _exponent(grid, rng, lo, hi):
+    return VariableExponent(grid, rng.uniform(lo, hi, grid.shape))
+
+
+def _moved(op, x):
+    """x with op applied to its samples: a GridFunction, an exponent, a
+    level sequence or a weight sequence."""
+    if isinstance(x, GridFunction):
+        return GridFunction(x.grid, op(x.samples))
+    if isinstance(x, VariableExponent):
+        return VariableExponent(x.grid, op(x.values))
+    if isinstance(x, FunctionSequence):
+        return FunctionSequence([_moved(op, f) for f in x])
+    return replace(x, levels=tuple(op(w) for w in x.levels))
+
+
+def _close(a, b):
+    assert abs(a - b) <= TOL * max(a, b), (a, b)
+
+
+def _sequence(grid, rng):
+    decay = 2.0 ** -np.arange(J + 1.0)  # level nu has amplitude 2^-nu
+    stack = rng.uniform(-1.0, 1.0, (J + 1, *grid.shape)) * decay.reshape((-1,) + (1,) * grid.dim)
+    return FunctionSequence.from_stack(grid, stack)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=symmetries())
+def test_lebesgue_norm_is_symmetric(case):
+    grid, op, seed = case
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, rng.normal(size=grid.shape))
+    p = _exponent(grid, rng, 1.1, 4.0)
+    _close(norm(f, p), norm(_moved(op, f), _moved(op, p)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=symmetries(), inf_region=st.booleans())
+def test_mixed_norms_are_symmetric(case, inf_region):
+    # lq_lp_norm with variable q, or with q = inf on about a quarter of the
+    # grid (its other route); lp_lq_norm with the same exponents
+    grid, op, seed = case
+    rng = np.random.default_rng(seed)
+    F = _sequence(grid, rng)
+    p = _exponent(grid, rng, 1.2, 3.0)
+    q = _exponent(grid, rng, 1.5, 3.5)
+    if inf_region:
+        q = VariableExponent(grid, np.where(rng.random(grid.shape) < 0.25, np.inf, q.values))
+    moved = [_moved(op, x) for x in (F, p, q)]
+    _close(lq_lp_norm(F, p, q), lq_lp_norm(*moved))
+    _close(lp_lq_norm(F, p, q), lp_lq_norm(*moved))
+
+
+def _spec(scale, grid, p, q):
+    anchor = [[0.3]] if grid.dim == 1 else [[0.3, 0.7]]
+    w = make_2microlocal(grid, J, 0.5, -0.25, anchor)
+    return SpaceSpec(scale, p, q, w, admissible_system(grid, J), J)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=symmetries(), scale=st.sampled_from(["B", "F"]))
+def test_quasi_norm_is_symmetric(case, scale):
+    # the off-centre 2-microlocal weight moves with f; the admissible
+    # system is radial, so it is its own image
+    grid, op, seed = case
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, rng.normal(size=grid.shape))
+    spec = _spec(scale, grid, _exponent(grid, rng, 1.2, 3.0), _exponent(grid, rng, 1.5, 3.5))
+    moved = replace(spec, p=_moved(op, spec.p), q=_moved(op, spec.q), w=_moved(op, spec.w))
+    _close(quasi_norm(f, spec), quasi_norm(_moved(op, f), moved))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    log_amplitude=st.floats(min_value=-300.0, max_value=300.0),
+    seed=st.integers(0, 2**16),
+)
+def test_b_equals_f_when_q_equals_p(dim, log_amplitude, seed):
+    # l_p(L_p) and L_p(l_p) are one space: sum_nu rho_p(f_nu) either way
+    grid = _grid(dim)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, 10.0**log_amplitude * rng.normal(size=grid.shape))
+    p = _exponent(grid, rng, 1.2, 3.0)
+    _close(quasi_norm(f, _spec("B", grid, p, p)), quasi_norm(f, _spec("F", grid, p, p)))
