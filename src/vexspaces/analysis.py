@@ -584,8 +584,8 @@ class MultiplierSymbol:
     """Fourier symbol with exact derivatives, from an expression string.
 
     The text is an expression of vexspaces.expr in xi1 (and xi2 in 2D),
-    validated by parse_symbol.  Values evaluate the AST; derivatives come
-    from its Taylor jets.
+    validated by parse_symbol.  Values and derivatives both come from its
+    Taylor jets: a value is the order-0 coefficient (expr.evaluate).
     """
 
     def __init__(self, text, dim):

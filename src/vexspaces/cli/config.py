@@ -108,7 +108,8 @@ def resolve_config(file_values=None, flag_values=None):
 
 def coordinate_function(text):
     """Wrap an expression in x1 (and x2) as f(*coords) for the
-    recipe-carrying constructors; raise ExprError where it is not finite."""
+    recipe-carrying constructors, its values the order-0 Taylor jet
+    (expr.evaluate); raise ExprError where it is not finite."""
     ast = parse_expression(text)
 
     def fn(*coords):

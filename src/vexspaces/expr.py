@@ -10,16 +10,19 @@ circle distance between the values u and a; dist(u, a, b), available on
 2-d grids, is the distance from the point (u, x2) to (a, b) -- pass x1
 as the first argument for the usual distance to a fixed point.
 
-A frequency symbol (parse_symbol) is an expression in xi1 (and xi2) built
-from the differentiable primitives only.  taylor() differentiates it by
+One interpreter gives values and derivatives: taylor() evaluates by
 forward-mode truncated Taylor arithmetic (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13): every node becomes the array of
-its Taylor coefficients at the evaluation points, up to a total order.
+Derivatives*, 2nd ed., SIAM 2008, ch. 13), where every node becomes the
+array of its Taylor coefficients at the evaluation points, up to a total
+order, and evaluate() is its order-0 coefficient.  min, max and dist have
+values only, so a frequency symbol (parse_symbol), an expression in xi1
+(and xi2), is built from the other, differentiable primitives.
 """
 
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -48,6 +51,7 @@ _TOKEN = re.compile(
 
 _VARIABLES = ("x1", "x2", "xi1", "xi2")
 _ARITY = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "min": 2, "max": 2}
+_VALUES_ONLY = ("min", "max", "dist")  # no derivatives: order 0 only
 
 
 @dataclass(frozen=True)
@@ -183,58 +187,29 @@ def parse_expression(text):
 
 
 def _circle_distance(u, v):
-    d = np.abs(np.asarray(u, dtype=float) - v) % 1.0
+    d = np.abs(u - v) % 1.0
     return np.minimum(d, 1.0 - d)
 
 
-def _eval(node, env):
-    if node.kind == "const":
-        return node.value
-    if node.kind == "var":
-        if node.name not in env:
-            raise ExprError(f"{node.name} is not defined here")
-        return env[node.name]
-    if node.kind == "neg":
-        return -_eval(node.children[0], env)
-    args = [_eval(c, env) for c in node.children]
-    if node.kind == "add":
-        return args[0] + args[1]
-    if node.kind == "sub":
-        return args[0] - args[1]
-    if node.kind == "mul":
-        return args[0] * args[1]
-    if node.kind == "div":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.true_divide(args[0], args[1])
-    if node.kind == "pow":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(args[0], args[1], dtype=float)
-    name = node.name
-    if name == "sin":
-        return np.sin(args[0])
-    if name == "cos":
-        return np.cos(args[0])
-    if name == "exp":
-        return np.exp(args[0])
-    if name == "abs":
-        return np.abs(args[0])
+def _value_only(name, args, points):
+    """min, max or dist of the values args; x2 is the second coordinate of
+    the 3-argument dist."""
     if name == "min":
-        return np.minimum(args[0], args[1])
+        return np.minimum(*args)
     if name == "max":
-        return np.maximum(args[0], args[1])
+        return np.maximum(*args)
+    d = _circle_distance(args[0], args[1])
     if len(args) == 2:
-        return _circle_distance(args[0], args[1])
-    if "x2" not in env:
+        return d
+    if "x2" not in points:
         raise ExprError("3-argument dist needs a 2-d grid")
-    return np.sqrt(
-        _circle_distance(args[0], args[1]) ** 2
-        + _circle_distance(env["x2"], args[2]) ** 2
-    )
+    return np.sqrt(d**2 + _circle_distance(points["x2"], args[2]) ** 2)
 
 
 def evaluate(ast, **variables):
-    """Evaluate an AST with the given variable bindings (scalars or arrays)."""
-    return _eval(ast, variables)
+    """Evaluate an AST with the given variable bindings (scalars or arrays):
+    the order-0 coefficient of its Taylor jet (see taylor)."""
+    return taylor(ast, 0, variables)[(0,) * len(variables)]
 
 
 def parse_symbol(text, dim):
@@ -246,7 +221,7 @@ def parse_symbol(text, dim):
     ast = parse_expression(text)
 
     def walk(node):
-        if node.kind == "call" and node.name in ("min", "max", "dist"):
+        if node.name in _VALUES_ONLY:
             raise ExprError(f"{node.name} is not differentiable; not usable in symbols")
         if node.kind == "var" and not node.name.startswith("xi"):
             raise ExprError(f"symbols use xi1/xi2, not {node.name}")
@@ -278,10 +253,7 @@ def _splits(dim, order):
     """((m, ((p, m - p, |p|), ...)), ...) over the multi-indices m of total
     order <= order in lexicographic order, and the p <= m componentwise with
     p = 0 first.  Every m - p with p != 0 precedes m."""
-    if dim == 1:
-        index = [(k,) for k in range(order + 1)]
-    else:
-        index = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    index = [m for m in product(range(order + 1), repeat=dim) if sum(m) <= order]
     return tuple(
         (m, tuple((p, tuple(a - b for a, b in zip(m, p)), sum(p))
                   for p in index if all(b <= a for a, b in zip(m, p))))
@@ -421,7 +393,7 @@ class _Jets:
 
 
 def taylor(ast, order, variables):
-    """Taylor coefficients of a symbol AST to total order `order`.
+    """Taylor coefficients of an AST to total order `order`.
 
     variables maps each variable name to its points (arrays broadcasting
     against each other, or scalars); multi-index entry i belongs to the
@@ -430,7 +402,9 @@ def taylor(ast, order, variables):
     a coefficient constant over the points is a scalar.  Constant
     subexpressions stay scalars.  Integer powers are repeated products, so
     they stay exact where the base vanishes; a non-constant exponent goes
-    through exp(b log a).
+    through exp(b log a).  At order 0 every power is np.power of the
+    values, and min, max and dist, refused at any higher order, are taken
+    of the values.
     """
     names = tuple(variables)
     points = {n: np.asarray(v, dtype=float) for n, v in variables.items()}
@@ -448,7 +422,7 @@ def taylor(ast, order, variables):
             if order:
                 out[tuple(int(n == node.name) for n in names)] = 1.0
             return out
-        if kind == "call" and node.name in ("min", "max", "dist"):
+        if order and node.name in _VALUES_ONLY:
             raise ExprError(f"{node.name} is not differentiable; not usable in symbols")
         args = [jet(c) for c in node.children]
         if kind == "neg":
@@ -461,10 +435,14 @@ def taylor(ast, order, variables):
             return jets.div(args[0], args[1])
         if kind == "pow":
             base, exponent = args
+            if not order:  # the products and exp(b log a) below round otherwise
+                return {zero: np.power(base[zero], exponent[zero], dtype=float)}
             r = exponent.get(zero, 0.0)
             if exponent.keys() <= {zero} and not isinstance(r, np.ndarray):
                 return jets.power(base, r)
             return jets.exp(jets.mul(exponent, jets.log(base)))
+        if node.name in _VALUES_ONLY:
+            return {zero: _value_only(node.name, [a[zero] for a in args], points)}
         if node.name == "exp":
             return jets.exp(args[0])
         if node.name == "abs":

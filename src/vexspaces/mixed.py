@@ -11,17 +11,18 @@ Two scales act on a finite sequence (f_0, ..., f_J):
   lambda-independent and the infimum degenerates to 0 or inf, handled by an
   explicit case split.
 
-The norm takes one of three routes.  For constant finite q the modular of
+The norm takes one of four routes.  For constant finite q the modular of
 F/mu is mu^-q times that of F, so one modular evaluation closes the norm:
-||F|| = peak * m^(1/q) with m the modular of F/peak.  For variable finite q
-each outer step solves the J+1 level infima as lanes of one luxemburg_root
-over the stacked levels, every lane warm-started from the nearest mu
-already solved: with c = mu'/mu > 1, lam_nu(mu') lies in
+||F|| = peak * m^(1/q) with m the modular of F/peak.  For constant
+q = inf it is the largest level norm.  For variable finite q each outer
+step solves the J+1 level infima as lanes of one luxemburg_root over the
+stacked levels, every lane warm-started from the nearest mu already
+solved: with c = mu'/mu > 1, lam_nu(mu') lies in
 [c^-q^+ lam_nu(mu), c^-q^- lam_nu(mu)] by monotonicity and homogeneity.
 The same lane pass gives the slope of each level infimum in mu, and of
 each lane's modular in its lam, for the tangent (Newton) steps of
-luxemburg_root.  Where q = inf somewhere the outer solve runs over
-lq_lp_modular, whose level infima give their slopes too; the outer
+luxemburg_root.  Where q = inf on part of the grid the outer solve runs
+over lq_lp_modular, whose level infima give their slopes too; the outer
 modular gives none, so its steps take the chord slope.  A level infimum
 below the double range adds 0 to the modular and one above it makes the
 modular inf; a norm outside the range raises BracketError.
@@ -131,29 +132,8 @@ def _level_infimum(abs_samples, p, q, cell_volume):
     return luxemburg_root(value, 2.0, 1.0)
 
 
-def lq_lp_modular(F, p, q, force_general=False):
-    """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
-
-    With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
-    and that closed route is taken; where |f_nu|^q overflows, that level,
-    and so the modular, is inf; a level whose infimum is below the double
-    range adds 0.  force_general keeps the raw root solve on the defining
-    infimum (used to cross-check the identity).
-    """
-    _check_seq(F, p, q)
-    if q.p_plus < np.inf and not force_general:
-        pq = p.divided_pointwise(q)
-        total = 0.0
-        for f in F:
-            with np.errstate(over="ignore"):
-                aq = np.abs(f.samples) ** q.values
-            if np.isinf(aq).any():
-                return np.inf
-            try:
-                total += lebesgue_norm(GridFunction(F.grid, aq), pq)
-            except BracketError:
-                pass  # a level below the double range adds 0 to the sum
-        return total
+def _infimum_modular(F, p, q):
+    """Modular of F in l_{q(.)}(L_{p(.)}) from the defining level infima."""
     cell = F.grid.cell_volume
     total = 0.0
     for f in F:
@@ -162,6 +142,36 @@ def lq_lp_modular(F, p, q, force_general=False):
             return np.inf
         total += level
     return total
+
+
+def lq_lp_modular(F, p, q):
+    """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
+
+    With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
+    and that closed route is taken; where |f_nu|^q overflows, that level,
+    and so the modular, is inf; a level whose infimum is below the double
+    range adds 0.  Otherwise the defining infima are solved.
+    """
+    _check_seq(F, p, q)
+    if q.p_plus < np.inf:
+        pq = p.divided_pointwise(q)
+        total = 0.0
+        for f in F:
+            with np.errstate(over="ignore"):
+                aq = np.abs(f.samples) ** q.values
+            if np.isinf(aq).any():
+                return np.inf
+            total += _norm_or_zero(GridFunction(F.grid, aq), pq)
+        return total
+    return _infimum_modular(F, p, q)
+
+
+def _norm_or_zero(f, p):
+    """lebesgue.norm(f, p), or 0 where it is below the double range."""
+    try:
+        return lebesgue_norm(f, p)
+    except BracketError:
+        return 0.0
 
 
 def _level_lanes(F, p, q):
@@ -267,22 +277,27 @@ def _level_lanes(F, p, q):
 def lq_lp_norm(F, p, q):
     """Norm of F in l_{q(.)}(L_{p(.)}): outer Luxemburg on the modular.
 
-    Constant finite q needs no outer solve: the modular of F/mu is
+    Constant q needs no outer solve.  For finite q the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
     modular of F/peak over (1 - REL_TOL), the margin _level_lanes takes:
-    each level of F/mu lands anywhere in its own REL_TOL bracket.
-    Variable finite q solves the outer root over _level_lanes, which gives
-    each modular with its slope, so the outer solve takes tangent (Newton)
-    steps on log modular over log mu; q = inf somewhere keeps
-    lq_lp_modular and its _level_infimum, with chord slopes outside.  The
-    outer root walks from mu = peak until it brackets the root.  Either
-    route raises BracketError when the norm is outside the double range.
+    each level of F/mu lands anywhere in its own REL_TOL bracket.  For
+    q = inf the modular of F/mu is 0 where mu is at least every level
+    norm and inf elsewhere, so the norm is the largest level norm (a level
+    below the double range counts as 0).  Variable finite q solves the
+    outer root over _level_lanes, which gives each modular with its slope,
+    so the outer solve takes tangent (Newton) steps on log modular over
+    log mu; q = inf on part of the grid keeps lq_lp_modular and its
+    _level_infimum, with chord slopes outside.  The outer root walks from
+    mu = peak until it brackets the root.  Every route raises BracketError
+    when the norm is outside the double range.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
     if peak == 0.0:
         return 0.0
-    if q.p_plus < np.inf and q.is_constant():
+    if q.is_constant() and q.p_plus == np.inf:
+        mu = max(_norm_or_zero(f, p) for f in F)
+    elif q.is_constant():
         m = lq_lp_modular(F.scaled(1.0 / peak), p, q)
         with np.errstate(over="ignore"):
             mu = peak * np.float64(m / (1.0 - REL_TOL)) ** (1.0 / q.p_plus)
@@ -293,7 +308,7 @@ def lq_lp_norm(F, p, q):
             modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
         mu = luxemburg_root(modular, 2.0 * peak, peak)
     if not np.isfinite(mu):
-        raise BracketError("failed to bracket the mixed norm from above")
+        raise BracketError("norm above the double range")
     if mu == 0.0:
         raise BracketError("norm below the double range")
     return float(mu)

@@ -380,7 +380,7 @@ def test_bracket_failure_is_an_error_not_a_crash(capsys):
     # at q = 0.001 the B-scale modular of f/mu decays like mu^-0.001, so the
     # norm, peak times the modular of f/peak to the power 1000, overflows
     assert main(["lift-check", "--q", "0.001", "--corpus-size", "2"]) == 2
-    assert "error: failed to bracket" in capsys.readouterr().err
+    assert "error: norm above the double range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", [KeyError, ZeroDivisionError, ValueError])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from vexspaces import Grid
 from vexspaces.analysis import MultiplierSymbol
 from vexspaces.cli.config import coordinate_function
-from vexspaces.expr import ExprError, evaluate, parse_expression
+from vexspaces.expr import ExprError, evaluate, parse_expression, parse_symbol, taylor
 
 
 def ev(text, **env):
@@ -93,6 +93,7 @@ def test_functions():
     assert ev("max(2, 3)") == 3.0
     assert ev("exp(0)") == 1.0
     assert ev("cos(0)") == 1.0
+    assert ev("dist(0.9, 0.1)") == pytest.approx(0.2)
 
 
 def test_unknown_variable_at_evaluation(grid64):
@@ -128,3 +129,42 @@ def test_multiplier_symbol_validates_text():
     with pytest.raises(ExprError, match="1-d"):
         MultiplierSymbol("xi2", dim=1)
     assert MultiplierSymbol("xi1 * xi2", dim=2).text == "xi1 * xi2"
+
+
+# ------------------------------------------------- values: the order-0 rules
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_power_with_array_exponents_takes_numpy_power():
+    # exp(b log a), the route of a non-constant exponent at order >= 1, is
+    # NaN at all three points
+    a, b = np.array([0.0, -2.0, -2.0]), np.array([0.0, 3.0, 2.0])
+    assert np.array_equal(ev("x1^x2", x1=a, x2=b), [1.0, -8.0, 4.0])
+    with np.errstate(all="ignore"):
+        assert np.isnan(np.exp(b * np.log(a))).all()
+
+
+def test_constant_powers_keep_numpy_bits():
+    # the jets' repeated products x (x x) differ from np.power in the last
+    # place at 1068 of these points, and exp(x log 2) from 2^x at 11 of 101
+    x = np.linspace(0.01, 3.0, 4001)
+    assert _same_bits(ev("x1^3", x1=x), np.power(x, 3.0))
+    assert np.any(x * (x * x) != np.power(x, 3.0))
+    x = np.linspace(-1.0, 1.0, 101)
+    assert _same_bits(ev("2^x1", x1=x), np.power(2.0, x))
+    assert np.any(np.exp(x * np.log(2.0)) != np.power(2.0, x))
+
+
+@pytest.mark.parametrize("text", ["min(xi1, 1)", "max(xi1, 1)", "dist(xi1, 0.5)"])
+def test_value_only_functions_have_no_derivatives(text):
+    xi = np.linspace(-2.0, 2.0, 9)
+    with pytest.raises(ExprError, match="not differentiable"):
+        parse_symbol(text, 1)
+    ast = parse_expression(text)
+    assert np.all(np.isfinite(evaluate(ast, xi1=xi)))
+    for order in (1, 2):
+        with pytest.raises(ExprError, match="not differentiable"):
+            taylor(ast, order, {"xi1": xi})

@@ -18,6 +18,7 @@ from vexspaces.analysis import admissible_system
 from vexspaces.lebesgue import REL_TOL, luxemburg_root
 from vexspaces.mixed import (
     BracketError,
+    _infimum_modular,
     _scaled_hurwitz_zeta,
     convolution_inequality_report,
     eta_integrability_probe,
@@ -175,7 +176,7 @@ def test_inner_infimum_dual_route(grid64):
     F = random_sequence(grid64, rng, levels=3)
     p, q = varying_p(grid64), varying_q(grid64)
     fast = lq_lp_modular(F, p, q)
-    general = lq_lp_modular(F, p, q, force_general=True)
+    general = _infimum_modular(F, p, q)
     assert general == pytest.approx(fast, rel=1e-8)
 
 
@@ -397,7 +398,7 @@ def test_lq_lp_norm_bracket_failure_raises():
     tiny = VariableExponent.constant(g, 0.001)
     # the modular of F/mu is 8 mu^-0.001, still 3.9 at the largest double:
     # the norm, 8^1000, is above the double range
-    with pytest.raises(ArithmeticError, match="bracket"):
+    with pytest.raises(ArithmeticError, match="above the double range"):
         lq_lp_norm(F, two, tiny)
 
 
@@ -430,7 +431,7 @@ def test_modular_overflow_is_inf_on_both_routes():
     F = FunctionSequence([GridFunction(g, np.full(g.shape, 1e200))])
     two = VariableExponent.constant(g, 2.0)
     assert lq_lp_modular(F, two, two) == np.inf
-    assert lq_lp_modular(F, two, two, force_general=True) == np.inf
+    assert _infimum_modular(F, two, two) == np.inf
 
 
 def test_general_route_reaches_a_far_level_infimum(grid64):
@@ -443,7 +444,7 @@ def test_general_route_reaches_a_far_level_infimum(grid64):
     q = VariableExponent.constant(grid64, 4.0)
     closed = lq_lp_modular(F, p, q)
     assert 7e80 < closed < 8e80
-    assert lq_lp_modular(F, p, q, force_general=True) == pytest.approx(closed, rel=4.0 * REL_TOL)
+    assert _infimum_modular(F, p, q) == pytest.approx(closed, rel=4.0 * REL_TOL)
 
 
 def test_ratios_of_a_zero_sequence_are_nan():
@@ -536,11 +537,11 @@ def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, i
     # l_q1(L_p) norm is at most the l_q0(L_p) norm.  Both q are variable, so
     # both norms take the lane route with tangent steps; that route must
     # also agree with the outer root solve over the defining infimum
-    # (lq_lp_modular with force_general, chord steps).  p may have a
-    # p = inf region, whose levels are ess-sups.  Each computed norm lies
-    # within k REL_TOL above its root, k = 2 + 4/q^- as in the contract
-    # test above, so that is the slack of both comparisons (the two routes
-    # differed by up to 10 REL_TOL at q^- = 0.1 before tangent steps too).
+    # (_infimum_modular, chord steps).  p may have a p = inf region, whose
+    # levels are ess-sups.  Each computed norm lies within k REL_TOL above
+    # its root, k = 2 + 4/q^- as in the contract test above, so that is the
+    # slack of both comparisons (the two routes differed by up to 10 REL_TOL
+    # at q^- = 0.1 before tangent steps too).
     g = Grid(1, 64) if dim == 1 else Grid(2, 16)
     rng = np.random.default_rng(seed)
     shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
@@ -556,7 +557,7 @@ def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, i
 
     peak = max(f.max_abs() for f in F)
     general = luxemburg_root(
-        lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q1, force_general=True), 2.0 * peak, peak
+        lambda mu: _infimum_modular(F.scaled(1.0 / mu), p, q1), 2.0 * peak, peak
     )
     assert lam1 == pytest.approx(general, rel=(2.0 + 4.0 / q1.p_minus) * REL_TOL)
 

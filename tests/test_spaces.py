@@ -913,6 +913,31 @@ def test_constant_q_b_norm_is_one_modular_call(monkeypatch):
     assert calls == {"modular": 1, "norm": J + 1}
 
 
+def test_constant_q_inf_b_norm_is_the_largest_level_norm(monkeypatch):
+    # at constant q = inf the modular of F/mu is 0 or inf, so no outer root
+    # solve can step on it: the norm is the largest level norm, one
+    # lebesgue.norm per level, as iterated_constant_q_norm computes it
+    grid, J, x, w, system, f = _b_spec_parts()
+    p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
+    spec = SpaceSpec("B", p, VariableExponent.constant(grid, np.inf), w, system, J)
+    calls = {"norm": 0}
+    real_norm = mixed.lebesgue_norm
+
+    def norm(*args, **kwargs):
+        calls["norm"] += 1
+        return real_norm(*args, **kwargs)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("constant q = inf ran a mixed-norm root solve")
+
+    monkeypatch.setattr(mixed, "lebesgue_norm", norm)
+    monkeypatch.setattr(mixed, "luxemburg_root", no_root)
+    got = quasi_norm(f, spec)
+    assert calls == {"norm": J + 1}
+    monkeypatch.undo()
+    assert got == mixed.iterated_constant_q_norm(weighted_blocks(f, spec), p, np.inf)
+
+
 def test_b_scale_q_inf_root_solve_work_count(monkeypatch):
     # where q = inf on a quarter of the grid the outer solve runs over
     # lq_lp_modular on chord slopes and each level infimum takes tangent

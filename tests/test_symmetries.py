@@ -13,11 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vexspaces import Grid, GridFunction, VariableExponent
-from vexspaces.analysis import admissible_system
+from vexspaces.analysis import admissible_system, peetre_maximal
 from vexspaces.grid import FunctionSequence
 from vexspaces.lebesgue import REL_TOL, norm
 from vexspaces.mixed import lp_lq_norm, lq_lp_norm
-from vexspaces.spaces import SpaceSpec, quasi_norm
+from vexspaces.spaces import (
+    SpaceSpec,
+    maximal_threshold,
+    quasi_norm,
+    quasi_norm_local_means,
+    quasi_norm_maximal,
+)
 from vexspaces.weights import make_2microlocal
 
 TOL = 4.0 * REL_TOL
@@ -104,17 +110,46 @@ def _spec(scale, grid, p, q):
     return SpaceSpec(scale, p, q, w, admissible_system(grid, J), J)
 
 
-@settings(max_examples=15, deadline=None)
-@given(case=symmetries(), scale=st.sampled_from(["B", "F"]))
-def test_quasi_norm_is_symmetric(case, scale):
-    # the off-centre 2-microlocal weight moves with f; the admissible
-    # system is radial, so it is its own image
+def _moved_case(case, scale):
+    """(f, spec) and their images under the case's symmetry."""
     grid, op, seed = case
     rng = np.random.default_rng(seed)
     f = GridFunction(grid, rng.normal(size=grid.shape))
     spec = _spec(scale, grid, _exponent(grid, rng, 1.2, 3.0), _exponent(grid, rng, 1.5, 3.5))
     moved = replace(spec, p=_moved(op, spec.p), q=_moved(op, spec.q), w=_moved(op, spec.w))
-    _close(quasi_norm(f, spec), quasi_norm(_moved(op, f), moved))
+    return f, spec, _moved(op, f), moved
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=symmetries(), scale=st.sampled_from(["B", "F"]))
+def test_quasi_norm_is_symmetric(case, scale):
+    # the off-centre 2-microlocal weight moves with f; the admissible
+    # system is radial, so it is its own image
+    f, spec, moved_f, moved = _moved_case(case, scale)
+    _close(quasi_norm(f, spec), quasi_norm(moved_f, moved))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=symmetries(), scale=st.sampled_from(["B", "F"]))
+def test_maximal_and_local_means_routes_are_symmetric(case, scale):
+    # a is fixed by the unmoved spec; the bump kernels of the local means
+    # are radial, so they are their own images too
+    f, spec, moved_f, moved = _moved_case(case, scale)
+    a = maximal_threshold(spec) + 1.0
+    for x, y in zip(quasi_norm_maximal(f, spec, a), quasi_norm_maximal(moved_f, moved, a)):
+        _close(x, y)
+    _close(quasi_norm_local_means(f, spec), quasi_norm_local_means(moved_f, moved))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=symmetries(), a=st.floats(min_value=0.5, max_value=8.0))
+def test_peetre_maximal_is_equivariant(case, a):
+    # every shift class has one weight, so moving the levels moves their
+    # maximal functions bit for bit
+    grid, op, seed = case
+    F = _sequence(grid, np.random.default_rng(seed))
+    moved = peetre_maximal(_moved(op, F), a)
+    assert np.array_equal(moved.stack(), _moved(op, peetre_maximal(F, a)).stack())
 
 
 @settings(max_examples=15, deadline=None)
