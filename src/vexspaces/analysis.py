@@ -158,7 +158,7 @@ def admissible_system(grid, J, profile="plateau"):
     ball, band = _PROFILES[profile]
     r = grid.xi_norm
     masks = [ball(r)] + [band(2.0 ** (-j) * r) for j in range(1, J + 1)]
-    c = _admissible_lower_bound(grid, masks)
+    c = _floor(grid, masks, _ADMISSIBLE_REGIONS[0])
     return AnalysisSystem(
         "admissible_pair",
         grid,
@@ -166,19 +166,6 @@ def admissible_system(grid, J, profile="plateau"):
         metadata={"profile": profile, "J": J, "c_lower": c},
         recipe=lambda g: admissible_system(g, J, profile),
     )
-
-
-def _admissible_lower_bound(grid, masks):
-    r = grid.xi_norm
-    c = np.inf
-    for j, m in enumerate(masks):
-        if j == 0:
-            region = r <= 5.0 / 3.0
-        else:
-            region = (r >= 0.6 * 2.0**j) & (r <= (5.0 / 3.0) * 2.0**j)
-        if region.any():
-            c = min(c, float(np.min(np.abs(m[region]))))
-    return c
 
 
 def general_system(grid, J, epsilon, k_factor):
@@ -280,19 +267,10 @@ class SystemAuditReport:
 
 
 def audit_system(sys):
-    r = sys.grid.xi_norm
     kind = sys.kind
-    violations = 0
     residual = 0.0
     if kind == "admissible_pair":
-        for j, m in enumerate(sys.masks):
-            if j == 0:
-                outside = r > 2.0
-            else:
-                outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1))
-            violations += int(np.count_nonzero(m[outside]))
-        c_lower = _admissible_lower_bound(sys.grid, sys.masks)
-        passes = violations == 0 and c_lower > 0.0
+        passes, c_lower, violations = _pair_conditions(sys, *_ADMISSIBLE_REGIONS)
     elif kind == "general_pair":
         passes, c_lower, violations = general_conditions_report(
             sys, sys.metadata["epsilon"], sys.metadata["k_factor"]
@@ -300,16 +278,13 @@ def audit_system(sys):
     elif kind == "theta_partition":
         total = np.sum(np.stack(sys.masks), axis=0)
         residual = float(np.max(np.abs(total - 1.0)))
-        c_lower = 0.0
+        c_lower, violations = 0.0, 0
         passes = residual <= 1e-10
     elif kind == "lambda_cover":
-        for j, m in enumerate(sys.masks):
-            s = 2.0**j
-            plateau = (r >= 0.5 * s) & (r <= 2.0 * s)
-            outside = (r < 0.25 * s) | (r > 4.0 * s)
-            if plateau.any():
-                residual = max(residual, float(np.max(np.abs(m[plateau] - 1.0))))
-            violations += int(np.count_nonzero(m[outside]))
+        plateau = _annuli(sys.grid, len(sys.masks), (0.5, 2.0), ball=False)
+        defects = [float(np.max(np.abs(m[a] - 1.0))) for m, a in zip(sys.masks, plateau) if a.any()]
+        residual = max([0.0] + defects)
+        violations = _leaks(sys.grid, sys.masks, (0.25, 4.0), ball=False)
         c_lower = 1.0 - residual
         passes = violations == 0 and residual <= 1e-12
     else:
@@ -331,25 +306,49 @@ def general_conditions_report(sys, epsilon, k_factor):
     Used to confirm that admissible pairs qualify with epsilon = 6/5,
     k = 25/18.  Returns (passes, c_lower, gap_violations).
     """
-    r = sys.grid.xi_norm
-    ke = k_factor * epsilon
-    c_lower = np.inf
-    gap_violations = 0
-    for j, m in enumerate(sys.masks):
-        am = np.abs(m)
-        if j == 0:
-            region = r <= ke
-            gap = np.zeros(r.shape, dtype=bool)
-        else:
-            s = 2.0**j
-            region = (r >= 0.5 * epsilon * s) & (r <= ke * s)
-            gap = r < 0.25 * epsilon * s
-        gap_violations += int(np.count_nonzero(am[gap]))
-        if region.any():
-            c_lower = min(c_lower, float(am[region].min()))
-    if not np.isfinite(c_lower):
-        c_lower = 0.0
-    return bool(gap_violations == 0 and c_lower > 0.0), c_lower, gap_violations
+    return _pair_conditions(sys, (0.5 * epsilon, k_factor * epsilon), (0.25 * epsilon, np.inf))
+
+
+# ------------------------------------------------------- defining regions
+#
+# Every condition on a system is stated on closed dyadic annuli
+# {lo 2^j <= |xi| <= hi 2^j}, one per level, given by bounds = (lo, hi); a
+# pair's level-0 region is the ball {|xi| <= hi}.  Two reducers read them:
+# the smallest |m_j| on the required regions (_floor) and the number of
+# nonzero entries off the support (_leaks).
+
+# (required, support) bounds of an admissible pair
+_ADMISSIBLE_REGIONS = ((0.6, 5.0 / 3.0), (0.5, 2.0))
+
+
+def _annuli(grid, levels, bounds, ball=True):
+    """The regions of levels 0..levels-1 as boolean masks on the frequency set."""
+    lo, hi = bounds
+    r = grid.xi_norm
+    return [
+        (r >= (0.0 if ball and j == 0 else lo * 2.0**j)) & (r <= hi * 2.0**j)
+        for j in range(levels)
+    ]
+
+
+def _floor(grid, masks, bounds, ball=True):
+    """Smallest |m_j| on the regions; 0 when none holds a frequency."""
+    regions = _annuli(grid, len(masks), bounds, ball)
+    c = min([np.inf] + [float(np.min(np.abs(m[a]))) for m, a in zip(masks, regions) if a.any()])
+    return c if np.isfinite(c) else 0.0
+
+
+def _leaks(grid, masks, bounds, ball=True):
+    """Number of nonzero mask entries off the regions."""
+    regions = _annuli(grid, len(masks), bounds, ball)
+    return sum(int(np.count_nonzero(m[~a])) for m, a in zip(masks, regions))
+
+
+def _pair_conditions(sys, required, support):
+    """(passes, c_lower, support violations) of a pair with these regions."""
+    c_lower = _floor(sys.grid, sys.masks, required)
+    violations = _leaks(sys.grid, sys.masks, support)
+    return bool(violations == 0 and c_lower > 0.0), c_lower, violations
 
 
 # ------------------------------------------------------- transform operators

@@ -99,8 +99,8 @@ def resolve_config(file_values=None, flag_values=None):
         raise ConfigError("scale must be B or F")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.corpus_size < 1:
-        raise ConfigError("corpus_size must be >= 1")
+    if not 1 <= cfg.corpus_size <= 50:  # spaces.standard_corpus has 50 members
+        raise ConfigError("corpus_size must be between 1 and 50, the standard corpus size")
     if not math.isfinite(cfg.sigma):
         raise ConfigError("sigma must be finite")
     return cfg

@@ -50,7 +50,7 @@ from .grid import (
 from .expr import InputError
 from .lebesgue import norm as lebesgue_norm
 from .mixed import lp_lq_norm, lq_lp_norm
-from .weights import make_generalized
+from .weights import _level_growth, make_generalized
 
 __all__ = [
     "DRIFT_LIMIT",
@@ -234,14 +234,6 @@ def quasi_norm_maximal(f, spec, a):
     return plain, maximal
 
 
-def _measured_alpha2(w, J):
-    """log2 of the largest level-to-level weight ratio up to level J."""
-    return max(
-        (float(np.log2(np.max(w.levels[j + 1] / w.levels[j]))) for j in range(J)),
-        default=0.0,
-    )
-
-
 def quasi_norm_local_means(f, spec, laplacian_order=1):
     """Local-means counterpart: head L_p term plus the j >= 1 mixed norm.
 
@@ -250,7 +242,7 @@ def quasi_norm_local_means(f, spec, laplacian_order=1):
     Both kernels are the default bumps of analysis.local_means.
     Requires 2*laplacian_order > measured alpha2 of the weight levels.
     """
-    alpha2 = _measured_alpha2(spec.w, spec.J)
+    alpha2 = _level_growth(spec.w, spec.J)[2]
     if not 2.0 * laplacian_order > alpha2:
         raise ValueError(
             f"need 2*laplacian_order > measured alpha2 = {alpha2}, "

@@ -11,6 +11,10 @@ Condition (i) is a shift scan: the worst ratio max_x w_j(x) / w_j(x - s) for
 every nonzero lattice shift s, at every grid size (Grid.shift_maxima, in
 Grid.shift_vectors order, so a witness is the first worst (j, s) in that
 order).
+Condition (ii) is one reduction over the level ratios w_{j+1} / w_j,
+stacked as a (J, points) array (_level_growth), whose witness is the first
+worst cell over all levels; the local-means route of spaces reads its
+alpha2 from the same helper.
 Comparisons run on the ratio scale so integer level-shifts (which
 rescale every ratio by an exact power of two) reproduce the unshifted
 comparisons bit for bit.
@@ -118,7 +122,7 @@ class AdmissibilityReport:
     measured_alpha2: float
     measured_c: float
     witness_spatial: tuple  # (j, shift, ratio) of the worst condition-(i) pair
-    witness_levels: tuple  # (j, flat_index, ratio) of the worst condition-(ii) cell
+    witness_levels: tuple  # (j, flat_index, ratio) of the worst condition-(ii) cell, all levels
 
 
 def _scalar_powers(bases, alpha):
@@ -128,6 +132,17 @@ def _scalar_powers(bases, alpha):
     scalar powers give the constants a per-shift loop gives.
     """
     return np.array([b**alpha for b in bases.tolist()])
+
+
+def _level_growth(w, J):
+    """Condition (ii) up to level J: the ratios w_{j+1} / w_j for j < J,
+    stacked as one (J, points) array, and log2 of their smallest and
+    largest (both 0 when J = 0)."""
+    levels = np.reshape(w.levels[: J + 1], (J + 1, -1))
+    ratios = levels[1:] / levels[:-1]
+    if J == 0:
+        return ratios, 0.0, 0.0
+    return ratios, float(np.log2(ratios.min())), float(np.log2(ratios.max()))
 
 
 def verify_admissible(w):
@@ -140,26 +155,16 @@ def verify_admissible(w):
     grid = w.grid
 
     # condition (ii): level-to-level growth, compared on the ratio scale
-    ratio_min, ratio_max = np.inf, -np.inf
-    wit_levels = (0, 0, 1.0)
+    ratios, alpha1, alpha2 = _level_growth(w, w.J)
     lo_bound = 2.0**w.declared_alpha1
     hi_bound = 2.0**w.declared_alpha2
-    ok_levels = True
-    for j in range(w.J):
-        r = w.levels[j + 1] / w.levels[j]
-        jmin, jmax = float(r.min()), float(r.max())
-        if jmin < ratio_min:
-            ratio_min = jmin
-        if jmax > ratio_max:
-            ratio_max = jmax
-        bad_lo = r < lo_bound * (1.0 - _REL_SLACK)
-        bad_hi = r > hi_bound * (1.0 + _REL_SLACK)
-        if np.any(bad_lo) or np.any(bad_hi):
-            ok_levels = False
-            idx = int(np.argmax(np.abs(np.log(r / np.clip(r, lo_bound, hi_bound)))))
-            wit_levels = (j, idx, float(r.flat[idx]))
-    if w.J == 0:
-        ratio_min = ratio_max = 1.0
+    bad = (ratios < lo_bound * (1.0 - _REL_SLACK)) | (ratios > hi_bound * (1.0 + _REL_SLACK))
+    ok_levels = not bad.any()
+    wit_levels = (0, 0, 1.0)
+    if not ok_levels:
+        excess = np.abs(np.log(ratios / np.clip(ratios, lo_bound, hi_bound)))
+        j, idx = np.unravel_index(np.argmax(excess), ratios.shape)  # the first worst cell
+        wit_levels = (int(j), int(idx), float(ratios[j, idx]))
 
     # condition (i): spatial comparability at declared alpha
     measured_c = 1.0
@@ -184,8 +189,8 @@ def verify_admissible(w):
     return AdmissibilityReport(
         passes=passes,
         measured_alpha=measured_alpha,
-        measured_alpha1=float(np.log2(ratio_min)),
-        measured_alpha2=float(np.log2(ratio_max)),
+        measured_alpha1=alpha1,
+        measured_alpha2=alpha2,
         measured_c=measured_c,
         witness_spatial=wit_spatial,
         witness_levels=wit_levels,
@@ -227,7 +232,8 @@ def make_2microlocal(grid, J, s, s_prime, anchor_points):
 
 
 def make_variable_smoothness(grid, J, s):
-    """Weights w_j = 2^(j s(x)) for a real function s on the grid.
+    """Weights w_j = 2^(j s(x)) for a real function s of the coordinate
+    arrays, which the recipe keeps.
 
     Declared class: alpha = c_log(s) estimated on the grid, alpha1 = min s,
     alpha2 = max s, and c measured as the exact smallest constant for that
@@ -237,13 +243,7 @@ def make_variable_smoothness(grid, J, s):
     of s, and since 2^(j .) is monotone, the worst level-j ratio
     max_x w_j(x) / w_j(x - h) is 2^(j D(h)).
     """
-    if callable(s):
-        fn = s
-        s_vals = fn(*grid.coords)
-        recipe = lambda g, JJ: make_variable_smoothness(g, JJ, fn)
-    else:
-        s_vals = np.asarray(s, dtype=float)
-        recipe = None
+    s_vals = s(*grid.coords)
     if s_vals.shape != grid.shape:
         raise ValueError("smoothness values must match the grid")
     D = grid.signed_shift_maxima(s_vals)
@@ -261,7 +261,7 @@ def make_variable_smoothness(grid, J, s):
         declared_alpha1=float(s_vals.min()),
         declared_alpha2=float(s_vals.max()),
         declared_c=c * (1.0 + _REL_SLACK),
-        recipe=recipe,
+        recipe=lambda g, JJ: make_variable_smoothness(g, JJ, s),
     )
 
 
@@ -291,19 +291,14 @@ def make_generalized(grid, J, sigma):
 
 
 def make_weighted(grid, J, rho, s, beta, c=None):
-    """Weights w_j = 2^(j s) rho(x) for an admissible weight function rho.
+    """Weights w_j = 2^(j s) rho(x) for an admissible weight function rho
+    of the coordinate arrays, which the recipe keeps.
 
     rho must satisfy rho(x) <= C rho(y) (1 + d(x,y)^2)^(beta/2) on the grid;
     C is measured when not supplied, verified (with a witnessing pair in the
     error) when supplied.  Declared class: (beta, s, s).
     """
-    if callable(rho):
-        fn = rho
-        rho_vals = fn(*grid.coords)
-        recipe = lambda g, JJ: make_weighted(g, JJ, fn, s, beta, c=c)
-    else:
-        rho_vals = np.asarray(rho, dtype=float)
-        recipe = None
+    rho_vals = rho(*grid.coords)
     if rho_vals.shape != grid.shape:
         raise ValueError("rho values must match the grid")
     if np.any(rho_vals <= 0) or not np.all(np.isfinite(rho_vals)):
@@ -330,5 +325,5 @@ def make_weighted(grid, J, rho, s, beta, c=None):
         declared_alpha1=float(s),
         declared_alpha2=float(s),
         declared_c=float(c if c is not None else measured * (1.0 + _REL_SLACK)),
-        recipe=recipe,
+        recipe=lambda g, JJ: make_weighted(g, JJ, rho, s, beta, c=c),
     )

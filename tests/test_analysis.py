@@ -122,6 +122,30 @@ def test_audit_flags_broken_system(grid64):
     assert not rep.passes and rep.support_violations > 0
 
 
+@pytest.mark.parametrize(
+    "make, required, support",
+    [
+        (lambda g: admissible_system(g, 6), (0.6, 5.0 / 3.0), (0.5, 2.0)),
+        (lambda g: general_system(g, 5, 1.2, 25.0 / 18.0), (0.6, 1.2 * 25.0 / 18.0), (0.3, np.inf)),
+        (lambda g: dyadic_cover_system(g, 6), (0.5, 2.0), (0.25, 4.0)),
+    ],
+)
+def test_audit_reads_the_level_annuli(grid256, make, required, support):
+    # level j's conditions live on {lo 2^j <= |xi| <= hi 2^j}: one entry off
+    # the support is one violation, one entry of 0.25 on the required
+    # annulus is the smallest bound (the other entries there are exactly 1)
+    sys = make(grid256)
+    r, scale = grid256.xi_norm, 2.0**3
+    masks = [np.array(m) for m in sys.masks]
+    off = (r < support[0] * scale) | (r > support[1] * scale)
+    on = (r >= required[0] * scale) & (r <= required[1] * scale)
+    masks[3].flat[np.flatnonzero(off)[0]] = 1e-3
+    masks[3].flat[np.flatnonzero(on)[0]] = 0.25
+    rep = audit_system(AnalysisSystem(sys.kind, grid256, masks, sys.metadata))
+    assert not rep.passes and rep.support_violations == 1
+    assert rep.c_lower == 0.25
+
+
 def test_system_refine_recipe(grid64):
     sys = admissible_system(grid64, 5, "hann")
     fine = sys.refine(Grid(1, 128))

@@ -127,6 +127,15 @@ def test_config_errors(tmp_path):
         resolve_config({}, {"sigma": "nan"})
 
 
+def test_corpus_size_above_the_standard_corpus_is_refused(capsys):
+    # the standard corpus has 50 members; a larger size was cut to 50
+    assert resolve_config({}, {"corpus_size": "50"}).corpus_size == 50
+    with pytest.raises(ConfigError, match="between 1 and 50"):
+        resolve_config({}, {"corpus_size": "51"})
+    assert main(["lift-check", "--corpus-size", "60"]) == 2
+    assert "between 1 and 50" in capsys.readouterr().err
+
+
 def test_input_errors_share_one_base_class(tmp_path, capsys):
     # the CLI maps InputError, not every ValueError, to exit 2
     for error in (ConfigError, ExprError, SignalError):

@@ -3,7 +3,9 @@
 A lattice roll, the reflection x -> -x and, in 2D, the axis swap, applied
 to f, p, q and every weight level at once, leave every norm unchanged.
 Each norm ends somewhere inside its root solve's REL_TOL bracket, so the
-two sides may differ by a few REL_TOL; no property needs more.
+two sides may differ by a few REL_TOL; no property needs more.  The exact
+maps (the shift scans, the Peetre maximal functions and the measured
+admissibility constants) move or stay bit for bit.
 """
 
 from dataclasses import replace
@@ -24,7 +26,7 @@ from vexspaces.spaces import (
     quasi_norm_local_means,
     quasi_norm_maximal,
 )
-from vexspaces.weights import make_2microlocal
+from vexspaces.weights import WeightSequence, make_2microlocal, verify_admissible
 
 TOL = 4.0 * REL_TOL
 J = 3
@@ -35,8 +37,11 @@ def _grid(dim):
 
 
 @st.composite
-def symmetries(draw):
-    """(grid, map on sample arrays, seed)."""
+def symmetries(draw, shifts=False):
+    """(grid, map on sample arrays, seed).  With shifts, also the map that
+    moves an array indexed by shift (Grid.shift_vectors order) along: a
+    roll keeps every shift, the reflection sends s to -s and the axis swap
+    sends (s0, s1) to (s1, s0)."""
     grid = _grid(draw(st.sampled_from([1, 2])))
     kinds = ["roll", "reflect"] + (["swap"] if grid.dim == 2 else [])
     kind = draw(st.sampled_from(kinds))
@@ -48,7 +53,12 @@ def symmetries(draw):
         op = lambda a: np.roll(np.flip(a, axis=axes), 1, axis=axes)
     else:
         op = lambda a: a.T
-    return grid, op, draw(st.integers(0, 2**16))
+    seed = draw(st.integers(0, 2**16))
+    if not shifts:
+        return grid, op, seed
+    # shifts form the lattice itself, the zero shift at index 0 left out
+    relabel = lambda m: m if kind == "roll" else op(np.append(0.0, m).reshape(grid.shape)).ravel()[1:]
+    return grid, op, relabel, seed
 
 
 def _exponent(grid, rng, lo, hi):
@@ -150,6 +160,36 @@ def test_peetre_maximal_is_equivariant(case, a):
     F = _sequence(grid, np.random.default_rng(seed))
     moved = peetre_maximal(_moved(op, F), a)
     assert np.array_equal(moved.stack(), _moved(op, peetre_maximal(F, a)).stack())
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=symmetries(shifts=True))
+def test_shift_maxima_are_equivariant(case):
+    # the maxima of a moved array are the maxima of its moved shifts, bit
+    # for bit: each is the max of the same quotients or differences
+    grid, op, relabel, seed = case
+    values = np.exp(np.random.default_rng(seed).normal(size=grid.shape))
+    moved = op(values)
+    assert np.array_equal(grid.shift_maxima(moved, np.divide), relabel(grid.shift_maxima(values, np.divide)))
+    assert np.array_equal(grid.signed_shift_maxima(moved), relabel(grid.signed_shift_maxima(values)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=symmetries())
+def test_measured_constants_are_invariant(case):
+    # rough levels 2^(j s) b^(1 + j t) against random declared constants:
+    # about a fifth pass, and either condition may fail; the witnesses move
+    # with the levels and are left out
+    grid, op, seed = case
+    rng = np.random.default_rng(seed)
+    base = np.exp(rng.uniform(0.01, 0.5) * rng.normal(size=grid.shape))
+    s, t = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.3)
+    levels = tuple(2.0 ** (j * s) * base ** (1.0 + j * t) for j in range(J + 1))
+    w = WeightSequence(grid, levels, declared_alpha=rng.uniform(0.0, 2.0),
+                       declared_alpha1=s - rng.uniform(0.0, 0.3),
+                       declared_alpha2=s + rng.uniform(0.0, 0.3), declared_c=rng.uniform(1.0, 4.0))
+    constants = lambda r: (r.measured_c, r.measured_alpha, r.measured_alpha1, r.measured_alpha2, r.passes)
+    assert constants(verify_admissible(_moved(op, w))) == constants(verify_admissible(w))
 
 
 @settings(max_examples=15, deadline=None)

@@ -197,6 +197,31 @@ def test_verify_rejects_wrong_declaration():
     assert ratio < 2.0**1.2
 
 
+def test_witness_levels_is_the_worst_cell_over_all_levels():
+    # levels 1, 4 and 4 with cell 3 times 2.5: against 2^alpha2 = 2 both
+    # level ratios fail, and the ratio 4 at level 0 is the worst of them
+    g = Grid(1, 16)
+    top = np.full(16, 4.0)
+    top[3] *= 2.5
+    w = WeightSequence(g, (np.ones(16), np.full(16, 4.0), top), declared_alpha=0.0,
+                       declared_alpha1=0.0, declared_alpha2=1.0, declared_c=1.0)
+    rep = verify_admissible(w)
+    assert not rep.passes and rep.measured_alpha2 == 2.0
+    assert rep.witness_levels == (0, 0, 4.0)
+
+
+def test_family_weights_carry_their_recipe():
+    g, fine = Grid(1, 32), Grid(1, 64)
+    s = lambda x: 0.2 + 0.1 * np.cos(2 * np.pi * x)
+    for w in (
+        make_2microlocal(g, 3, 0.5, -0.25, [[0.3]]),
+        make_variable_smoothness(g, 3, s),
+        make_generalized(g, 3, [1.0, 2.0, 4.0, 8.0]),
+        make_weighted(g, 3, lambda x: 1.0 + s(x), 1.0, 2.0),
+    ):
+        assert w.refine(fine).grid == fine
+
+
 def test_shift_is_exact_for_integer_sigma():
     g = Grid(1, 64)
     w = make_2microlocal(g, J=6, s=0.5, s_prime=-1.0, anchor_points=[[0.3]])
