@@ -152,16 +152,20 @@ class LogHolderReport:
     c_log_global: float
 
 
-def _c_log_local(grid, D):
+def _c_log_local(scan):
     """max over h of max_x |g(x) - g(x-h)| * log(e + 1/d(h)) from a signed scan.
 
-    D = grid.signed_shift_maxima(g) holds D(h) = max_x g(x) - g(x-h);
+    scan = grid.pruned_scan(g, np.subtract) holds D(h) = max_x g(x) - g(x-h);
     D(-h) is the same array at grid.reflections.  a - b == -(b - a)
     exactly in floating point, so max(D(h), D(-h)) is the |a - b| scan bit
-    for bit.
+    for bit.  Only the rows of shifts whose bound may reach the running
+    maximum are scanned; the others hold -inf and cannot be the maximum.
     """
-    diffs = np.maximum(D, D[grid.reflections])
-    return max(0.0, np.max(diffs * np.log(np.e + 1.0 / grid.shift_distances)))
+    grid = scan.grid
+    weight = np.log(np.e + 1.0 / grid.shift_distances)
+    spread = lambda D: np.maximum(D, D[grid.reflections]) * weight
+    scan.visit(spread, 0.0)
+    return max(0.0, np.max(spread(scan.maxima)))
 
 
 def log_holder_estimate(g):
@@ -177,7 +181,7 @@ def log_holder_estimate(g):
         values = np.real(g.samples)
     else:
         raise TypeError("log_holder_estimate expects a GridFunction")
-    c_local = _c_log_local(grid, grid.signed_shift_maxima(values))
+    c_local = _c_log_local(grid.pruned_scan(values, np.subtract))
     g_inf = float(values.mean())
     weight = np.log(np.e + grid.dist_to_origin)
     c_global = float(np.max(np.abs(values - g_inf) * weight))

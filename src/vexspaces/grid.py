@@ -16,10 +16,10 @@ starts without coefficients of its own.
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Grid",
+    "PrunedScan",
     "GridFunction",
     "FunctionSequence",
     "quadrature",
@@ -32,6 +32,24 @@ __all__ = [
 
 # elements in one temporary of a Grid shift scan (2^15 float64 = 256 KiB)
 _SCAN_BLOCK = 1 << 15
+
+# relative padding of every bound that a pruned scan compares with a running
+# value: it covers the few roundings between the bound and what it bounds
+# (a product or sum of maxima, a quotient, array against scalar powers),
+# each a few units of 1e-16
+BOUND_PAD = 1.0 + 1e-12
+
+
+def _runs(mask):
+    """(start, stop) of every run of True in a short boolean array."""
+    runs, start = [], None
+    for i, hit in enumerate(mask.tolist() + [False]):
+        if hit and start is None:
+            start = i
+        elif not hit and start is not None:
+            runs.append((start, i))
+            start = None
+    return runs
 
 
 def _is_power_of_two(n):
@@ -174,59 +192,86 @@ class Grid:
         d.setflags(write=False)
         return d
 
-    def rolls(self, values):
-        """Read-only view V of every lattice roll: V[s] == np.roll(values, s).
+    @cached_property
+    def _mirror(self):
+        """C-order index of -s for every shift s, the zero shift included."""
+        m = np.append(0, self.reflections + 1)
+        m.setflags(write=False)
+        return m
 
-        V has shape (n,)*dim + grid shape and is a window view over a
-        2^dim-tiled copy of values, so V[s] holds exactly the numbers the roll
-        would copy out, without copying them.
-        """
-        values = np.asarray(values)
+    def _as_rows(self, values):
+        """values as a float (n0, n) array of rows of points: in 1D, one row."""
+        values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {self.shape}")
-        windows = sliding_window_view(np.tile(values, (2,) * self.dim), self.shape)
-        return windows[(slice(self.n, 0, -1),) * self.dim]
+        return values.reshape(-1, self.n)
 
-    def _shift_blocks(self, values, op, first):
-        """Yield (start, block): op(values, V[s]) for a block of shifts s as
-        a (shifts, points) array, start being the index of its first shift
-        in C order from the zero shift.  Only shifts whose first component
-        is below `first` are scanned.
+    def _scan(self, values, op, boxes, M, neg=None):
+        """Write max_x op(values(x), values(x - s)) into M[s] for every shift
+        s in boxes; where neg is given, also write minus the min into neg[s].
 
-        op(values, block, out=buf) is elementwise, broadcasts values against
-        a block of rolls and writes into buf, as a ufunc does.  One reused
-        buffer of at most _SCAN_BLOCK elements (one roll at least) holds
-        every block, so no temporary grows with the number of shifts.
+        values, M and neg have one shape (n0, n1) (see _as_rows), and a box
+        ((k0, k1), (b0, b1)) holds the shifts (k, b), k0 <= k < k1 and
+        b0 <= b < b1.  Shifts are scanned row by row.  The shifted copies
+        values(x - (k, b)) of row k are windows [n1 - b, 2 n1 - b) of one
+        contiguous line: the transpose of values, rolled by k and doubled
+        along its first axis.  So every block is a slice of a line, never a
+        gather, with contiguous points; op pairs the transposed points, and
+        a maximum does not depend on the order of its operands.
+
+        op(a, block, out=buf) is elementwise and broadcasts a against a
+        block of shifted copies, as a ufunc does.  One reused buffer of at
+        most _SCAN_BLOCK elements (one shift at least) holds every block, so
+        no temporary grows with the number of shifts.  Every shift scan of
+        the grid, dense or pruned, runs through here.
         """
-        V = self.rolls(values)
-        n = self.n
-        per = max(1, _SCAN_BLOCK // self.num_points)  # shifts per block
-        if self.dim == 1 or per >= n:
-            rows = min(first, per if self.dim == 1 else per // n)
-            blocks = (slice(a, min(a + rows, first)) for a in range(0, first, rows))
-            buf = np.empty((rows,) + V.shape[1:])
-        else:
-            blocks = ((s0, slice(a, a + per)) for s0 in range(first) for a in range(0, n, per))
-            buf = np.empty((per,) + V.shape[2:])
-        start = 0
-        for index in blocks:
-            block = V[index]
-            out = op(values, block, out=buf[: len(block)]).reshape(-1, self.num_points)
-            yield start, out
-            start += len(out)
+        if not boxes:
+            return
+        n0, n1 = values.shape
+        points = values.size
+        per = max(1, _SCAN_BLOCK // points)  # shifts per block
+        rows = [max(1, per // (b1 - b0)) for _, (b0, b1) in boxes]  # rows per block
+        T = np.ascontiguousarray(values.T)
+        doubled = np.concatenate((T, T), axis=1)  # T rolled by k is columns [n0 - k, 2 n0 - k)
+        lines = np.empty((max(rows), 2, n1, n0))
+        # windows[i, b] = lines[i] flattened, from row n1 - b on: n1 rows of n0 points
+        s0, _, s1, s2 = lines.strides
+        windows = np.ndarray((len(lines), n1, points), float, lines, n1 * s1, (s0, -s1, s2))
+        windows.flags.writeable = False
+        T = T.reshape(-1)
+        buf = np.empty(per * points)
+        for ((k0, k1), (b0, b1)), r in zip(boxes, rows):
+            step = min(per, b1 - b0)
+            for k in range(k0, k1, r):
+                m = min(r, k1 - k)
+                for i in range(m):
+                    np.copyto(lines[i], doubled[:, n0 - k - i : 2 * n0 - k - i])
+                for b in range(b0, b1, step):
+                    block = windows[:m, b : min(b + step, b1)]
+                    out = op(T, block, out=buf[: block.size].reshape(block.shape))
+                    at = (slice(k, k + m), slice(b, b + block.shape[1]))
+                    M[at] = out.max(axis=2)
+                    if neg is not None:
+                        neg[at] = -out.min(axis=2)
+
+    def _mirrored(self, M, neg, direct):
+        """Signed maxima, flat in C order, from a scan of some shifts: D(s)
+        is M(s) where direct marks s as scanned, else neg(-s), -inf where
+        neither s nor -s was scanned."""
+        return np.where(direct.reshape(-1), M.reshape(-1), neg.reshape(-1)[self._mirror])
 
     def shift_maxima(self, values, op):
-        """max over x of op(values, V[s]) for every nonzero shift s, V = rolls(values).
+        """max over x of op(values(x), values(x - s)) for every nonzero
+        shift s, in shift_vectors order: the dense scan (see _scan).
 
-        op is elementwise, as a ufunc (see _shift_blocks); the scan holds at
-        most _SCAN_BLOCK elements at a time.  The result is in shift_vectors
-        order.
+        op is elementwise, as a ufunc; the scan holds at most _SCAN_BLOCK
+        elements at a time.  np.divide gives the worst ratio of every shift,
+        np.subtract its largest difference.
         """
-        values = np.asarray(values)
-        maxima = np.empty(self.num_points)
-        for start, out in self._shift_blocks(values, op, self.n):
-            np.max(out, axis=1, out=maxima[start : start + len(out)])
-        return maxima[1:]
+        values = self._as_rows(values)
+        M = np.empty(values.shape)
+        self._scan(values, op, [((0, len(values)), (0, self.n))], M)
+        return M.reshape(-1)[1:]
 
     def signed_shift_maxima(self, values):
         """D(s) = max over x of values(x) - values(x - s) for every nonzero
@@ -239,16 +284,20 @@ class Grid:
         only those are scanned; a shift that is its own reflection (all
         components 0 or n/2) is scanned once.
         """
-        values = np.asarray(values)
-        n = self.n
-        first = n // 2 + 1
-        mirror = np.append(0, self.reflections + 1)  # -s by C-order index, s = 0 too
-        D = np.empty(self.num_points)
-        for start, out in self._shift_blocks(values, np.subtract, first):
-            stop = start + len(out)
-            D[mirror[start:stop]] = -out.min(axis=1)
-            D[start:stop] = out.max(axis=1)
-        return D[1:]
+        values = self._as_rows(values)
+        half, n = self.n // 2 + 1, self.n
+        box = ((0, 1), (0, half)) if self.dim == 1 else ((0, half), (0, n))
+        M, neg = np.empty(values.shape), np.empty(values.shape)
+        self._scan(values, np.subtract, [box], M, neg)
+        direct = np.zeros(values.shape, dtype=bool)
+        direct[slice(*box[0]), slice(*box[1])] = True
+        return self._mirrored(M, neg, direct)[1:]
+
+    def pruned_scan(self, values, op):
+        """The maxima of shift_maxima(values, np.divide) or (op np.subtract)
+        signed_shift_maxima(values), scanned in 2D only where a reducer of
+        them may need them; see PrunedScan."""
+        return PrunedScan(self, values, op)
 
     def sample(self, fn):
         """GridFunction from a callable of the coordinate arrays."""
@@ -277,6 +326,107 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(dim={self.dim}, n={self.n})"
+
+
+class PrunedScan:
+    """Per-shift maxima M(s) = max_x op(values(x), values(x - s)), scanned in
+    2D only where a reducer of them may need them.
+
+    op is np.divide, for the worst ratios of Grid.shift_maxima(values,
+    np.divide), or np.subtract, for the signed differences of
+    Grid.signed_shift_maxima(values), whose rows k <= n/2 also give rows
+    n - k.  In 2D the scan starts with the 2(n - 1) axis shifts (k, 0) and
+    (0, b).  They bound every other shift: with y = x - (k, 0),
+    values(x) / values(x - (k, b)) is values(x) / values(y) times
+    values(y) / values(y - (0, b)), a sum for differences, so
+
+        M(k, b) <= M(k, 0) * M(0, b)    or    M(k, b) <= M(k, 0) + M(0, b).
+
+    bound holds M at every scanned shift and that product or sum times
+    BOUND_PAD elsewhere: an upper bound through the rounding of each term.
+    visit then scans whole rows (k, 1..n-1) of shifts, only those that a
+    reducer cannot rule out.  In 1D the dense scan runs at once and visit
+    has nothing left to do.
+
+    maxima is M at every scanned shift and -inf elsewhere; scanned marks
+    the scanned shifts.  Both are in shift_vectors order.  A reducer that
+    visits with its own term and then reduces maxima gets the value and the
+    first maximiser in C order of the dense scan, bit for bit: a shift is
+    left out only where its term is strictly below the final value.
+    """
+
+    def __init__(self, grid, values, op):
+        if op is not np.divide and op is not np.subtract:
+            raise ValueError("a pruned scan takes np.divide or np.subtract")
+        self.grid = grid
+        self._op = op
+        self._signed = signed = op is np.subtract
+        if grid.dim == 1:
+            dense = grid.signed_shift_maxima(values) if signed else grid.shift_maxima(values, op)
+            self.maxima = self._bound = dense
+            self.scanned = np.ones(len(dense), dtype=bool)
+            return
+        n = grid.n
+        self._values = values = grid._as_rows(values)
+        self._M = M = np.full(grid.shape, -np.inf)
+        self._neg = neg = np.full(grid.shape, -np.inf) if signed else None
+        self._direct = np.zeros(grid.shape, dtype=bool)
+        end = n // 2 + 1 if signed else n  # the mirrors give the rest
+        axis = [((0, 1), (1, end))]  # shifts (0, b); in the transpose, (b, 0)
+        grid._scan(values, op, axis, M, neg)
+        grid._scan(values.T, op, axis, M.T, None if neg is None else neg.T)
+        self._direct[0, 1:end] = self._direct[1:end, 0] = True
+        self._refresh()
+        D = np.append(0.0 if signed else 1.0, self.maxima).reshape(n, n)  # M(0) is 0 or 1
+        combine = np.add if signed else np.multiply
+        self._bound = (combine.outer(D[:, 0], D[0]) * BOUND_PAD).reshape(-1)[1:]
+
+    def _refresh(self):
+        if self._signed:
+            D = self.grid._mirrored(self._M, self._neg, self._direct)
+            direct = self._direct.reshape(-1)
+            seen = direct | direct[self.grid._mirror]
+        else:
+            D, seen = self._M.reshape(-1), self._direct.reshape(-1)
+        self.maxima, self.scanned = D[1:], seen[1:]
+
+    @property
+    def bound(self):
+        """M at every scanned shift, the padded product or sum elsewhere."""
+        return np.where(self.scanned, self.maxima, self._bound)
+
+    def visit(self, term, floor):
+        """Scan every row of shifts that holds a shift the running value of
+        a reducer cannot rule out.
+
+        term maps per-shift maxima (in shift_vectors order) to the
+        reducer's per-shift term, nondecreasing in every maximum; floor is
+        the reducer's value before this scan.  The running value is the
+        largest of floor and the terms of the scanned shifts.  A shift stays
+        out only where term(bound) * BOUND_PAD is strictly below it; the pad
+        covers the rounding of term itself.
+        """
+        todo = ~self.scanned
+        if not todo.any():
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound may overflow
+            est = term(self.bound)
+        running = max(floor, est[self.scanned].max())
+        n, half = self.grid.n, self.grid.n // 2
+        keep = np.zeros(n * n, dtype=bool)
+        keep[1:] = todo & ~(est * BOUND_PAD < running)
+        rows = keep.reshape(n, n).any(axis=1)
+        if self._signed:  # row k also gives row n - k; row n/2 is its own mirror
+            rows[1:half] |= rows[: half : -1]
+            rows[half + 1 :] = False
+            middle, rows[half] = rows[half], False
+        boxes = [((a, b), (1, n)) for a, b in _runs(rows)]
+        if self._signed and middle:
+            boxes.append(((half, half + 1), (1, half + 1)))
+        self.grid._scan(self._values, self._op, boxes, self._M, self._neg)
+        for (a, b), (c, d) in boxes:
+            self._direct[a:b, c:d] = True
+        self._refresh()
 
 
 class GridFunction:

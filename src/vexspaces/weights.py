@@ -8,9 +8,13 @@ when
 
 with d the torus distance.  verify_admissible measures both conditions.
 Condition (i) is a shift scan: the worst ratio max_x w_j(x) / w_j(x - s) for
-every nonzero lattice shift s, at every grid size (Grid.shift_maxima, in
-Grid.shift_vectors order, so a witness is the first worst (j, s) in that
-order).
+every nonzero lattice shift s, at every grid size, and a witness is the
+first worst (j, s) in Grid.shift_vectors order.  The scan is
+Grid.pruned_scan: in 2D it leaves out a row of shifts only where the bound
+of every shift in it (worst ratios are submultiplicative in the shift) is
+strictly below the running constant, so every constant and witness is that
+of the dense scan, bit for bit.  make_weighted and make_variable_smoothness
+(through exponents._c_log_local) measure their constants the same way.
 Condition (ii) is one reduction over the level ratios w_{j+1} / w_j,
 stacked as a (J, points) array (_level_growth), whose witness is the first
 worst cell over all levels; the local-means route of spaces reads its
@@ -174,13 +178,18 @@ def verify_admissible(w):
         if wj.min() == wj.max():
             # every ratio is exactly 1 <= declared_c: no constant can move
             continue
-        worst = grid.shift_maxima(wj, np.divide)
+        scan = grid.pruned_scan(wj, np.divide)
         bases = 1.0 + 2.0**j * grid.shift_distances
+        # scan the rows of shifts whose bound may reach either running constant
+        scan.visit(lambda worst: worst / bases**w.declared_alpha, measured_c)
+        scan.visit(lambda worst: np.log(worst / w.declared_c) / np.log(bases), measured_alpha)
+        seen = np.flatnonzero(scan.scanned)
+        worst, bases = scan.maxima[seen], bases[seen]
         cval = worst / _scalar_powers(bases, w.declared_alpha)
         i = int(np.argmax(cval))  # the first worst shift of this level
         if cval[i] > measured_c:
             measured_c = float(cval[i])
-            wit_spatial = (j, tuple(grid.shift_vectors[i].tolist()), float(worst[i]))
+            wit_spatial = (j, tuple(grid.shift_vectors[seen[i]].tolist()), float(worst[i]))
         over = worst > w.declared_c
         need = np.log(worst[over] / w.declared_c) / np.log(bases[over])
         measured_alpha = max(measured_alpha, float(need.max(initial=0.0)))
@@ -207,6 +216,16 @@ def _dist_to_set(grid, points):
         d = grid.torus_distance(x, pt)
         best = d if best is None else np.minimum(best, d)
     return best
+
+
+def _sample(grid, fn, name):
+    """fn of the coordinate arrays as a float array of grid shape; a result
+    that broadcasts to it, such as a constant, is broadcast."""
+    values = np.asarray(fn(*grid.coords), dtype=float)
+    try:
+        return np.array(np.broadcast_to(values, grid.shape))
+    except ValueError:
+        raise ValueError(f"{name} values must match the grid") from None
 
 
 def make_2microlocal(grid, J, s, s_prime, anchor_points):
@@ -241,19 +260,19 @@ def make_variable_smoothness(grid, J, s):
 
     One signed scan D(h) = max_x s(x) - s(x - h) gives both: alpha is c_log
     of s, and since 2^(j .) is monotone, the worst level-j ratio
-    max_x w_j(x) / w_j(x - h) is 2^(j D(h)).
+    max_x w_j(x) / w_j(x - h) is 2^(j D(h)).  The scan visits first the rows
+    of shifts that alpha may need, then those that c may need.
     """
-    s_vals = s(*grid.coords)
-    if s_vals.shape != grid.shape:
-        raise ValueError("smoothness values must match the grid")
-    D = grid.signed_shift_maxima(s_vals)
-    alpha = _c_log_local(grid, D)
+    s_vals = _sample(grid, s, "smoothness")
+    scan = grid.pruned_scan(s_vals, np.subtract)
+    alpha = _c_log_local(scan)
     levels = tuple(2.0 ** (j * s_vals) for j in range(J + 1))
     # exact smallest c on the grid for the declared alpha (level 0 gives 1)
-    c = 1.0
-    for j in range(1, J + 1):
-        growth = (1.0 + 2.0**j * grid.shift_distances) ** alpha
-        c = max(c, float(np.max(2.0 ** (j * D) / growth)))
+    growth = [(1.0 + 2.0**j * grid.shift_distances) ** alpha for j in range(1, J + 1)]
+    ratios = lambda D: [2.0 ** (j * D) / g for j, g in enumerate(growth, 1)]
+    if growth:
+        scan.visit(lambda D: np.max(ratios(D), axis=0), 1.0)
+    c = max([1.0] + [float(np.max(r)) for r in ratios(scan.maxima)])
     return WeightSequence(
         grid,
         levels,
@@ -298,21 +317,23 @@ def make_weighted(grid, J, rho, s, beta, c=None):
     C is measured when not supplied, verified (with a witnessing pair in the
     error) when supplied.  Declared class: (beta, s, s).
     """
-    rho_vals = rho(*grid.coords)
-    if rho_vals.shape != grid.shape:
-        raise ValueError("rho values must match the grid")
+    rho_vals = _sample(grid, rho, "rho")
     if np.any(rho_vals <= 0) or not np.all(np.isfinite(rho_vals)):
         idx = int(np.argmin(rho_vals))
         raise ValueError(f"rho must be positive; offending flat index {idx}")
-    worst = grid.shift_maxima(rho_vals, np.divide)
+    scan = grid.pruned_scan(rho_vals, np.divide)
     dists = grid.shift_distances
-    growth = _scalar_powers(1.0 + dists * dists, beta / 2.0)
+    bases = 1.0 + dists * dists
+    scan.visit(lambda worst: worst / bases ** (beta / 2.0), 1.0)
+    seen = np.flatnonzero(scan.scanned)
+    worst = scan.maxima[seen]
+    growth = _scalar_powers(bases[seen], beta / 2.0)
     cval = worst / growth
     i = int(np.argmax(cval))  # the first worst shift
     measured = max(1.0, float(cval[i]))
     witness = None
     if measured > 1.0:
-        witness = (tuple(grid.shift_vectors[i].tolist()), float(worst[i]), float(growth[i]))
+        witness = (tuple(grid.shift_vectors[seen[i]].tolist()), float(worst[i]), float(growth[i]))
     if c is not None and measured > c * (1.0 + _REL_SLACK):
         raise ValueError(
             f"rho violates the declared constant {c}: measured {measured} at pair {witness}"

@@ -221,19 +221,6 @@ def _abs_diff(a, b, out=None):
     return np.abs(np.subtract(a, b, out=out), out=out)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_rolls_match_np_roll(dim):
-    grid = Grid(dim, 16)
-    values = np.random.default_rng(40).normal(size=grid.shape)
-    V = grid.rolls(values)
-    assert V.shape == (16,) * dim + grid.shape
-    axes = tuple(range(dim))
-    for s in [(0,) * dim] + _all_shifts(grid):
-        assert np.array_equal(V[s], np.roll(values, s, axis=axes)), s
-    with pytest.raises(ValueError):
-        V[(1,) * dim][0] = 0.0  # a view of the input, never written through
-
-
 @pytest.mark.parametrize(
     "dim, n, block",
     [
@@ -288,6 +275,36 @@ def test_signed_shift_maxima_match_roll_loop(dim, n, block, monkeypatch):
     for s in shifts:
         reflected = tuple(-c % n for c in s)
         assert got[index[reflected]] == np.max(np.roll(values, s, axis=axes) - values)
+
+
+@pytest.mark.parametrize("n, block", [(16, None), (16, 3 * 256), (64, None)])
+@pytest.mark.parametrize("op", [np.divide, np.subtract])
+def test_pruned_scan_fills_rows_exactly(n, block, op, monkeypatch):
+    # the axis shifts first, then whole rows on demand, each bit for bit the
+    # dense maxima; the bound is an upper bound of every shift's maximum
+    if block is not None:
+        monkeypatch.setattr(grid_module, "_SCAN_BLOCK", block)
+    grid = Grid(2, n)
+    values = np.exp(np.random.default_rng(47).normal(size=grid.shape))
+    if op is np.divide:
+        dense = grid.shift_maxima(values, op)
+    else:
+        dense = grid.signed_shift_maxima(values)
+    scan = grid.pruned_scan(values, op)
+    row = grid.shift_vectors[:, 0]
+    expected = (grid.shift_vectors == 0).any(axis=1)
+    for wanted in (3, None):  # row 3 (with its mirror n - 3 when signed), then all
+        assert np.array_equal(scan.scanned, expected)
+        assert scan.maxima[expected].tobytes() == dense[expected].tobytes()
+        assert np.all(scan.maxima[~expected] == -np.inf)
+        assert np.all(scan.bound >= dense)
+        hit = np.full(len(dense), np.inf) if wanted is None else np.where(row == wanted, np.inf, -np.inf)
+        scan.visit(lambda M: hit, 0.0)
+        rows = {wanted, n - wanted} if op is np.subtract and wanted else {wanted}
+        expected = expected | (np.isin(row, list(rows)) if wanted else True)
+    assert scan.maxima.tobytes() == dense.tobytes()
+    with pytest.raises(ValueError):
+        grid.pruned_scan(values, np.add)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 16), (1, 256), (2, 16), (2, 64)])

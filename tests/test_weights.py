@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vexspaces import Grid, GridFunction, log_holder_estimate
+from vexspaces.grid import PrunedScan
 from vexspaces.weights import (
     WeightSequence,
     verify_admissible,
@@ -114,14 +115,42 @@ def _counting_signed_scans(monkeypatch):
     return calls
 
 
+def _counting_pruned_scans(monkeypatch):
+    calls = []
+    scan = Grid.pruned_scan
+
+    def counted(self, values, op):
+        calls.append(op)
+        return scan(self, values, op)
+
+    monkeypatch.setattr(Grid, "pruned_scan", counted)
+    return calls
+
+
+def _counting_scan_boxes(monkeypatch):
+    # the boxes of shifts of every call of the one scan loop of Grid
+    calls = []
+    scan = Grid._scan
+
+    def counted(self, values, op, boxes, M, neg=None):
+        calls.append(boxes)
+        return scan(self, values, op, boxes, M, neg)
+
+    monkeypatch.setattr(Grid, "_scan", counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
 def test_variable_smoothness_runs_one_scan(dim, n, monkeypatch):
     g = Grid(dim, n)
     s = lambda *x: 0.5 + 0.3 * np.sin(2 * np.pi * x[0]) * np.cos(2 * np.pi * x[-1])
+    scans = _counting_pruned_scans(monkeypatch)
     calls = _counting_shift_maxima(monkeypatch)
     signed = _counting_signed_scans(monkeypatch)
     w = make_variable_smoothness(g, J=5, s=s)
-    assert len(signed) == 1
+    # one signed scan; in 1D it is the dense one
+    assert scans == [np.subtract]
+    assert len(signed) == (1 if dim == 1 else 0)
     assert calls == []
     # the level scans of verify_admissible are the oracle for c
     c = roll_loop_condition_i(w)[0]
@@ -344,3 +373,107 @@ def test_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert build_peak < 2 * 2**20
     assert verify_peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_callables_broadcast(dim):
+    g = Grid(dim, 16)
+    full = lambda v: (lambda *x: np.full_like(x[0], v))
+    for make, const in (
+        (lambda f: make_variable_smoothness(g, 3, f), 0.5),
+        (lambda f: make_weighted(g, 3, f, 1.0, 2.0), 2.0),
+    ):
+        got, want = make(lambda *x: const), make(full(const))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.levels, want.levels))
+        fields = ("declared_alpha", "declared_alpha1", "declared_alpha2", "declared_c")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    with pytest.raises(ValueError, match="smoothness values must match the grid"):
+        make_variable_smoothness(g, 3, lambda *x: np.ones(7))
+    with pytest.raises(ValueError, match="rho values must match the grid"):
+        make_weighted(g, 3, lambda *x: np.ones(7), 1.0, 2.0)
+
+
+def _every_row(monkeypatch):
+    # the dense path: every visit scans every row that is left
+    visit = PrunedScan.visit
+    monkeypatch.setattr(PrunedScan, "visit", lambda self, term, floor: visit(
+        self, lambda M: np.full(M.shape, np.inf), floor))
+
+
+_TWO_PI = 2 * np.pi
+
+_WEIGHTS_2D = {
+    "varsmooth x": lambda g, J: make_variable_smoothness(
+        g, J, lambda x, y: 0.5 + 0.25 * np.sin(_TWO_PI * x)),
+    "varsmooth y": lambda g, J: make_variable_smoothness(
+        g, J, lambda x, y: 0.5 + 0.25 * np.sin(_TWO_PI * y)),
+    "varsmooth xy": lambda g, J: make_variable_smoothness(
+        g, J, lambda x, y: 0.5 + 0.3 * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y)),
+    "2-microlocal": lambda g, J: make_2microlocal(g, J, 0.5, -0.25, [[0.5, 0.5]]),
+    "2-microlocal off-centre": lambda g, J: make_2microlocal(g, J, 0.3, 1.0, [[0.137, 0.71]]),
+    "weighted x": lambda g, J: make_weighted(
+        g, J, lambda x, y: 1.0 + np.cos(_TWO_PI * x) ** 2, 1.0, 2.0),
+    "weighted xy": lambda g, J: make_weighted(
+        g, J, lambda x, y: 1.0 + np.cos(_TWO_PI * x) ** 2 * np.sin(_TWO_PI * (y - 0.2)) ** 2, 1.0, 1.5),
+    "failing": lambda g, J: (lambda w: dataclasses.replace(
+        w, declared_c=1.0, declared_alpha=w.declared_alpha / 2))(
+        make_variable_smoothness(
+            g, J, lambda x, y: 0.5 + 0.3 * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y))),
+}
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_pruned_scans_keep_every_bit(n, monkeypatch):
+    # every weight, built and verified with pruning, against the same built
+    # and verified with every shift scanned; up to N=32 also against the
+    # np.roll loop
+    g, J = Grid(2, n), 4
+    pruned = {}
+    for name, make in _WEIGHTS_2D.items():
+        w = make(g, J)
+        pruned[name] = (w, verify_admissible(w))
+    _every_row(monkeypatch)
+    for name, make in _WEIGHTS_2D.items():
+        w, rep = pruned[name]
+        dense = make(g, J)
+        assert (w.declared_c, w.declared_alpha) == (dense.declared_c, dense.declared_alpha), name
+        assert rep == verify_admissible(dense), name
+        if n <= 32:
+            assert (rep.measured_c, rep.measured_alpha, rep.witness_spatial) == roll_loop_condition_i(w)
+        if name == "failing":
+            assert not rep.passes and rep.measured_alpha > w.declared_alpha
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_axis_aligned_weights_scan_only_axis_shifts(axis, monkeypatch):
+    # s varies along one axis only: the bound of every off-axis shift is
+    # below an axis shift of its row, so only the 2(n - 1) axis shifts of
+    # each non-constant level are scanned (level 0 is 1 everywhere); the
+    # weight's own signed scan takes the n shifts (k, 0), (0, k), k <= n/2
+    g, J, n = Grid(2, 32), 5, 32
+    s = lambda *x: 0.5 + 0.25 * np.sin(_TWO_PI * x[axis])
+    boxes = _counting_scan_boxes(monkeypatch)
+    w = make_variable_smoothness(g, J, s)
+    assert _shifts(boxes) == n
+    boxes.clear()
+    verify_admissible(w)
+    assert _shifts(boxes) == J * 2 * (n - 1)
+
+
+def _shifts(calls):
+    return sum((k1 - k0) * (b1 - b0) for boxes in calls for (k0, k1), (b0, b1) in boxes)
+
+
+def test_2microlocal_scan_reaches_every_row(monkeypatch):
+    # almost every shift of a 2-microlocal weight is near-critical: each
+    # level scans at least 90% of its shifts, and every row is scanned
+    g, J, n = Grid(2, 32), 5, 32
+    w = make_2microlocal(g, J, 0.5, -0.25, [[0.5, 0.5]])
+    scans = []
+    scan = Grid.pruned_scan
+    monkeypatch.setattr(Grid, "pruned_scan", lambda *args: scans.append(scan(*args)) or scans[-1])
+    verify_admissible(w)
+    assert len(scans) == J + 1
+    seen = [np.append(True, s.scanned).reshape(n, n) for s in scans]
+    assert min(s.mean() for s in seen) >= 0.9
+    assert np.logical_or.reduce(seen).all(axis=1).all()
