@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import evaluate, parse_symbol, taylor
+from .expr import InputError, Interval, evaluate, parse_symbol, taylor
 from .grid import (
     _SCAN_BLOCK,
     FunctionSequence,
@@ -552,7 +552,7 @@ def apply_multiplier(f, mask):
     """(m f^)^v for a sampled Fourier-side multiplier."""
     mask = np.asarray(mask)
     if not np.all(np.isfinite(mask)):
-        raise ValueError("multiplier must be finite on the frequency set")
+        raise InputError("multiplier must be finite on the frequency set")
     return convolve(f, mask)
 
 
@@ -627,66 +627,175 @@ class MultiplierSymbol:
         return f"MultiplierSymbol({self.text!r}, dim={self.dim})"
 
 
-def _lattice_blocks(dim, radius):
-    """The lattice np.linspace(-radius, radius, m)^dim in blocks of at most
-    _SCAN_BLOCK points, m = 200,001 in 1D and 513 in 2D: runs of the axis
-    in 1D, bands of rows as (rows, 1) and (1, m) arrays in 2D."""
-    m = 200_001 if dim == 1 else 513
-    step = 2.0 * radius / (m - 1)
-    rows = _SCAN_BLOCK // m ** (dim - 1)
-
-    def axis(a, b):
-        # np.linspace(-radius, radius, m)[a:b], computed as linspace does
-        out = np.arange(a, b, dtype=float) * step - radius
-        if b == m:
-            out[-1] = radius
-        return out
-
-    full = axis(0, m)[None, :] if dim == 2 else None
-    for start in range(0, m, rows):
-        head = axis(start, min(start + rows, m))
-        yield (head,) if dim == 1 else (head[:, None], full)
+# The seminorm lattices have _LATTICE[dim] points per axis; their scan
+# takes coarse boxes and fine boxes of _BOX_SIDES[dim] points per axis.
+_LATTICE = {1: 200_001, 2: 513}
+_BOX_SIDES = {1: (4096, 256), 2: (64, 16)}
 
 
-def _derivative_sup(symbol, l, radius):
-    """The weighted derivative sup on a dense lattice over [-radius, radius]^dim.
+def _lattice_axis(radius, m, index):
+    """np.linspace(-radius, radius, m)[index], computed as linspace does;
+    radius broadcasts against index."""
+    out = index * (2.0 * radius / (m - 1)) - radius
+    np.copyto(out, radius, where=index == m - 1)
+    return out
 
-    Every order up to 2l comes from one jet per block, and the weights
-    (1 + |xi|^2)^(k/2) are powers of one square root per block.
-    """
+
+def _split(first, last, side):
+    """The boxes of side `side` from the first corners on that tile the
+    boxes with corners first and last (inclusive indices, one row per
+    axis), and the box each one came from."""
+    dim, count = first.shape
+    pieces = -(-(last - first + 1).max(initial=1) // side)  # per axis, at most
+    offsets = np.stack(np.meshgrid(*[np.arange(pieces) * side] * dim, indexing="ij"))
+    new_first = (first[:, :, None] + offsets.reshape(dim, 1, -1)).reshape(dim, -1)
+    parent = np.repeat(np.arange(count), pieces**dim)
+    new_last = np.minimum(new_first + side - 1, last[:, parent])
+    keep = (new_first <= new_last).all(axis=0)
+    return new_first[:, keep], new_last[:, keep], parent[keep]
+
+
+def _weighted_terms(symbol, l, points):
+    """(gamma!, (1 + |xi|^2)^(|gamma|/2) |c_gamma|) for every |gamma| <= 2l
+    with a nonzero jet coefficient c_gamma at points: arrays of lattice
+    points, or Intervals over boxes of them.  The weights are powers of one
+    square root."""
     order = 2 * l
-    indices = multi_indices(symbol.dim, order)
+    coeffs = symbol.jet(order, *points)
+    root = np.sqrt(1.0 + sum(p * p for p in points))
+    powers = [1.0, root]  # root^k
+    for gamma in multi_indices(symbol.dim, order):
+        if gamma not in coeffs:
+            continue
+        k = sum(gamma)
+        while len(powers) <= k:
+            powers.append(powers[-1] * root)
+        yield math.prod(math.factorial(g) for g in gamma), powers[k] * np.abs(coeffs[gamma])
+
+
+def _lattice_sup(symbol, l, radius, index, axis=None):
+    """The largest weighted term at the lattice points with index arrays
+    `index` per axis (broadcasting against each other and radius), over
+    `axis` of them (all by default); InputError where a term is NaN."""
+    m = _LATTICE[symbol.dim]
+    points = [_lattice_axis(radius, m, i) for i in index]
+    shape = np.broadcast_shapes(*[p.shape for p in points])
     best = 0.0
-    for pts in _lattice_blocks(symbol.dim, radius):
-        coeffs = symbol.jet(order, *pts)
-        root = np.sqrt(1.0 + sum(p * p for p in pts))
-        powers = [1.0, root]  # root^k
-        for gamma in indices:
-            if gamma not in coeffs:
-                continue
-            k = sum(gamma)
-            while len(powers) <= k:
-                powers.append(powers[-1] * root)
-            scale = math.prod(math.factorial(g) for g in gamma)
-            best = max(best, scale * float(np.max(powers[k] * np.abs(coeffs[gamma]))))
+    with np.errstate(all="ignore"):  # a term may overflow, and then reads inf
+        for scale, term in _weighted_terms(symbol, l, points):
+            best = np.maximum(best, scale * np.max(np.broadcast_to(term, shape), axis=axis))
+    if np.isnan(best).any():
+        raise InputError(
+            f"symbol {symbol.text!r} or a derivative of order <= {2 * l} "
+            "is not a number on the evaluation lattice"
+        )
     return best
+
+
+def _box_bounds(symbol, l, radius, first, last):
+    """Per box, a bound of the weighted terms at its lattice points (radius
+    per box), from their enclosures; NaN where the box has no enclosure."""
+    m = _LATTICE[symbol.dim]
+    boxes = [Interval(_lattice_axis(radius, m, f), _lattice_axis(radius, m, g))
+             for f, g in zip(first, last)]
+    bound = np.zeros(first.shape[1])
+    with np.errstate(all="ignore"):
+        for scale, term in _weighted_terms(symbol, l, boxes):
+            bound = np.maximum(bound, scale * (term.hi if isinstance(term, Interval) else term))
+    return bound
+
+
+def _chunks(cells, side, m):
+    """Index arrays per axis of at most _SCAN_BLOCK lattice points each that
+    hold every point of the given boxes of side `side` (corners cells *
+    side, one row per axis) once: runs of boxes in 1D; in 2D bands of rows,
+    by the columns of the boxes in them, so the other points of those rows
+    and columns too."""
+
+    def points(c):  # c ascending, so only the last box may pass the lattice's end
+        index = (c[:, None] * side + np.arange(side)).ravel()
+        return index[: index.size - max(0, index[-1] + 1 - m)] if index.size else index
+
+    if len(cells) == 1:
+        cells, per = np.sort(cells[0]), _SCAN_BLOCK // side
+        for start in range(0, cells.size, per):
+            yield (points(cells[start : start + per]),)
+        return
+    if not cells.size:
+        return
+    held = np.zeros((-(-m // side),) * 2, dtype=bool)
+    held[tuple(cells)] = True
+    rows = points(np.flatnonzero(held.any(axis=1)))
+    per = _SCAN_BLOCK // points(np.flatnonzero(held.any(axis=0))).size
+    for start in range(0, rows.size, per):
+        band = rows[start : start + per]
+        cols = points(np.flatnonzero(held[band[0] // side : band[-1] // side + 1].any(axis=0)))
+        yield band[:, None], cols[None, :]
+
+
+def _derivative_sups(symbol, l, radii):
+    """The weighted derivative sup over the dense lattice
+    np.linspace(-r, r, m)^dim, m = _LATTICE[dim], for the first radius r of
+    radii, and max(that, the sup over the lattice) for every other one.
+
+    A branch-and-bound scan over boxes of lattice points, all lattices at
+    once.  A lattice's running value is the largest weighted term evaluated
+    on it so far, first at the centre of every coarse box, or the first
+    lattice's if that is larger.  An interval enclosure of the weighted
+    terms over a box (expr.Interval, through the same jets) bounds the float
+    terms at its points, so a box whose bound is strictly below its
+    lattice's running value cannot change the result and is dropped.  The
+    coarse boxes kept are split into fine boxes, which are enclosed and
+    dropped alike, and the fine boxes kept are evaluated, the first lattice
+    first, at most _SCAN_BLOCK points at a time.  A box without an
+    enclosure (a pole, 0/0, a power of a negative base) or whose bound ties
+    the running value is kept, so every result is the dense scan's, bit for
+    bit: a max does not depend on the order of its operands.  A weighted
+    term that is NaN at a lattice point, where every enclosure is NaN,
+    raises InputError.
+    """
+    dim = symbol.dim
+    m, (coarse, fine) = _LATTICE[dim], _BOX_SIDES[dim]
+    first, last, _ = _split(np.zeros((dim, 1), int), np.full((dim, 1), m - 1), coarse)
+    lattice = np.repeat(np.arange(len(radii)), first.shape[1])
+    first, last = np.tile(first, len(radii)), np.tile(last, len(radii))
+    radii = np.asarray(radii, dtype=float)
+    centre = _lattice_sup(symbol, l, radii[lattice, None], ((first + last) // 2)[..., None], axis=-1)
+    running = np.zeros(len(radii))
+    np.maximum.at(running, lattice, centre)
+
+    def floor():  # the running values, the first lattice's flooring the others
+        return np.maximum(running, np.where(np.arange(len(radii)) > 0, running[0], 0.0))
+
+    for side in (fine, None):
+        bound = _box_bounds(symbol, l, radii[lattice], first, last) if lattice.size else np.zeros(0)
+        live = ~(bound < floor()[lattice])
+        first, last, lattice, bound = first[:, live], last[:, live], lattice[live], bound[live]
+        if side is not None:
+            first, last, parent = _split(first, last, side)
+            lattice = lattice[parent]
+    for k, radius in enumerate(radii):  # the first lattice first: it floors the others
+        mine = (lattice == k) & ~(bound < floor()[k])
+        for index in _chunks(first[:, mine] // fine, fine, m):
+            running[k] = max(running[k], _lattice_sup(symbol, l, radius, index))
+    return [float(v) for v in floor()]
 
 
 def symbol_derivative_norm(symbol, l, grid):
     """sup over |gamma| <= 2l and xi of (1 + |xi|^2)^(|gamma|/2) |D^gamma m|.
 
     Evaluated on dense lattices covering twice the grid's Nyquist radius
-    plus a fine window |xi| <= 8 near the origin, which is evaluated once
-    and shared by both radii.  If doubling the evaluation radius grows the
-    sup by more than 1% the symbol is unbounded in this seminorm and inf
-    is returned.
+    plus a fine window |xi| <= 8 near the origin, which is shared by both
+    radii: only max(sup, near) of the wider lattices is used, so their scan
+    may skip every box that cannot reach it (see _derivative_sups).  If
+    doubling the evaluation radius grows the sup by more than 1% the symbol
+    is unbounded in this seminorm and inf is returned.  A symbol or
+    derivative that is NaN at a lattice point raises InputError.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     radius = 2.0 * np.pi * grid.n
-    near = _derivative_sup(symbol, l, 8.0)
-    base = max(_derivative_sup(symbol, l, radius), near)
-    probe = max(_derivative_sup(symbol, l, 2.0 * radius), near)
+    _, base, probe = _derivative_sups(symbol, l, (8.0, radius, 2.0 * radius))
     if probe > base * 1.01:
         return float("inf")
     return max(base, probe)

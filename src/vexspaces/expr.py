@@ -261,15 +261,21 @@ def _splits(dim, order):
     )
 
 
+def _varies(c):
+    """Whether a coefficient varies over the points: an array of values, or
+    Intervals over boxes of points."""
+    return isinstance(c, (np.ndarray, Interval))
+
+
 def _is_one(c):
-    return not isinstance(c, np.ndarray) and c == 1.0
+    return not _varies(c) and c == 1.0
 
 
 def _term(f, x, y):
     """f * x * y for a scalar f, folding f into a scalar one of x, y."""
-    if isinstance(x, np.ndarray):
+    if _varies(x):
         x, y = y, x
-    if not isinstance(x, np.ndarray):
+    if not _varies(x):
         f = f * x
         return y if f == 1.0 else f * y
     xy = x * y
@@ -396,10 +402,12 @@ def taylor(ast, order, variables):
     """Taylor coefficients of an AST to total order `order`.
 
     variables maps each variable name to its points (arrays broadcasting
-    against each other, or scalars); multi-index entry i belongs to the
-    i-th name.  Returns a dict from multi-index m, |m| <= order, to c_m with
-    D^m f = m! c_m at the points; an absent index is a zero coefficient and
-    a coefficient constant over the points is a scalar.  Constant
+    against each other, or scalars), or to Intervals over boxes of points,
+    which give enclosures of the jets at those points; multi-index entry i
+    belongs to the i-th name.  Returns a dict from multi-index m, |m| <=
+    order, to c_m with D^m f = m! c_m at the points; an absent index is a
+    zero coefficient and a coefficient constant over the points is a
+    scalar.  Constant
     subexpressions stay scalars.  Integer powers are repeated products, so
     they stay exact where the base vanishes; a non-constant exponent goes
     through exp(b log a).  At order 0 every power is np.power of the
@@ -407,7 +415,8 @@ def taylor(ast, order, variables):
     of the values.
     """
     names = tuple(variables)
-    points = {n: np.asarray(v, dtype=float) for n, v in variables.items()}
+    points = {n: v if isinstance(v, Interval) else np.asarray(v, dtype=float)
+              for n, v in variables.items()}
     jets = _Jets(len(names), order)
     zero = jets.zero
 
@@ -438,7 +447,7 @@ def taylor(ast, order, variables):
             if not order:  # the products and exp(b log a) below round otherwise
                 return {zero: np.power(base[zero], exponent[zero], dtype=float)}
             r = exponent.get(zero, 0.0)
-            if exponent.keys() <= {zero} and not isinstance(r, np.ndarray):
+            if exponent.keys() <= {zero} and not _varies(r):
                 return jets.power(base, r)
             return jets.exp(jets.mul(exponent, jets.log(base)))
         if node.name in _VALUES_ONLY:
@@ -452,3 +461,169 @@ def taylor(ast, order, variables):
 
     with np.errstate(all="ignore"):
         return jet(ast)
+
+
+# ------------------------------------------------------- interval enclosures
+#
+# taylor() run on Intervals instead of arrays encloses the float jets it
+# computes at points (R. E. Moore, R. B. Kearfott, M. J. Cloud, *Introduction
+# to Interval Analysis*, SIAM 2009).  Each operation takes the float operation
+# at the interval ends, moved outward; a float operation at a point inside
+# rounds to a value between them, since rounding is monotone.  The libm
+# functions are not correctly rounded, so their ends move by _LIBM_ULPS.
+
+_LIBM_ULPS = 4
+
+
+class Interval(np.lib.mixins.NDArrayOperatorsMixin):
+    """Closed intervals [lo, hi], one per box of points: ends[0] holds lo
+    and ends[1] hi.
+
+    An operation on Intervals (and scalars) holds the float result of the
+    same operation at any points of the boxes.  An interval that may not be
+    finite is NaN at both ends, and an operation on a NaN interval is NaN:
+    that box has no enclosure.  The product of an interval with itself is a
+    square, since both factors are the same point.  The ufuncs taylor()
+    uses are supported: arithmetic, sqrt, exp, log, sin, cos, absolute,
+    sign and power with a scalar exponent.
+    """
+
+    __slots__ = ("ends",)
+
+    def __init__(self, lo, hi=None):
+        ends = np.stack((lo, hi)) if hi is not None else lo
+        if not np.isfinite(ends).all():
+            ends = np.where(np.isfinite(ends).all(axis=0), ends, np.nan)
+        self.ends = ends
+
+    lo = property(lambda self: self.ends[0])
+    hi = property(lambda self: self.ends[1])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _INTERVAL_UFUNCS.get(ufunc)
+        if method != "__call__" or op is None or "out" in kwargs:
+            return NotImplemented
+        return op(*inputs)
+
+    def __repr__(self):
+        return f"Interval({self.lo!r}, {self.hi!r})"
+
+
+_OUTWARD = np.array([[-1.0], [1.0]])
+_ULP = 2.0**-52  # |x| * _ULP is at least the spacing of doubles at x
+_TINY = 2.0**-1074
+
+
+def _ends(v, flip=False):
+    """The ends of an Interval, in reverse order if flip, or a scalar."""
+    if not isinstance(v, Interval):
+        return v
+    return v.ends[::-1] if flip else v.ends
+
+
+def _outward(ends, ulps=1):
+    """Interval of new ends moved outward by at least ulps units in the
+    last place (in place)."""
+    pad = np.abs(ends)
+    pad *= ulps * _ULP
+    pad += _TINY
+    pad *= _OUTWARD
+    ends += pad
+    return Interval(ends)
+
+
+def _hull(values, ulps=1):
+    """The interval from the least to the largest of values, stacked on
+    the first axis, moved outward."""
+    axes = tuple(range(values.ndim - 1))
+    ends = np.empty((2, values.shape[-1]))
+    values.min(axis=axes, out=ends[0])
+    values.max(axis=axes, out=ends[1])
+    return _outward(ends, ulps)
+
+
+def _add(a, b):
+    return _outward(_ends(a) + _ends(b))
+
+
+def _subtract(a, b):
+    return _outward(_ends(a) - _ends(b, flip=True))
+
+
+def _negative(a):
+    return Interval(-a.ends[::-1])
+
+
+def _absolute(a):
+    size = np.abs(a.ends)
+    ends = np.empty_like(size)
+    np.minimum(size[0], size[1], out=ends[0])
+    ends[0] *= a.lo * a.hi > 0.0  # 0 where [lo, hi] holds 0
+    np.maximum(size[0], size[1], out=ends[1])
+    return Interval(ends)
+
+
+def _multiply(a, b):
+    if a is b:  # a square
+        ends = _absolute(a).ends
+        return _outward(ends * ends)
+    if not isinstance(a, Interval):
+        a, b = b, a
+    if not isinstance(b, Interval):  # a scalar factor keeps or flips the order
+        return _outward(_ends(a, flip=b < 0.0) * b)
+    return _hull(a.ends[:, None] * b.ends[None, :])
+
+
+def _divide(a, b):
+    if not isinstance(b, Interval):
+        return _outward(_ends(a, flip=b < 0.0) / b)
+    pole = b.lo * b.hi <= 0.0  # no enclosure across a pole
+    ends = np.where(pole, np.nan, b.ends) if pole.any() else b.ends
+    if not isinstance(a, Interval):
+        return _hull(a / ends)
+    return _hull(a.ends[:, None] / ends[None, :])
+
+
+def _monotone(fn, ulps):
+    return lambda a: _outward(fn(a.ends), ulps)
+
+
+def _power(a, r):
+    if isinstance(r, Interval):
+        return NotImplemented
+    base = np.where(a.lo < 0.0, np.nan, a.ends)  # a negative base has no monotone power
+    return _hull(np.power(base, r), _LIBM_ULPS)
+
+
+def _periodic(fn, peak):
+    """sin or cos, whose maxima lie at even and whose minima lie at odd
+    multiples of pi from peak."""
+
+    def op(a):
+        values = fn(a.ends)
+        ends = np.stack((values.min(axis=0), values.max(axis=0)))
+        t = (a.ends - peak) / np.pi
+        slack = 1e-12 * (1.0 + np.abs(t).max(axis=0))  # err on finding one
+        first, last = np.ceil(t[0] - slack), np.floor(t[1] + slack)
+        ends[1] = np.where(first + np.mod(first, 2.0) <= last, 1.0, ends[1])  # an even one
+        ends[0] = np.where(first + np.mod(first + 1.0, 2.0) <= last, -1.0, ends[0])  # an odd one
+        return _outward(ends, _LIBM_ULPS)
+
+    return op
+
+
+_INTERVAL_UFUNCS = {
+    np.add: _add,
+    np.subtract: _subtract,
+    np.negative: _negative,
+    np.multiply: _multiply,
+    np.true_divide: _divide,
+    np.sqrt: _monotone(np.sqrt, 1),
+    np.exp: _monotone(np.exp, _LIBM_ULPS),
+    np.log: _monotone(np.log, _LIBM_ULPS),
+    np.power: _power,
+    np.sin: _periodic(np.sin, 0.5 * np.pi),
+    np.cos: _periodic(np.cos, 0.0),
+    np.absolute: _absolute,
+    np.sign: lambda a: Interval(np.sign(a.ends)),
+}

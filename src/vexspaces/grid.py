@@ -345,8 +345,12 @@ class PrunedScan:
     bound holds M at every scanned shift and that product or sum times
     BOUND_PAD elsewhere: an upper bound through the rounding of each term.
     visit then scans whole rows (k, 1..n-1) of shifts, only those that a
-    reducer cannot rule out.  In 1D the dense scan runs at once and visit
-    has nothing left to do.
+    reducer cannot rule out.  Where M(k, 0) is the identity (0 for
+    differences, 1 for ratios) the values repeat under (k, 0), since no
+    term along a cycle of that shift can exceed it, so row k repeats row 0
+    bit for bit, the same terms; where every M(0, b) is, M(k, b) = M(k, 0).
+    visit copies such a row instead of scanning it.  In 1D the dense scan
+    runs at once and visit has nothing left to do.
 
     maxima is M at every scanned shift and -inf elsewhere; scanned marks
     the scanned shifts.  Both are in shift_vectors order.  A reducer that
@@ -377,7 +381,7 @@ class PrunedScan:
         grid._scan(values.T, op, axis, M.T, None if neg is None else neg.T)
         self._direct[0, 1:end] = self._direct[1:end, 0] = True
         self._refresh()
-        D = np.append(0.0 if signed else 1.0, self.maxima).reshape(n, n)  # M(0) is 0 or 1
+        self._axes = D = np.append(0.0 if signed else 1.0, self.maxima).reshape(n, n)  # M(0) is 0 or 1
         combine = np.add if signed else np.multiply
         self._bound = (combine.outer(D[:, 0], D[0]) * BOUND_PAD).reshape(-1)[1:]
 
@@ -419,6 +423,9 @@ class PrunedScan:
         if self._signed:  # row k also gives row n - k; row n/2 is its own mirror
             rows[1:half] |= rows[: half : -1]
             rows[half + 1 :] = False
+        if rows.any():
+            self._copy_repeats(rows)
+        if self._signed:
             middle, rows[half] = rows[half], False
         boxes = [((a, b), (1, n)) for a, b in _runs(rows)]
         if self._signed and middle:
@@ -427,6 +434,21 @@ class PrunedScan:
         for (a, b), (c, d) in boxes:
             self._direct[a:b, c:d] = True
         self._refresh()
+
+    def _copy_repeats(self, rows):
+        """Copy the rows of maxima that repeat the axis shifts' (see the
+        class docstring) and take them out of rows."""
+        D, n = self._axes, self.grid.n
+        repeats = D[:, 0] == D[0, 0]  # M(k, 0) is the identity M(0)
+        copied = np.flatnonzero(rows & (repeats | (D[0, 1:] == D[0, 0]).all()))
+        if not copied.size:
+            return
+        copy = np.where(repeats[:, None], D[0], D[:, :1])
+        self._M[copied] = copy[copied]
+        if self._signed:  # M(-s) of each copied shift s
+            self._neg[copied] = copy[np.ix_(-copied % n, -np.arange(n) % n)]
+        self._direct[copied] = True
+        rows[copied] = False
 
 
 class GridFunction:

@@ -454,19 +454,6 @@ def test_symbol_sampling_2d():
     assert np.allclose(vals, x1 / np.sqrt(1.0 + grid.xi_norm**2), rtol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_derivative_lattice_blocks_tile_linspace(dim):
-    from vexspaces.analysis import _lattice_blocks
-
-    radius = 2.0 * np.pi * 64
-    axis = np.linspace(-radius, radius, 200_001 if dim == 1 else 513)
-    blocks = list(_lattice_blocks(dim, radius))
-    assert np.array_equal(np.concatenate([b[0].ravel() for b in blocks]), axis)
-    if dim == 2:
-        assert all(np.array_equal(b[1].ravel(), axis) for b in blocks)
-    assert max(b[0].size * b[-1].size ** (dim - 1) for b in blocks) <= 1 << 15
-
-
 def test_symbol_derivative_norm_2d_constant_and_growth(grid2d):
     assert symbol_derivative_norm(MultiplierSymbol("1", dim=2), 1, grid2d) == 1.0
     growing = MultiplierSymbol("(1 + xi1^2 + xi2^2)^(1/2)", dim=2)

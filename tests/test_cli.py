@@ -376,6 +376,18 @@ def test_non_smooth_symbol_is_config_error(capsys):
     assert "not differentiable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["norm_2l", "h2kappa"])
+def test_symbol_without_a_value_is_config_error(mode, capsys):
+    # xi1 / |xi1| is 0/0 at xi = 0: bad input (exit 2), not a library bug
+    # (exit 3, with a traceback); the seminorm refuses it on its lattice, the
+    # multiplier on the frequency set
+    argv = ["multiplier-check", "--symbol", "xi1/abs(xi1)", "--mode", mode, "--corpus-size", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("not a number" if mode == "norm_2l" else "must be finite") in err
+
+
 def test_missing_signal_is_config_error(capsys):
     assert main(["norm"]) == 2
     assert "needs --signal" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from vexspaces import Grid, GridFunction, log_holder_estimate
 from vexspaces.grid import PrunedScan
 from vexspaces.weights import (
+    _REL_SLACK,
     WeightSequence,
     verify_admissible,
     make_2microlocal,
@@ -458,6 +459,22 @@ def test_axis_aligned_weights_scan_only_axis_shifts(axis, monkeypatch):
     boxes.clear()
     verify_admissible(w)
     assert _shifts(boxes) == J * 2 * (n - 1)
+
+
+def test_constant_smoothness_scans_only_the_axis_shifts(monkeypatch):
+    # s = 0.5 repeats under every axis shift, so every other shift's maximum
+    # is known from the axis shifts: the signed scan takes its n axis shifts
+    # and no row, and alpha and c are the full scan's, bit for bit
+    g, J, n = Grid(2, 32), 5, 32
+    D = g.signed_shift_maxima(np.full(g.shape, 0.5))  # every shift scanned
+    spread = np.maximum(D, D[g.reflections]) * np.log(np.e + 1.0 / g.shift_distances)
+    alpha = max(0.0, np.max(spread))
+    growth = [(1.0 + 2.0**j * g.shift_distances) ** alpha for j in range(1, J + 1)]
+    c = max([1.0] + [float(np.max(2.0 ** (j * D) / r)) for j, r in enumerate(growth, 1)])
+    boxes = _counting_scan_boxes(monkeypatch)
+    w = make_variable_smoothness(g, J, lambda x, y: 0.5)
+    assert _shifts(boxes) == n
+    assert (w.declared_alpha, w.declared_c) == (float(alpha), c * (1.0 + _REL_SLACK))
 
 
 def _shifts(calls):
