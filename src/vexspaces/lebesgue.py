@@ -11,9 +11,13 @@ into max(ess-sup over the inf region, finite part); the finite part's
 modular is finite and decreasing in lam, so its root solve (luxemburg_root)
 never fails to bracket.
 
-Every Luxemburg functional of the package is solved to one contract: the
-returned lam satisfies modular(f/lam) <= 1 and lies within REL_TOL of the
-infimum.  luxemburg_root is the one solver, and it finds its own bracket
+luxemburg_root is the one Luxemburg root solver.  The lam it returns
+satisfies modular(f/lam) <= 1 and lies within REL_TOL of the infimum, and
+so does norm; mixed.lp_lq_norm is one norm.  mixed.lq_lp_norm sums J+1
+level functionals, each within its own REL_TOL, and solves for the
+modular 1 - 2 REL_TOL on its variable-q route, so it lies up to k
+REL_TOL above its infimum, k = 2 + 4/q^-, which tests/test_lq_lp_oracle.py
+checks against a 40-digit solve.  luxemburg_root finds its own bracket
 from any starting point: one loop walks down while the modular stays <= 1
 and up while it exceeds 1, squaring its step factor on every walk step,
 and then narrows the bracket, all in at most MAX_ITER evaluations.  The
@@ -23,8 +27,6 @@ BracketError) and inf only where the largest finite double is not.  Its
 one step rule is the tangent (Newton) step on log modular over log lam:
 every modular of the package gives its slope, and a value without one
 takes the chord through its two latest points.
-It also runs many such functionals as lanes of one call, each lane with its
-own bracket, so that their modulars are evaluated together.
 """
 
 import math
@@ -100,21 +102,74 @@ def _tangent(lam, v, s):
     return lam * math.exp(min(-math.log(v) / s, _LOG_MAX)) * (1.0 + 0.25 * REL_TOL)
 
 
-def _lane(hi, lo):
-    """One lane of luxemburg_root as a generator.
+def luxemburg_root(value, hi, lo=None):
+    """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
 
-    It yields each lam it needs the value of, is sent (value(lam), slope)
-    back, slope None where the caller gives none, and returns its root
-    through StopIteration.
+    hi is a first guess above lo (hi/2 if None); neither needs to bracket
+    the root.  One loop of at most MAX_ITER evaluations keeps two ends:
+    below, the latest point with value > 1, and above, the latest with
+    value <= 1.  Each step evaluates one point, moves the end its value
+    falls on, and the loop returns above once above - below <= REL_TOL
+    above.  A finite result always has value <= 1, and the root exceeds
+    (1 - REL_TOL) times it.  The first point is lo (the smallest subnormal
+    if lo is 0.0); a lo that is not finite (an overflowed start) gives inf
+    at once, with no evaluation: there is no point to walk from.
+
+    While one end is unknown the loop walks, a galloping (doubly
+    exponential) search in the manner of Bentley and Yao's unbounded
+    search: up to hi at the first step and to grow * below after it, down
+    to above / grow.  grow starts at 2 and squares on every walk step, so
+    the walk crosses the whole double range in about a dozen steps, with
+    no cap; its points are clamped to the positive doubles.  The loop
+    returns 0.0 only where the smallest subnormal has value <= 1 (the root
+    is below the double range, and callers that return it as a norm raise
+    BracketError), and inf only where the largest finite double has value
+    > 1.  With both ends known the fallback point is the midpoint in log
+    lam.
+
+    A modular is a sum of powers of lam, so log value is convex in log lam,
+    and linear when the exponent is constant.  The one step rule is the
+    root of a tangent to log value over log lam (Newton's step), aimed
+    REL_TOL/4 above it.  value returns (value, slope) with slope = d log
+    value / d log lam at lam, which is -sum(w t) / sum(t) for a modular
+    that sums terms t ~ lam^-w.  A value returned alone takes the chord
+    slope through the two latest finite, nonzero points, the secant's
+    slope; the older point's chord is then dropped, since its root is a
+    point already evaluated.  On a convex log value every tangent root
+    lies below the root, so from below the steps converge from one side,
+    quadratically, and the aim carries the last one across: where log value
+    is linear the first tangent is exact, and the next point, REL_TOL/2
+    below it, closes the bracket.  The aim leaves the returned lam with
+    value below 1 by far more than rounding, so modular(f/lam) <= 1 holds
+    however f/lam is computed.
+
+    One guard, as in safeguarded Newton (rtsafe, Numerical Recipes 3rd ed.
+    9.4), serves every phase: the step goes to the higher of the two
+    latest points' tangent roots inside the bracket (up to REL_TOL/2 above
+    `above`, the aim and rounding) where that root
+    - is within REL_TOL/2 of above (a closing step: it closes the bracket
+      or moves above down by REL_TOL/2),
+    - or is at most half as far from its point in log lam as the tangent
+      step three tangent steps before (the first three steps pass),
+    - or, walking up, lies at or past the walk's next point (a lower bound
+      of the root there);
+    otherwise to the fallback.  Points stay a factor REL_TOL/2 inside each
+    known end.  The halving window measures the tangent step, not the
+    bracket, because a sequence that converges from one side leaves the far
+    end of the bracket where it is.  A value of 0 or inf, or a slope that is
+    not finite and negative, gives no tangent, so the step after such
+    points is the fallback.  A NaN value reads as above 1.
     """
+    lo = hi / 2.0 if lo is None else lo
     if not math.isfinite(lo):
         return np.inf
     chord = []  # latest finite, nonzero point without a given slope; log lam, log value
 
-    def point(lam, sent):
-        """[lam, value, slope] of an evaluation, with the chord slope where
-        value gives none (see luxemburg_root)."""
-        pt = [lam, *sent]
+    def point(lam):
+        """[lam, value, slope] of the evaluation at lam, with the chord
+        slope where value gives none."""
+        out = value(lam)
+        pt = [lam, *(out if isinstance(out, tuple) else (out, None))]
         if pt[2] is None and 0.0 < pt[1] < np.inf:
             x, y = math.log(lam), math.log(pt[1])
             if chord and chord[1] != x:
@@ -130,7 +185,7 @@ def _lane(hi, lo):
     grow = 2.0  # the walk's factor, squared on every walk step
     lam = max(lo, _TINY)
     for i in range(MAX_ITER):
-        a, b = b, point(lam, (yield lam))
+        a, b = b, point(lam)
         if b[1] <= 1.0:  # NaN reads as above 1
             above = lam
         else:
@@ -167,105 +222,6 @@ def _lane(hi, lo):
         # margins relative to each end: a tangent may land far below `above`
         lam = min(max(lam, up * below, _TINY), down * above, _HUGE)
     return above
-
-
-def luxemburg_root(value, hi, lo=None):
-    """inf{lam > 0 : value(lam) <= 1} for a modular value decreasing in lam.
-
-    hi is a first guess above lo (hi/2 if None); neither needs to bracket
-    the root.  One loop of at most MAX_ITER evaluations keeps two ends:
-    below, the latest point with value > 1, and above, the latest with
-    value <= 1.  Each step evaluates one point, moves the end its value
-    falls on, and the loop returns above once above - below <= REL_TOL
-    above.  A finite result always has value <= 1, and the root exceeds
-    (1 - REL_TOL) times it.  The first point is lo (the smallest subnormal
-    if lo is 0.0); a lo that is not finite (an overflowed start, as where
-    |f/mu|^q overflows in mixed._level_lanes) gives inf at once, with no
-    evaluation: there is no point to walk from.
-
-    While one end is unknown the loop walks, a galloping (doubly
-    exponential) search in the manner of Bentley and Yao's unbounded
-    search: up to hi at the first step and to grow * below after it, down
-    to above / grow.  grow starts at 2 and squares on every walk step, so
-    the walk crosses the whole double range in about a dozen steps, with
-    no cap; its points are clamped to the positive doubles.  The loop
-    returns 0.0 only where the smallest subnormal has value <= 1 (the root
-    is below the double range, and callers that return it as a norm raise
-    BracketError), and inf only where the largest finite double has value
-    > 1.  With both ends known the fallback point is the midpoint in log
-    lam.
-
-    A modular is a sum of powers of lam, so log value is convex in log lam,
-    and linear when the exponent is constant.  The one step rule is the
-    root of a tangent to log value over log lam (Newton's step), aimed
-    REL_TOL/4 above it.  value returns (value, slope) with slope = d log
-    value / d log lam at lam, which is -sum(w t) / sum(t) for a modular
-    that sums terms t ~ lam^-w.  A value returned alone takes the chord
-    slope through the lane's two latest finite, nonzero points, the
-    secant's slope; the older point's chord is then dropped, since its root
-    is a point already evaluated.  On a convex log value every tangent root
-    lies below the root, so from below the steps converge from one side,
-    quadratically, and the aim carries the last one across: where log value
-    is linear the first tangent is exact, and the next point, REL_TOL/2
-    below it, closes the bracket.  The aim leaves the returned lam with
-    value below 1 by far more than rounding, so modular(f/lam) <= 1 holds
-    however f/lam is computed.
-
-    One guard, as in safeguarded Newton (rtsafe, Numerical Recipes 3rd ed.
-    9.4), serves every phase: the step goes to the higher of the two
-    latest points' tangent roots inside the bracket (up to REL_TOL/2 above
-    `above`, the aim and rounding) where that root
-    - is within REL_TOL/2 of above (a closing step: it closes the bracket
-      or moves above down by REL_TOL/2),
-    - or is at most half as far from its point in log lam as the tangent
-      step three tangent steps before (the first three steps pass),
-    - or, walking up, lies at or past the walk's next point (a lower bound
-      of the root there);
-    otherwise to the fallback.  Points stay a factor REL_TOL/2 inside each
-    known end.  The halving window measures the tangent step, not the
-    bracket, because a sequence that converges from one side leaves the far
-    end of the bracket where it is.  A value of 0 or inf, or a slope that is
-    not finite and negative, gives no tangent, so the step after such
-    points is the fallback.  A NaN value reads as above 1.
-
-    Lanes: with hi (and lo) arrays of one entry per lane, the call solves
-    every lane at once.  value(lam, rows) then gets the lam of the lanes
-    still open and their indices, and returns their values as an array (or
-    values and slopes as two arrays); each lane keeps its own bracket and
-    step state and closes on its own, so a lane takes exactly the steps of
-    a one-lane call.  A lo from a warm start (a bound known to lie below
-    the root) is the first point, with no walk before it.  Returns an
-    array of roots, one per lane.
-    """
-    if np.ndim(hi) == 0:
-        lane = _lane(hi, hi / 2.0 if lo is None else lo)
-        sent = None
-        try:
-            while True:
-                out = value(lane.send(sent))
-                sent = out if isinstance(out, tuple) else (out, None)
-        except StopIteration as done:
-            return done.value
-    hi = np.asarray(hi, dtype=float)
-    lo = hi / 2.0 if lo is None else np.asarray(lo, dtype=float)
-    lanes = [_lane(h, l) for h, l in zip(hi.tolist(), lo.tolist())]
-    roots = np.empty(len(lanes))
-    rows, sent = list(range(len(lanes))), [None] * len(lanes)
-    while rows:
-        open_rows, lams = [], []
-        for r, v in zip(rows, sent):
-            try:
-                lams.append(lanes[r].send(v))
-                open_rows.append(r)
-            except StopIteration as done:
-                roots[r] = done.value
-        rows = open_rows
-        if rows:
-            out = value(np.array(lams), np.array(rows))
-            values, slopes = out if isinstance(out, tuple) else (out, None)
-            slopes = [None] * len(rows) if slopes is None else slopes.tolist()
-            sent = list(zip(values.tolist(), slopes))
-    return roots
 
 
 def norm(f, p):

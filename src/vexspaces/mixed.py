@@ -14,18 +14,16 @@ Two scales act on a finite sequence (f_0, ..., f_J):
 The norm takes one of four routes.  For constant finite q the modular of
 F/mu is mu^-q times that of F, so one modular evaluation closes the norm:
 ||F|| = peak * m^(1/q) with m the modular of F/peak.  For constant
-q = inf it is the largest level norm.  For variable finite q each outer
-step solves the J+1 level infima as lanes of one luxemburg_root over the
-stacked levels, every lane warm-started from the nearest mu already
-solved: with c = mu'/mu > 1, lam_nu(mu') lies in
-[c^-q^+ lam_nu(mu), c^-q^- lam_nu(mu)] by monotonicity and homogeneity.
-The same lane pass gives the slope of each level infimum in mu, and of
-each lane's modular in its lam, for the tangent (Newton) steps of
-luxemburg_root.  Where q = inf on part of the grid the outer solve runs
-over lq_lp_modular, whose level infima give their slopes too; the outer
-modular gives none, so its steps take the chord slope.  A level infimum
-below the double range adds 0 to the modular and one above it makes the
-modular inf; a norm outside the range raises BracketError.
+q = inf it is the largest level norm.  For variable finite q one Newton
+solve (_joint_root) finds log mu and the log of every level infimum
+together: the level equations and the norm equation are log-sum-exps
+whose Jacobian is an arrowhead, so a step costs one pass over the terms.
+Where that solve does not converge, and where q = inf on part of the
+grid, an outer luxemburg_root runs over lq_lp_modular, whose level
+infima give their slopes; the outer modular gives none, so its steps
+take the chord slope.  A level infimum below the double range adds 0 to
+the modular and one above it makes the modular inf; a norm outside the
+range raises BracketError.
 
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
@@ -43,6 +41,7 @@ import numpy as np
 from .exponents import _clog_inv, pointwise_min, pointwise_max
 from .grid import FunctionSequence, GridFunction, coefficients, convolve, quadrature
 from .lebesgue import (
+    MAX_ITER,
     REL_TOL,
     BracketError,
     _modular_value,
@@ -174,122 +173,102 @@ def _norm_or_zero(f, p):
         return 0.0
 
 
-def _level_lanes(F, p, q):
-    """modular(mu) of F/mu in l_{q(.)}(L_{p(.)}) for finite q, by lanes,
-    with its slope d log modular / d log mu.
+def _joint_root(F, p, q, peak):
+    """The l_{q(.)}(L_{p(.)}) norm of F for finite variable q by one Newton
+    solve, or None where that does not converge.
 
-    One call solves the J+1 closed-route infima || |f_nu/mu|^q ||_{p/q} as
-    lanes of one luxemburg_root over the (J+1, N^dim) stack, each split
-    into its p = inf region (an ess-sup) and its finite part, as
-    lebesgue.norm does.  Each lane starts from the mu already solved
-    nearest to this one: with c = mu'/mu, |f/mu'|^q = c^-q |f/mu|^q, so by
-    monotonicity and homogeneity of the norm lam(mu') lies between
-    c^-q^+ lam(mu) and c^-q^- lam(mu) (the two swap for c < 1).  The
-    previous lam is known within REL_TOL, and the powers are not computed as
-    c^-q times the old ones, so the ends carry a rounding margin.
+    The unknowns are u = log(mu/peak) and v_nu = log lam_nu, the log of
+    each level infimum of F/mu.  With l = log(|f_nu|/peak), a finite-part
+    root solves g_nu = log(cell sum exp(p (l - u) - (p/q) v_nu)) = 0 over
+    the finite-p points, and the ess-sup level over p = inf is e_nu =
+    max_x q (l - u), whose maximiser moves with u where q varies.  The
+    norm solves h = log sum_nu exp(max(e_nu, v_nu)) - log(1 - 2 REL_TOL)
+    = 0: each level that lebesgue.norm computes for lq_lp_modular lies up
+    to REL_TOL above its infimum, and this margin keeps their sum <= 1.
+    Every sum is a log-sum-exp, so no term overflows at any amplitude;
+    all-zero levels add 0 and are dropped.
 
-    A warm lane and the cold per-level solve of lq_lp_modular end at
-    different points of their REL_TOL brackets, so the returned modular is
-    the lane sum over (1 - REL_TOL), which bounds the sum lq_lp_modular
-    computes from above: the norm it yields keeps lq_lp_modular <= 1.
-
-    The slope comes from the same lane pass.  A finite-part root lam_nu
-    solves sum t = 1 over the terms t = cell |f_nu/mu|^p lam_nu^-p/q, so
-    d log lam_nu / d log mu = -sum p t / sum (p/q) t, taken from the terms
-    at each lane's last evaluation (within REL_TOL of its root); an
-    ess-sup level moves as mu^-q(x*) at its maximizer x*.  The slope of
-    the modular is the level-weighted mean of the level slopes.  Each lane
-    also gets its own slope in lam, -sum (p/q) t / sum t, so the lanes
-    take tangent steps too.
+    g_nu depends on u and v_nu alone, so the Jacobian is an arrowhead and
+    one Newton step costs one pass over the terms (H. B. Keller's
+    bordering algorithm, 1977): with s the softmax of the level logs and
+    P, W the term-weighted means of p and p/q,
+    du = (h + sum_fin s g / W) / (sum_ess s q* + sum_fin s P / W) and
+    dv = (g - P du) / W, where q* is q at each ess-sup maximiser and a
+    level is fin where v_nu >= e_nu, ess otherwise.  The solve stops once
+    the step is down to rounding: |du| <= 1e-14 max(1, |u|), and the same
+    for each dv, or a step of at most 1e-10 that is no smaller than the one
+    before.  Newton squares the step on every pass until rounding stops
+    it, and where p/q is small, rounding in g_nu of a few ulps moves v_nu
+    by more than 1e-14 (g/W).  It returns peak * exp(u), which is 0.0 or
+    inf outside the double range; a step that is not finite, or MAX_ITER
+    passes without stopping, give None.
     """
-    levels = len(F)
-    a = F.abs_stack().reshape(levels, -1)
-    qv = q.values.ravel()
-    pq = p.values.ravel() / qv
-    finite = np.isfinite(pq)
-    pv = pq[finite]
-    moments_of = np.stack([pv * qv[finite], pv], axis=1)  # columns p and p/q
-    q_ess = qv[~finite]
-    cell = F.grid.cell_volume
-    q_minus, q_plus = q.p_minus, q.p_plus
-    solved = {}  # mu -> finite-part root of every level (0 where none)
-    # reused buffers: temporaries of this size cost a fresh allocation each
-    g = np.empty(a.shape)  # |f_nu/mu|^q
-    buf = np.empty((levels, pv.size))  # one evaluation of the open lanes
-    moments = np.zeros((levels, 2))  # sum p t, sum (p/q) t at the last evaluation
-
-    def modular(mu):
-        # 0 * inf is NaN where 1/mu overflows (a subnormal mu)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(a, 1.0 / mu, out=g)
-            np.power(g, qv, out=g)
-        ess = np.zeros(levels)
-        slope = np.zeros(levels)  # d log level / d log mu where the ess-sup sets it
-        if q_ess.size:
-            G_ess = g[:, ~finite]
-            at = np.argmax(G_ess, axis=1)
-            ess = G_ess[np.arange(levels), at]
-            slope = -q_ess[at]
-        G = g if finite.all() else g[:, finite]
-        hi = np.max(G, axis=1, initial=0.0)  # a root bound on a measure-1 domain
-        lo = hi / 2.0
-        near = min(solved, key=lambda m: abs(math.log(m / mu)), default=None)
-        # start cold where c^-q could overflow
-        if near is not None and abs(math.log(mu / near)) * q_plus < 600.0:
-            c = mu / near
-            low, high = sorted((c**-q_plus, c**-q_minus))
-            prev = solved[near]
-            warm = prev > 0.0
-            # the old root lies in ((1 - REL_TOL) prev, prev]; one more
-            # REL_TOL on each end covers the rounding
-            hi = np.where(warm, np.minimum(hi, high * (1.0 + REL_TOL) * prev), hi)
-            lo = np.where(warm, np.minimum(hi, low * (1.0 - 2.0 * REL_TOL) * prev), lo)
-            # a warm lo that underflows would end its lane at 0 unevaluated
-            lo = np.where(lo > 0.0, lo, hi / 2.0)
-        rows = np.flatnonzero(hi > 0.0)
-
-        def value(lam, open_rows):
-            x = buf[: open_rows.size]
-            np.take(G, rows[open_rows], axis=0, out=x)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.divide(x, lam[:, None], out=x)
-                np.power(x, pv, out=x)
-                m = x @ moments_of
-                moments[rows[open_rows]] = m
-                total = x.sum(axis=1)
-                return cell * total, -m[:, 1] / total
-
-        fin = np.zeros(levels)
-        fin[rows] = luxemburg_root(value, hi[rows], lo[rows])
-        solved[mu] = fin
-        level = np.maximum(ess, fin)
-        total = float(np.sum(level))
-        if not 0.0 < total < np.inf:
-            return total / (1.0 - REL_TOL), None
-        by_fin = fin > ess
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope[by_fin] = -moments[by_fin, 0] / moments[by_fin, 1]
-        return total / (1.0 - REL_TOL), float(np.dot(level, slope)) / total
-
-    return modular
+    a = F.abs_stack().reshape(len(F), -1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(a[a.any(axis=1)] / peak)  # -inf where f_nu = 0
+    pv, qv = p.values.ravel(), q.values.ravel()
+    finite = np.isfinite(pv)
+    lf = logs[:, finite]
+    has_v = np.flatnonzero((lf > -np.inf).any(axis=1))  # levels with a finite part
+    lf, pf = lf[has_v], pv[finite]
+    moments = np.stack([pf, pf / qv[finite]], axis=1)
+    # a column at -inf gives every level an ess-sup, -inf where it has none
+    le = np.column_stack([logs[:, ~finite], np.full(len(logs), -np.inf)])
+    qe = np.append(qv[~finite], 1.0)
+    x = np.zeros(1 + has_v.size)  # u, then v_nu for each level in has_v
+    log_cell, log_target = math.log(F.grid.cell_volume), math.log(1.0 - 2.0 * REL_TOL)
+    last = np.inf  # the previous step, relative to max(1, |x|)
+    for _ in range(MAX_ITER):
+        u, v = x[0], x[1:]
+        t = pf * (lf - u) - moments[:, 1] * v[:, None]
+        top = t.max(axis=1, initial=-np.inf)
+        t = np.exp(t - top[:, None])
+        total = t.sum(axis=1)
+        P, W = (t @ moments / total[:, None]).T
+        g = log_cell + top + np.log(total)
+        te = qe * (le - u)
+        at = np.argmax(te, axis=1)
+        m = te[np.arange(len(te)), at]  # e_nu, then the level logs
+        by_v = v >= m[has_v]  # the fin levels
+        m[has_v] = np.maximum(m[has_v], v)
+        top = m.max()
+        lse = top + math.log(np.exp(m - top).sum())
+        s = np.exp(m - lse)
+        s_fin = np.where(by_v, s[has_v], 0.0)
+        s[has_v[by_v]] = 0.0  # s now weighs the ess levels only
+        h = lse - log_target
+        du = (h + np.sum(s_fin * g / W)) / (np.dot(s, qe[at]) + np.sum(s_fin * P / W))
+        step = np.append(du, (g - P * du) / W)
+        if not np.isfinite(step).all():
+            return None
+        x += step
+        size = np.max(np.abs(step) / np.maximum(1.0, np.abs(x)))
+        if size <= 1e-14 or last <= size <= 1e-10:
+            # two factors, so that mu is in range wherever peak * exp(u) is
+            with np.errstate(over="ignore"):
+                half = np.exp(0.5 * x[0])
+            return float(peak * half * half)
+        last = size
+    return None
 
 
 def lq_lp_norm(F, p, q):
-    """Norm of F in l_{q(.)}(L_{p(.)}): outer Luxemburg on the modular.
+    """Norm of F in l_{q(.)}(L_{p(.)}), the root mu of modular(F/mu) = 1.
 
     Constant q needs no outer solve.  For finite q the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
-    modular of F/peak over (1 - REL_TOL), the margin _level_lanes takes:
-    each level of F/mu lands anywhere in its own REL_TOL bracket.  For
-    q = inf the modular of F/mu is 0 where mu is at least every level
-    norm and inf elsewhere, so the norm is the largest level norm (a level
-    below the double range counts as 0).  Variable finite q solves the
-    outer root over _level_lanes, which gives each modular with its slope,
-    so the outer solve takes tangent (Newton) steps on log modular over
-    log mu; q = inf on part of the grid keeps lq_lp_modular and its
-    _level_infimum, with chord slopes outside.  The outer root walks from
-    mu = peak until it brackets the root.  Every route raises BracketError
-    when the norm is outside the double range.
+    modular of F/peak over (1 - REL_TOL): each level of F/mu lands
+    anywhere in its own REL_TOL bracket.  For q = inf the modular of F/mu
+    is 0 where mu is at least every level norm and inf elsewhere, so the
+    norm is the largest level norm (a level below the double range counts
+    as 0).  Variable finite q takes the joint Newton solve of the norm and
+    its level infima (_joint_root), aimed at modular 1 - 2 REL_TOL, with
+    no modular call.  Where it does not converge, and where q = inf on
+    part of the grid, the outer root runs over lq_lp_modular and its
+    _level_infimum, with chord slopes outside, walking from mu = peak
+    until it brackets the root.  Every route keeps lq_lp_modular(F/mu) <=
+    1 and lies within k REL_TOL above the root, k = 2 + 4/q^-, and raises
+    BracketError when the norm is outside the double range.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
@@ -302,11 +281,10 @@ def lq_lp_norm(F, p, q):
         with np.errstate(over="ignore"):
             mu = peak * np.float64(m / (1.0 - REL_TOL)) ** (1.0 / q.p_plus)
     else:
-        if q.p_plus < np.inf:
-            modular = _level_lanes(F, p, q)
-        else:
+        mu = _joint_root(F, p, q, peak) if q.p_plus < np.inf else None
+        if mu is None:
             modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
-        mu = luxemburg_root(modular, 2.0 * peak, peak)
+            mu = luxemburg_root(modular, 2.0 * peak, peak)
     if not np.isfinite(mu):
         raise BracketError("norm above the double range")
     if mu == 0.0:

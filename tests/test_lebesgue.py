@@ -256,10 +256,6 @@ def test_root_solver_brackets_from_below():
     root = luxemburg_root(value, 0.2)
     assert value(root) <= 1.0
     assert abs(root - c) <= REL_TOL * c
-    # a lane given the same hi and no lo, next to a lane that starts above
-    roots = luxemburg_root(lambda lam, rows: (c / lam) ** 3, np.array([0.2, 1.0]))
-    assert np.all(value(roots) <= 1.0)
-    assert np.all(np.abs(roots - c) <= REL_TOL * c)
 
 
 @pytest.mark.parametrize("p", [0.02, 0.01])
@@ -323,21 +319,16 @@ def test_norm_contract_at_extreme_scales(log_amplitude, log_p, variable_p, inf_r
 
 
 def test_root_solver_non_finite_start_is_inf():
-    # an overflowed start has no point to walk from: inf, with no
-    # evaluation, alone and as one lane of several
+    # an overflowed start has no point to walk from: inf, with no evaluation
     c = 0.3
     seen = []
 
-    def value(lam, rows=None):
+    def value(lam):
         seen.append(lam)
         return (c / lam) ** 3
 
     assert luxemburg_root(value, np.inf) == np.inf
     assert seen == []
-    roots = luxemburg_root(value, np.array([np.inf, 1.0]), np.array([np.inf, 0.5]))
-    assert roots[0] == np.inf
-    assert abs(roots[1] - c) <= REL_TOL * c
-    assert all(len(lams) == 1 for lams in seen)
 
 
 @pytest.mark.parametrize("variable, budget", [(False, 3), (True, 5)])
@@ -377,47 +368,6 @@ def test_root_solver_power_law_lands_at_once():
     assert len(set(lams)) == len(lams)
     assert abs(root - c) <= REL_TOL * c
     assert (c / root) ** 3 <= 1.0
-
-
-def test_root_solver_lanes_match_one_lane_calls():
-    # a lane takes exactly the steps of a one-lane call, bit for bit
-    rng = np.random.default_rng(11)
-    a = rng.uniform(0.0, 2.0, size=(6, 64)) ** 3
-    a[0, 1:] = 0.0  # a power law in lam: this lane closes early
-    pv = rng.uniform(0.3, 5.0, size=64)
-    hi = a.max(axis=1)
-    calls = []
-
-    def lanes(lam, rows):
-        calls.append(rows.tolist())
-        return np.sum((a[rows] / lam[:, None]) ** pv, axis=1) / 64.0
-
-    roots = luxemburg_root(lanes, hi)
-    one_lane = [
-        luxemburg_root(lambda lam, r=r: np.sum((a[r] / lam) ** pv) / 64.0, h)
-        for r, h in enumerate(hi.tolist())
-    ]
-    assert roots.tolist() == one_lane
-    assert all(len(rows) > 0 for rows in calls)
-    assert len(calls[-1]) < len(hi)  # closed lanes are not evaluated again
-
-
-def test_root_solver_lanes_from_warm_brackets():
-    # lanes warm-started inside their brackets land like cold ones; a lo
-    # that is not below the root walks down from there
-    c = np.array([0.3, 2.0, 5.0])
-    lams = []
-
-    def lanes(lam, rows):
-        lams.append(lam)
-        return (c[rows] / lam) ** 3
-
-    hi = np.array([0.3 * (1 + 1e-9), 2.5, 50.0])
-    lo = np.array([0.3 * (1 - 1e-9), 1.0, 20.0])
-    roots = luxemburg_root(lanes, hi, lo)
-    assert np.all((c / roots) ** 3 <= 1.0)
-    assert np.all(roots - c <= REL_TOL * roots)
-    assert lams[0].tolist() == lo.tolist()  # no step before a warm lo
 
 
 def _modular_with_slope(a, pv):
@@ -504,18 +454,3 @@ def test_root_solver_tangent_steps_keep_the_contract():
             assert abs(root - chord) <= REL_TOL * chord
     assert tangent_steps <= 1023 and chord_steps <= 1842
 
-
-def test_root_solver_tangent_lanes_match_one_lane_calls():
-    # with slopes too, a lane takes exactly the steps of a one-lane call
-    rng = np.random.default_rng(12)
-    a = rng.uniform(0.0, 2.0, size=(6, 64)) ** 3
-    pv = rng.uniform(0.3, 5.0, size=64)
-    hi = a.max(axis=1)
-
-    def lanes(lam, rows):
-        t = (a[rows] / lam[:, None]) ** pv
-        return t.sum(axis=1) / 64.0, -(t @ pv) / t.sum(axis=1)
-
-    roots = luxemburg_root(lanes, hi)
-    one_lane = [luxemburg_root(_modular_with_slope(a[r], pv), h) for r, h in enumerate(hi.tolist())]
-    assert roots.tolist() == one_lane

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vexspaces import mixed
 from vexspaces import (
     FunctionSequence,
     Grid,
@@ -560,6 +561,41 @@ def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, i
         lambda mu: _infimum_modular(F.scaled(1.0 / mu), p, q1), 2.0 * peak, peak
     )
     assert lam1 == pytest.approx(general, rel=(2.0 + 4.0 / q1.p_minus) * REL_TOL)
+
+
+def test_lq_lp_norm_falls_back_to_the_outer_root(monkeypatch):
+    # where the joint Newton solve reports no convergence, lq_lp_norm takes
+    # the outer root over lq_lp_modular, the route of q = inf on part of the
+    # grid.  That norm keeps both sides of the contract, k = 2 + 4/q^- as
+    # above, and agrees within that k with the outer root over the defining
+    # infima and with the joint solve
+    g = Grid(1, 64)
+    rng = np.random.default_rng(26)
+    shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
+    F = FunctionSequence.from_stack(g, shape)
+    p = _wide_exponent(rng, g, True, True)
+    q = _wide_exponent(rng, g, True, False)
+    outer = []
+    real_root = mixed.luxemburg_root
+
+    def root(value, hi, lo=None):
+        outer.append(hi)
+        return real_root(value, hi, lo)
+
+    monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
+    monkeypatch.setattr(mixed, "luxemburg_root", root)
+    lam = lq_lp_norm(F, p, q)
+    monkeypatch.undo()
+    assert len(outer) == 1
+    k = 2.0 + 4.0 / q.p_minus
+    assert lq_lp_modular(F.scaled(1.0 / lam), p, q) <= 1.0
+    assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0
+    peak = max(f.max_abs() for f in F)
+    general = luxemburg_root(
+        lambda mu: _infimum_modular(F.scaled(1.0 / mu), p, q), 2.0 * peak, peak
+    )
+    assert lam == pytest.approx(general, rel=k * REL_TOL)
+    assert lam == pytest.approx(lq_lp_norm(F, p, q), rel=k * REL_TOL)
 
 
 @settings(max_examples=40, deadline=None)

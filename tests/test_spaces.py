@@ -964,52 +964,29 @@ def test_b_scale_q_inf_root_solve_work_count(monkeypatch):
 
 
 def test_b_scale_root_solve_work_count(monkeypatch):
-    # constant q is one modular call; variable q is one outer root solve
-    # whose value(mu) solves the level infima as warm-started lanes, both
-    # with tangent steps.  They take 5 outer evaluations and 20 lane steps
-    # (5, 5, 4, 3, 3); the budgets allow one more of each.  Bisection
-    # needs ~45 outer evaluations
+    # constant q is one modular call; variable q is one joint Newton solve
+    # of the norm and its level infima (mixed._joint_root), with no modular
+    # call and no outer root solve.  It takes 7 passes; the budget, the
+    # MAX_ITER that solve gets, allows one more
     grid, J, x, w, system, f = _b_spec_parts()
     two = VariableExponent.constant(grid, 2.0)
     p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
     q = VariableExponent(grid, 2.0 + 0.8 * np.cos(2 * np.pi * x))
-    modular_calls, outer, lane_steps = [], [], []
-    real_modular, real_lanes, real_root = (
-        mixed.lq_lp_modular, mixed._level_lanes, mixed.luxemburg_root
-    )
+    modular_calls = []
+    real_modular = mixed.lq_lp_modular
 
     def modular(F, *args, **kwargs):
         modular_calls.append(F)
         return real_modular(F, *args, **kwargs)
 
-    def lanes(*args):
-        value = real_lanes(*args)
-
-        def counted(mu):
-            outer.append(mu)
-            lane_steps.append(0)
-            return value(mu)
-
-        return counted
-
-    def root(value, hi, lo=None):
-        if np.ndim(hi) == 0:
-            return real_root(value, hi, lo)
-
-        def counted(lam, rows):
-            lane_steps[-1] += 1
-            return value(lam, rows)
-
-        return real_root(counted, hi, lo)
+    def no_root(*args, **kwargs):
+        raise AssertionError("the B-scale norm ran an outer root solve")
 
     monkeypatch.setattr(mixed, "lq_lp_modular", modular)
-    monkeypatch.setattr(mixed, "_level_lanes", lanes)
-    monkeypatch.setattr(mixed, "luxemburg_root", root)
+    monkeypatch.setattr(mixed, "luxemburg_root", no_root)
     assert quasi_norm(f, SpaceSpec("B", two, two, w, system, J)) > 0.0
-    assert len(modular_calls) == 1 and not outer
+    assert len(modular_calls) == 1
     modular_calls.clear()
+    monkeypatch.setattr(mixed, "MAX_ITER", 8)
     assert quasi_norm(f, SpaceSpec("B", p, q, w, system, J)) > 0.0
     assert not modular_calls
-    assert 0 < len(outer) <= 6
-    assert len(set(outer)) == len(outer)  # no mu evaluated twice
-    assert max(lane_steps) <= 6 and sum(lane_steps) <= 21
