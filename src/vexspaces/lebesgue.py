@@ -25,8 +25,7 @@ walk has no cap inside the double range: it returns 0.0 only where the
 smallest subnormal is admissible (a norm below the range raises
 BracketError) and inf only where the largest finite double is not.  Its
 one step rule is the tangent (Newton) step on log modular over log lam:
-every modular of the package gives its slope, and a value without one
-takes the chord through its two latest points.
+every modular of the package gives its slope.
 """
 
 import math
@@ -68,26 +67,16 @@ class ModularResult:
     infinity_region_violated: bool
 
 
-def _modular_value(abs_samples, p_values, cell_volume):
-    """Raw modular of |samples| under exponent values; may return inf."""
-    finite = np.isfinite(p_values)
-    violated = bool(np.any(abs_samples[~finite] > 1.0))
-    if violated:
-        return np.inf, True
-    a = abs_samples[finite]
-    if a.size == 0:
-        return 0.0, False
-    with np.errstate(over="ignore"):
-        total = cell_volume * np.sum(a ** p_values[finite])
-    return float(total), False
-
-
 def modular(f, p):
     """Semimodular rho_{p(.)}(f) of a GridFunction."""
     if f.grid != p.grid:
         raise ValueError("grid mismatch between f and p")
-    value, violated = _modular_value(np.abs(f.samples), p.values, f.grid.cell_volume)
-    return ModularResult(value=value, infinity_region_violated=violated)
+    a, finite = np.abs(f.samples), np.isfinite(p.values)
+    if np.any(a[~finite] > 1.0):
+        return ModularResult(value=np.inf, infinity_region_violated=True)
+    with np.errstate(over="ignore"):
+        total = f.grid.cell_volume * np.sum(a[finite] ** p.values[finite])
+    return ModularResult(value=float(total), infinity_region_violated=False)
 
 
 def _tangent(lam, v, s):
@@ -132,16 +121,15 @@ def luxemburg_root(value, hi, lo=None):
     root of a tangent to log value over log lam (Newton's step), aimed
     REL_TOL/4 above it.  value returns (value, slope) with slope = d log
     value / d log lam at lam, which is -sum(w t) / sum(t) for a modular
-    that sums terms t ~ lam^-w.  A value returned alone takes the chord
-    slope through the two latest finite, nonzero points, the secant's
-    slope; the older point's chord is then dropped, since its root is a
-    point already evaluated.  On a convex log value every tangent root
-    lies below the root, so from below the steps converge from one side,
-    quadratically, and the aim carries the last one across: where log value
-    is linear the first tangent is exact, and the next point, REL_TOL/2
-    below it, closes the bracket.  The aim leaves the returned lam with
-    value below 1 by far more than rounding, so modular(f/lam) <= 1 holds
-    however f/lam is computed.
+    that sums terms t ~ lam^-w.  A value returned alone (a predicate with
+    no slope) gives no tangent, so the step after it is the fallback point.
+    On a convex log value every tangent root lies below the root, so from
+    below the steps converge from one side, quadratically, and the aim
+    carries the last one across: where log value is linear the first
+    tangent is exact, and the next point, REL_TOL/2 below it, closes the
+    bracket.  The aim leaves the returned lam with value below 1 by far
+    more than rounding, so modular(f/lam) <= 1 holds however f/lam is
+    computed.
 
     One guard, as in safeguarded Newton (rtsafe, Numerical Recipes 3rd ed.
     9.4), serves every phase: the step goes to the higher of the two
@@ -163,21 +151,6 @@ def luxemburg_root(value, hi, lo=None):
     lo = hi / 2.0 if lo is None else lo
     if not math.isfinite(lo):
         return np.inf
-    chord = []  # latest finite, nonzero point without a given slope; log lam, log value
-
-    def point(lam):
-        """[lam, value, slope] of the evaluation at lam, with the chord
-        slope where value gives none."""
-        out = value(lam)
-        pt = [lam, *(out if isinstance(out, tuple) else (out, None))]
-        if pt[2] is None and 0.0 < pt[1] < np.inf:
-            x, y = math.log(lam), math.log(pt[1])
-            if chord and chord[1] != x:
-                pt[2] = (y - chord[2]) / (x - chord[1])
-                chord[0][2] = None
-            chord[:] = pt, x, y
-        return pt
-
     up, down, inf = 1.0 + 0.5 * REL_TOL, 1.0 - 0.5 * REL_TOL, math.inf
     below, above = 0.0, inf  # latest points with value > 1 and <= 1
     b, tb = (0.0, 0.0, None), 0.0  # the latest point and its tangent root; none yet
@@ -185,7 +158,8 @@ def luxemburg_root(value, hi, lo=None):
     grow = 2.0  # the walk's factor, squared on every walk step
     lam = max(lo, _TINY)
     for i in range(MAX_ITER):
-        a, b = b, point(lam)
+        out = value(lam)
+        a, b = b, (lam, *out) if isinstance(out, tuple) else (lam, out, None)
         if b[1] <= 1.0:  # NaN reads as above 1
             above = lam
         else:
@@ -204,8 +178,7 @@ def luxemburg_root(value, hi, lo=None):
             break
         else:  # narrowing
             lam = math.sqrt(below) * math.sqrt(above)
-        # a point keeps its tangent root until a later chord drops its slope
-        ta, tb = (tb if a[2] is not None else 0.0), _tangent(*b)
+        ta, tb = tb, _tangent(*b)
         # every tangent root of a convex log value is below the root, so the
         # higher one inside the bracket is the better; up to REL_TOL/2 above
         # `above` is inside (the aim and rounding)
@@ -249,6 +222,12 @@ def norm(f, p):
         with np.errstate(over="ignore", invalid="ignore"):
             t = (af / lam) ** pv
             total = float(t.sum())
+            if total == np.inf:
+                # af / lam overflows below lam = 1 where (af / lam)^p need
+                # not: those terms alone are taken through logs
+                big = af / lam == np.inf
+                t[big] = np.exp(pv[big] * (np.log(af[big]) - math.log(lam)))
+                total = float(t.sum())
             return cell_volume * total, -pv.dot(t) / total
 
     # on a measure-1 domain the modular at lam = max|f| is <= 1 already

@@ -19,10 +19,11 @@ solve (_joint_root) finds log mu and the log of every level infimum
 together: the level equations and the norm equation are log-sum-exps
 whose Jacobian is an arrowhead, so a step costs one pass over the terms.
 Where that solve does not converge, and where q = inf on part of the
-grid, an outer luxemburg_root runs over lq_lp_modular, whose level
-infima give their slopes; the outer modular gives none, so its steps
-take the chord slope.  A level infimum below the double range adds 0 to
-the modular and one above it makes the modular inf; a norm outside the
+grid, an outer luxemburg_root runs over the defining level infima of
+F/mu (_infimum_modular), which sum their terms as log-sum-exps on the
+same logs and give the modular with its slope.  Both aim at the modular
+1 - 2 REL_TOL.  A level infimum below the double range adds 0 to the
+modular and one above it makes the modular inf; a norm outside the
 range raises BracketError.
 
 The module also ships the smoothing operators whose mixed-norm bounds carry
@@ -33,6 +34,7 @@ through the Hurwitz zeta by Euler-Maclaurin.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +46,6 @@ from .lebesgue import (
     MAX_ITER,
     REL_TOL,
     BracketError,
-    _modular_value,
     luxemburg_root,
     norm as lebesgue_norm,
 )
@@ -98,71 +99,111 @@ def lp_lq_norm(F, p, q):
     return lebesgue_norm(GridFunction(F.grid, inner), p)
 
 
-def _level_infimum(abs_samples, p, q, cell_volume):
-    """inf{lam > 0 : rho_p(f / lam^(1/q(.))) <= 1} for one level.
+# the modular every variable-q route aims at: each level that lebesgue.norm
+# computes for lq_lp_modular lies up to REL_TOL above its infimum, and this
+# margin keeps their sum <= 1
+_AIM = 1.0 - 2.0 * REL_TOL
 
-    On {q = inf} the scaling is lam-independent, so that region contributes
-    a fixed amount to the modular; if nothing varies with lam the infimum is
-    0 when the fixed part is admissible and inf otherwise.  Otherwise the
-    root solve walks from lam = 1 and returns inf only where no double lam
-    is admissible (an infimum above the double range).
+
+def _log_sum(t, moments, log_cell):
+    """log(cell sum exp(t)) over the last axis of t, as a log-sum-exp on the
+    largest term, and the means of the columns of moments weighted by the
+    terms exp(t)."""
+    top = t.max(axis=-1, initial=-np.inf)
+    t = np.exp(t - top[..., None])
+    total = t.sum(axis=-1)
+    return log_cell + top + np.log(total), t @ moments / total[..., None]
+
+
+def _level_infimum(d, p, q, cell_volume):
+    """inf{lam > 0 : rho_p(f / lam^(1/q(.))) <= 1} for one level f of F/mu,
+    from d = log|f| (-inf where f = 0), and its rate d log lam / d log mu.
+
+    Each finite-p term of the modular is exp(p d - (p/q) log lam), summed
+    by _log_sum, so no power overflows at any amplitude.  On {q = inf},
+    p/q = 0: those terms do not vary with lam, and over p = inf there the
+    predicate is d <= 0, so if that fixed part exceeds 1 the infimum is
+    inf.  Over p = inf where q is finite the predicate is lam >= exp(q d),
+    so the infimum is the larger of that ess-sup level and the root over
+    the finite-p terms, 0 where none of them varies with lam.  The root
+    solve walks from lam = 1 and gives 0.0 or inf outside the double range.
+    Its rate, where it sets the infimum, is -sum p t / sum (p/q) t over the
+    terms t of its last evaluation; the ess-sup level's is -q at its
+    maximiser.
     """
-    q_inf = ~np.isfinite(q.values)
-    inv_q = np.where(q_inf, 0.0, 1.0 / np.where(q_inf, 1.0, q.values))
+    pv, qv, d = p.values.ravel(), q.values.ravel(), d.ravel()
+    p_fin, q_fin = np.isfinite(pv), np.isfinite(qv)
+    pf, fixed, ess = pv[p_fin], ~q_fin[p_fin], ~p_fin & q_fin
+    moments = np.stack([pf, pf / qv[p_fin]], axis=1)  # p/q = 0 where q = inf
+    t0, e = pf * d[p_fin], qv[ess] * d[ess]
+    with np.errstate(over="ignore"):
+        if np.any(d[~(p_fin | q_fin)] > 0.0) or cell_volume * np.exp(t0[fixed]).sum() > 1.0:
+            return np.inf, 0.0
+        # the ess-sup level and its rate
+        lam, rate = (np.exp(e.max()), -qv[ess][e.argmax()]) if e.size else (0.0, 0.0)
+    if not (t0[~fixed] > -np.inf).any():
+        return lam, rate
+    log_cell, last = math.log(cell_volume), 0.0  # last: the latest evaluation's rate
 
-    fixed_part, _ = _modular_value(np.where(q_inf, abs_samples, 0.0), p.values, cell_volume)
-    if fixed_part > 1.0:
-        return np.inf
-    if not abs_samples[~q_inf].any():
-        return 0.0
-    p_inf = ~np.isfinite(p.values)
-    pv = p.values[~p_inf]
-    weights = pv * inv_q[~p_inf]  # each term scales as lam^-p/q
+    def value(root):
+        nonlocal last
+        log_value, (P, W) = _log_sum(t0 - moments[:, 1] * math.log(root), moments, log_cell)
+        last = -P / W
+        with np.errstate(over="ignore"):
+            return np.exp(log_value), -W
 
-    def value(lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = abs_samples * lam**-inv_q
-            if np.any(scaled[p_inf] > 1.0):
-                return np.inf, None
-            t = scaled[~p_inf] ** pv
-            total = float(t.sum())
-            return cell_volume * total, -weights.dot(t) / total
-
-    return luxemburg_root(value, 2.0, 1.0)
+    root = luxemburg_root(value, 2.0, 1.0)
+    return (lam, rate) if lam >= root else (root, last)
 
 
-def _infimum_modular(F, p, q):
-    """Modular of F in l_{q(.)}(L_{p(.)}) from the defining level infima."""
-    cell = F.grid.cell_volume
-    total = 0.0
-    for f in F:
-        level = _level_infimum(np.abs(f.samples), p, q, cell)
-        if level == np.inf:
-            return np.inf
-        total += level
-    return total
+def _infimum_modular(F, p, q, mu):
+    """Modular of F/mu in l_{q(.)}(L_{p(.)}) from the defining level infima,
+    and its slope d log modular / d log mu, or None where the modular is 0
+    or inf.
+
+    F/mu is not formed: each level infimum runs on log|f_nu/mu| = log(|f_nu|
+    / peak) - log(mu/peak), as _joint_root takes them, with mu/peak one
+    quotient wherever it is a normal double; the slope is the mean of the
+    level rates weighted by the infima.
+    """
+    a = F.abs_stack()
+    peak = a.max()
+    if peak == 0.0:
+        return 0.0, None
+    ratio = mu / peak
+    normal = sys.float_info.min <= ratio <= sys.float_info.max
+    u = math.log(ratio) if normal else math.log(mu) - math.log(peak)
+    with np.errstate(divide="ignore"):
+        logs = np.log(a / peak) - u
+    levels, rates = np.array([_level_infimum(d, p, q, F.grid.cell_volume) for d in logs]).T
+    total = float(levels.sum())
+    return total, (levels @ rates / total if 0.0 < total < np.inf else None)
 
 
 def lq_lp_modular(F, p, q):
     """Modular of F in l_{q(.)}(L_{p(.)}); may be inf.
 
     With q^+ < inf the per-level infimum equals || |f_nu|^q ||_{L_{p/q}}
-    and that closed route is taken; where |f_nu|^q overflows, that level,
-    and so the modular, is inf; a level whose infimum is below the double
-    range adds 0.  Otherwise the defining infima are solved.
+    and that closed route is taken; a level where |f_nu|^q overflows takes
+    its defining infimum (_level_infimum) instead, which is inf only above
+    the double range, and a level whose infimum is below the range adds 0.
+    Otherwise the defining infima are solved.
     """
     _check_seq(F, p, q)
     if q.p_plus < np.inf:
         pq = p.divided_pointwise(q)
         total = 0.0
         for f in F:
+            a = np.abs(f.samples)
             with np.errstate(over="ignore"):
-                aq = np.abs(f.samples) ** q.values
-            if np.isinf(aq).any():
-                return np.inf
-            total += _norm_or_zero(GridFunction(F.grid, aq), pq)
+                aq = a ** q.values
+            if np.isfinite(aq).all():
+                total += _norm_or_zero(GridFunction(F.grid, aq), pq)
+            else:
+                with np.errstate(divide="ignore"):
+                    total += _level_infimum(np.log(a), p, q, F.grid.cell_volume)[0]
         return total
-    return _infimum_modular(F, p, q)
+    return _infimum_modular(F, p, q, 1.0)[0]
 
 
 def _norm_or_zero(f, p):
@@ -182,11 +223,9 @@ def _joint_root(F, p, q, peak):
     root solves g_nu = log(cell sum exp(p (l - u) - (p/q) v_nu)) = 0 over
     the finite-p points, and the ess-sup level over p = inf is e_nu =
     max_x q (l - u), whose maximiser moves with u where q varies.  The
-    norm solves h = log sum_nu exp(max(e_nu, v_nu)) - log(1 - 2 REL_TOL)
-    = 0: each level that lebesgue.norm computes for lq_lp_modular lies up
-    to REL_TOL above its infimum, and this margin keeps their sum <= 1.
-    Every sum is a log-sum-exp, so no term overflows at any amplitude;
-    all-zero levels add 0 and are dropped.
+    norm solves h = log sum_nu exp(max(e_nu, v_nu)) - log(_AIM) = 0.
+    Every sum is a log-sum-exp (_log_sum), so no term overflows at any
+    amplitude; all-zero levels add 0 and are dropped.
 
     g_nu depends on u and v_nu alone, so the Jacobian is an arrowhead and
     one Newton step costs one pass over the terms (H. B. Keller's
@@ -216,16 +255,12 @@ def _joint_root(F, p, q, peak):
     le = np.column_stack([logs[:, ~finite], np.full(len(logs), -np.inf)])
     qe = np.append(qv[~finite], 1.0)
     x = np.zeros(1 + has_v.size)  # u, then v_nu for each level in has_v
-    log_cell, log_target = math.log(F.grid.cell_volume), math.log(1.0 - 2.0 * REL_TOL)
+    log_cell, log_target = math.log(F.grid.cell_volume), math.log(_AIM)
     last = np.inf  # the previous step, relative to max(1, |x|)
     for _ in range(MAX_ITER):
         u, v = x[0], x[1:]
-        t = pf * (lf - u) - moments[:, 1] * v[:, None]
-        top = t.max(axis=1, initial=-np.inf)
-        t = np.exp(t - top[:, None])
-        total = t.sum(axis=1)
-        P, W = (t @ moments / total[:, None]).T
-        g = log_cell + top + np.log(total)
+        g, means = _log_sum(pf * (lf - u) - moments[:, 1] * v[:, None], moments, log_cell)
+        P, W = means.T
         te = qe * (le - u)
         at = np.argmax(te, axis=1)
         m = te[np.arange(len(te)), at]  # e_nu, then the level logs
@@ -262,13 +297,14 @@ def lq_lp_norm(F, p, q):
     is 0 where mu is at least every level norm and inf elsewhere, so the
     norm is the largest level norm (a level below the double range counts
     as 0).  Variable finite q takes the joint Newton solve of the norm and
-    its level infima (_joint_root), aimed at modular 1 - 2 REL_TOL, with
-    no modular call.  Where it does not converge, and where q = inf on
-    part of the grid, the outer root runs over lq_lp_modular and its
-    _level_infimum, with chord slopes outside, walking from mu = peak
-    until it brackets the root.  Every route keeps lq_lp_modular(F/mu) <=
-    1 and lies within k REL_TOL above the root, k = 2 + 4/q^-, and raises
-    BracketError when the norm is outside the double range.
+    its level infima (_joint_root), with no modular call.  Where it does
+    not converge, and where q = inf on part of the grid, the outer root
+    runs over _infimum_modular, the defining level infima of F/mu with
+    the slope of their sum, walking from mu = peak until it brackets the
+    root.  Both aim at modular 1 - 2 REL_TOL (_AIM).  Every route keeps
+    lq_lp_modular(F/mu) <= 1 and lies within k REL_TOL above the root,
+    k = 2 + 4/q^-, and raises BracketError when the norm is outside the
+    double range.
     """
     _check_seq(F, p, q)
     peak = max(f.max_abs() for f in F)
@@ -283,7 +319,11 @@ def lq_lp_norm(F, p, q):
     else:
         mu = _joint_root(F, p, q, peak) if q.p_plus < np.inf else None
         if mu is None:
-            modular = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
+
+            def modular(mu):
+                m, slope = _infimum_modular(F, p, q, mu)
+                return m / _AIM, slope
+
             mu = luxemburg_root(modular, 2.0 * peak, peak)
     if not np.isfinite(mu):
         raise BracketError("norm above the double range")

@@ -227,8 +227,8 @@ def test_unit_ball_property_hypothesis(scale):
 
 def test_root_solver_contract():
     c = 0.3
-    # a step has no tangent: its values 0 and 2 give no chord with a
-    # finite, negative slope, so every step is a midpoint
+    # a step returns its value alone, with no slope, so it has no tangent
+    # and every step is a midpoint
     step = lambda lam: 0.0 if lam >= c else 2.0
     root = luxemburg_root(step, 5.0)
     assert step(root) <= 1.0
@@ -286,6 +286,17 @@ def test_norm_below_the_double_range_raises(p):
     P = VariableExponent(g, np.where(np.arange(64) == 9, np.inf, p))
     x[9] = 1e-300
     assert norm(GridFunction(g, x), P) == 1e-300
+
+
+def test_norm_of_a_spike_at_the_top_of_the_range_raises():
+    # a 1.79e308 spike at p = 0.004 on 2D N=64 has norm 1.79e308 * 4096^-250,
+    # about 1e-595.  f / lam overflows for every lam < 1, where its power
+    # does not: read as inf, the walk stopped near 1
+    g = Grid(2, 64)
+    x = np.zeros(g.shape)
+    x[3, 5] = 1.79e308
+    with pytest.raises(BracketError, match="below the double range"):
+        norm(GridFunction(g, x), VariableExponent.constant(g, 0.004))
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,23 +364,6 @@ def test_norm_work_count(monkeypatch, variable, budget):
     assert len(counts) == 50 and max(counts) <= budget
 
 
-def test_root_solver_power_law_lands_at_once():
-    # log value is linear in log lam, so the first chord slope is exact and
-    # its step hits the root
-    c = 0.3
-    lams = []
-
-    def value(lam):
-        lams.append(lam)
-        return (c / lam) ** 3
-
-    root = luxemburg_root(value, 1.5 * c)
-    assert len(lams) <= 4
-    assert len(set(lams)) == len(lams)
-    assert abs(root - c) <= REL_TOL * c
-    assert (c / root) ** 3 <= 1.0
-
-
 def _modular_with_slope(a, pv):
     """The modular of a / lam on a measure-1 grid of a.size cells and its
     slope d log value / d log lam = -sum pv t / sum t."""
@@ -432,11 +426,10 @@ def test_root_solver_reaches_both_ends_of_the_double_range():
 
 def test_root_solver_tangent_steps_keep_the_contract():
     # modulars with exponents spread over four decades, from starts far
-    # below and far above the root: steps on given slopes and on chord
-    # slopes (a value returned alone) both keep both sides of the contract
-    # and agree within REL_TOL.  They take 1023 and 1842 evaluations
+    # below and far above the root: steps on given slopes keep both sides
+    # of the contract.  They take 1023 evaluations
     rng = np.random.default_rng(4)
-    chord_steps = tangent_steps = 0
+    tangent_steps = 0
     for _ in range(40):
         a = rng.uniform(0.0, 1.0, 64) ** rng.uniform(0.0, 6.0)
         pv = 10.0 ** rng.uniform(-2.0, 2.0, 64)
@@ -447,10 +440,5 @@ def test_root_solver_tangent_steps_keep_the_contract():
             root = luxemburg_root(lambda lam: counted.append(lam) or with_slope(lam), start)
             tangent_steps += len(counted)
             assert without(root) <= 1.0 < without((1.0 - REL_TOL) * root)
-            counted.clear()
-            chord = luxemburg_root(lambda lam: counted.append(lam) or without(lam), start)
-            chord_steps += len(counted)
-            assert without(chord) <= 1.0 < without((1.0 - REL_TOL) * chord)
-            assert abs(root - chord) <= REL_TOL * chord
-    assert tangent_steps <= 1023 and chord_steps <= 1842
+    assert tangent_steps <= 1023
 

@@ -10,7 +10,8 @@ digits; the float inputs convert exactly, and exponent limits of +-10^6 keep
 every power in range.  It then certifies the root: value(mu (1 + 1e-24)) <=
 1 < value(mu (1 - 1e-24)), each level infimum solved on its own by Newton
 in v_nu.  Each case asserts mu* <= lq_lp_norm <= (1 + k REL_TOL) mu* with
-k = 2 + 4/q^-.
+k = 2 + 4/q^-, once through the joint solve and once with that solve
+reporting no convergence, through the outer root it falls back to.
 """
 
 from decimal import Context, Decimal, localcontext
@@ -18,7 +19,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 import pytest
 
-from vexspaces import FunctionSequence, Grid, VariableExponent
+from vexspaces import FunctionSequence, Grid, VariableExponent, mixed
 from vexspaces.lebesgue import REL_TOL
 from vexspaces.mixed import lq_lp_norm
 
@@ -135,8 +136,8 @@ CASES = [
     (7, 1e-200, (0.2, 8.0), True, (0.3, 16.0), True, 16),
     (8, 1e200, (1.0, 2.0), True, (0.1, 0.5), False, 16),
     # two samples per level at small p and large q: |f_nu/mu|^q overflows
-    # at the norm, so an outer root over lq_lp_modular, which reads that
-    # level as inf, lands 45 times above it
+    # at the norm, so an outer root over the closed route of lq_lp_modular,
+    # which read that level as inf, landed 45 times above it
     (13, 1.0, (0.02, 0.06), False, (4.0, 16.0), False, 2),
     # p near 0.0025: the norm is 1e-438 times the peak, so exp(log(mu/peak))
     # is below the double range while mu is not, and p/q is so small that
@@ -145,15 +146,10 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "seed, amplitude, p_range, p_inf, q_range, zero_level, support", CASES
-)
-def test_lq_lp_norm_matches_the_oracle(
-    seed, amplitude, p_range, p_inf, q_range, zero_level, support
-):
-    # 1D N=16, J=2: moduli spread over three decades with random signs on
-    # the first `support` samples, p and q log-uniform per sample, p = inf
-    # on the samples 4..7
+def _case(seed, amplitude, p_range, p_inf, q_range, zero_level, support):
+    """(F, p, q) of a case: 1D N=16, J=2, moduli spread over three decades
+    with random signs on the first `support` samples, p and q log-uniform
+    per sample, p = inf on the samples 4..7."""
     g = Grid(1, 16)
     rng = np.random.default_rng(seed)
     shape = 10.0 ** rng.uniform(-3.0, 0.0, (3, 16)) * rng.choice([-1.0, 1.0], (3, 16))
@@ -165,10 +161,38 @@ def test_lq_lp_norm_matches_the_oracle(
     if p_inf:
         p[4:8] = np.inf
     q = VariableExponent(g, 10.0 ** rng.uniform(*np.log10(q_range), 16))
-    p = VariableExponent(g, p)
+    return F, VariableExponent(g, p), q
+
+
+def _assert_matches_the_oracle(F, p, q):
     truth = _oracle(F, p, q)
     mu = Decimal(lq_lp_norm(F, p, q))
     k = 2.0 + 4.0 / q.p_minus
     with localcontext(ORACLE):
         assert truth * (ONE + CERTIFY) <= mu
         assert mu <= truth * (ONE - CERTIFY) * (ONE + Decimal(k) * Decimal(REL_TOL))
+
+
+@pytest.mark.parametrize(
+    "seed, amplitude, p_range, p_inf, q_range, zero_level, support", CASES
+)
+def test_lq_lp_norm_matches_the_oracle(
+    seed, amplitude, p_range, p_inf, q_range, zero_level, support
+):
+    _assert_matches_the_oracle(
+        *_case(seed, amplitude, p_range, p_inf, q_range, zero_level, support)
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, amplitude, p_range, p_inf, q_range, zero_level, support", CASES
+)
+def test_outer_route_matches_the_oracle(
+    seed, amplitude, p_range, p_inf, q_range, zero_level, support, monkeypatch
+):
+    # the same cases and bound through the outer root over the defining
+    # level infima, the route lq_lp_norm falls back to
+    monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
+    _assert_matches_the_oracle(
+        *_case(seed, amplitude, p_range, p_inf, q_range, zero_level, support)
+    )

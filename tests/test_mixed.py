@@ -177,7 +177,7 @@ def test_inner_infimum_dual_route(grid64):
     F = random_sequence(grid64, rng, levels=3)
     p, q = varying_p(grid64), varying_q(grid64)
     fast = lq_lp_modular(F, p, q)
-    general = _infimum_modular(F, p, q)
+    general, _ = _infimum_modular(F, p, q, 1.0)
     assert general == pytest.approx(fast, rel=1e-8)
 
 
@@ -432,7 +432,21 @@ def test_modular_overflow_is_inf_on_both_routes():
     F = FunctionSequence([GridFunction(g, np.full(g.shape, 1e200))])
     two = VariableExponent.constant(g, 2.0)
     assert lq_lp_modular(F, two, two) == np.inf
-    assert _infimum_modular(F, two, two) == np.inf
+    assert _infimum_modular(F, two, two, 1.0)[0] == np.inf
+
+
+def test_modular_takes_the_level_infimum_where_powers_overflow():
+    # |f|^4 of a 1e200 spike overflows a double, but at p = 0.005 its level
+    # infimum, || |f|^4 ||_{p/4} = 1e800 * 16^-800, is 5.06e-164: the closed
+    # route takes that level's defining infimum instead of reading inf
+    g = Grid(1, 16)
+    x = np.zeros(g.shape)
+    x[3] = 1e200
+    F = FunctionSequence([GridFunction(g, x)])
+    p, q = VariableExponent.constant(g, 0.005), VariableExponent.constant(g, 4.0)
+    level = math.exp(4.0 * math.log(1e200) - 800.0 * math.log(16.0))
+    assert lq_lp_modular(F, p, q) == pytest.approx(level, rel=4.0 * REL_TOL)
+    assert _infimum_modular(F, p, q, 1.0)[0] == pytest.approx(level, rel=4.0 * REL_TOL)
 
 
 def test_general_route_reaches_a_far_level_infimum(grid64):
@@ -445,7 +459,7 @@ def test_general_route_reaches_a_far_level_infimum(grid64):
     q = VariableExponent.constant(grid64, 4.0)
     closed = lq_lp_modular(F, p, q)
     assert 7e80 < closed < 8e80
-    assert _infimum_modular(F, p, q) == pytest.approx(closed, rel=4.0 * REL_TOL)
+    assert _infimum_modular(F, p, q, 1.0)[0] == pytest.approx(closed, rel=4.0 * REL_TOL)
 
 
 def test_ratios_of_a_zero_sequence_are_nan():
@@ -504,8 +518,8 @@ def test_mixed_norm_contracts_at_extreme_scales(
     # modular(F/((1 - k REL_TOL) lam)) > 1, for amplitudes 1e-300..1e300
     # with the sample shape in [0.25, 1] and random signs.  lp_lq_norm is
     # one lebesgue.norm of pointwise_lq, so k = 2 as for that solver.
-    # lq_lp_norm divides its lane sum by (1 - REL_TOL), and the modular
-    # moves only by about q dlam/lam, so k = 2 + 4/q^-.
+    # lq_lp_norm aims at modular 1 - 2 REL_TOL, and the modular moves only
+    # by about q dlam/lam, so k = 2 + 4/q^-.
     g = Grid(1, 64) if dim == 1 else Grid(2, 16)
     rng = np.random.default_rng(seed)
     shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
@@ -536,13 +550,11 @@ def test_mixed_norm_contracts_at_extreme_scales(
 def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, inf_region, dim, seed):
     # for q0 <= q1 pointwise every level infimum can only fall, so the
     # l_q1(L_p) norm is at most the l_q0(L_p) norm.  Both q are variable, so
-    # both norms take the lane route with tangent steps; that route must
-    # also agree with the outer root solve over the defining infimum
-    # (_infimum_modular, chord steps).  p may have a p = inf region, whose
-    # levels are ess-sups.  Each computed norm lies within k REL_TOL above
-    # its root, k = 2 + 4/q^- as in the contract test above, so that is the
-    # slack of both comparisons (the two routes differed by up to 10 REL_TOL
-    # at q^- = 0.1 before tangent steps too).
+    # both norms take the joint Newton solve; it must also agree with the
+    # outer root solve over the defining infima (_infimum_modular).  p may
+    # have a p = inf region, whose levels are ess-sups.  Each computed norm
+    # lies within k REL_TOL above its root, k = 2 + 4/q^- as in the contract
+    # test above, so that is the slack of both comparisons.
     g = Grid(1, 64) if dim == 1 else Grid(2, 16)
     rng = np.random.default_rng(seed)
     shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
@@ -557,45 +569,67 @@ def test_lq_lp_norm_monotone_in_q_at_extreme_scales(log_amplitude, variable_p, i
     assert lam1 <= lam0 * (1.0 + k * REL_TOL)
 
     peak = max(f.max_abs() for f in F)
-    general = luxemburg_root(
-        lambda mu: _infimum_modular(F.scaled(1.0 / mu), p, q1), 2.0 * peak, peak
-    )
+    general = luxemburg_root(lambda mu: _infimum_modular(F, p, q1, mu), 2.0 * peak, peak)
     assert lam1 == pytest.approx(general, rel=(2.0 + 4.0 / q1.p_minus) * REL_TOL)
 
 
 def test_lq_lp_norm_falls_back_to_the_outer_root(monkeypatch):
     # where the joint Newton solve reports no convergence, lq_lp_norm takes
-    # the outer root over lq_lp_modular, the route of q = inf on part of the
-    # grid.  That norm keeps both sides of the contract, k = 2 + 4/q^- as
-    # above, and agrees within that k with the outer root over the defining
-    # infima and with the joint solve
+    # the outer root over the defining infima, the route of q = inf on part
+    # of the grid.  That norm keeps both sides of the contract, k = 2 + 4/q^-
+    # as above, and agrees within that k with the outer root over the
+    # defining infima aimed at 1 and with the joint solve
     g = Grid(1, 64)
     rng = np.random.default_rng(26)
     shape = rng.uniform(0.25, 1.0, (4,) + g.shape) * rng.choice([-1.0, 1.0], (4,) + g.shape)
     F = FunctionSequence.from_stack(g, shape)
     p = _wide_exponent(rng, g, True, True)
     q = _wide_exponent(rng, g, True, False)
-    outer = []
+    peak = max(f.max_abs() for f in F)
+    starts = []
     real_root = mixed.luxemburg_root
 
     def root(value, hi, lo=None):
-        outer.append(hi)
+        starts.append(hi)
         return real_root(value, hi, lo)
 
     monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
     monkeypatch.setattr(mixed, "luxemburg_root", root)
     lam = lq_lp_norm(F, p, q)
     monkeypatch.undo()
-    assert len(outer) == 1
+    # the level solves start at 2 (peak < 1), the one outer solve at 2 peak
+    assert starts.count(2.0 * peak) == 1
     k = 2.0 + 4.0 / q.p_minus
     assert lq_lp_modular(F.scaled(1.0 / lam), p, q) <= 1.0
     assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * lam)), p, q) > 1.0
-    peak = max(f.max_abs() for f in F)
-    general = luxemburg_root(
-        lambda mu: _infimum_modular(F.scaled(1.0 / mu), p, q), 2.0 * peak, peak
-    )
+    general = luxemburg_root(lambda mu: _infimum_modular(F, p, q, mu), 2.0 * peak, peak)
     assert lam == pytest.approx(general, rel=k * REL_TOL)
     assert lam == pytest.approx(lq_lp_norm(F, p, q), rel=k * REL_TOL)
+
+
+def test_outer_route_at_extreme_amplitude(monkeypatch):
+    # two spikes, 1e200 and 1e199, at p = 0.01 on 2D N=64: the norm is near
+    # 6e-162, and |f/mu|^q overflows far above it.  The outer root runs on
+    # logs relative to the peak, so where the joint solve reports no
+    # convergence it agrees with that solve within k REL_TOL, and with q =
+    # inf on x < 1/4 it returns a norm that keeps the contract of the
+    # defining infima
+    g = Grid(2, 64)
+    x = g.coords[0]
+    stack = np.zeros((2,) + g.shape)
+    stack[0, 3, 5], stack[1, 40, 7] = 1e200, 1e199
+    F = FunctionSequence.from_stack(g, stack)
+    p = VariableExponent.constant(g, 0.01)
+    q = VariableExponent(g, 2.0 + 0.5 * np.cos(2 * np.pi * x))
+    k = 2.0 + 4.0 / q.p_minus
+    joint = lq_lp_norm(F, p, q)
+    assert 5e-162 < joint < 7e-162
+    q_inf = VariableExponent(g, np.where(x < 0.25, np.inf, q.values))
+    monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
+    assert lq_lp_norm(F, p, q) == pytest.approx(joint, rel=k * REL_TOL)
+    mu = lq_lp_norm(F, p, q_inf)
+    assert _infimum_modular(F, p, q_inf, mu)[0] <= 1.0
+    assert _infimum_modular(F, p, q_inf, (1.0 - k * REL_TOL) * mu)[0] > 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -939,11 +939,11 @@ def test_constant_q_inf_b_norm_is_the_largest_level_norm(monkeypatch):
 
 
 def test_b_scale_q_inf_root_solve_work_count(monkeypatch):
-    # where q = inf on a quarter of the grid the outer solve runs over
-    # lq_lp_modular on chord slopes and each level infimum takes tangent
-    # steps on its own slope.  They take 9 outer evaluations and at most 7
-    # per level solve, whose roots lie near 7e-22, 70 factors of 2 below the
-    # start; the budgets allow one more
+    # where q = inf on a quarter of the grid the outer solve runs over the
+    # defining level infima with the slope of their sum, and each level
+    # infimum takes tangent steps on its own slope.  They take 6 outer
+    # evaluations and at most 7 per level solve, whose roots lie near
+    # 7e-22, 70 factors of 2 below the start; the budgets allow one more
     grid, J, x, w, system, f = _b_spec_parts()
     p = VariableExponent(grid, 1.5 + 0.5 * np.sin(2 * np.pi * x))
     q = VariableExponent(grid, np.where(x < 0.25, np.inf, 2.0 + 0.8 * np.cos(2 * np.pi * x)))
@@ -960,7 +960,7 @@ def test_b_scale_q_inf_root_solve_work_count(monkeypatch):
     monkeypatch.setattr(mixed, "luxemburg_root", root)
     assert quasi_norm(f, SpaceSpec("B", p, q, w, system, J)) > 0.0
     *levels, outer = solves  # the outer solve finishes last
-    assert outer <= 10 and max(levels) <= 8
+    assert outer <= 7 and max(levels) <= 8
 
 
 def test_b_scale_root_solve_work_count(monkeypatch):

@@ -10,13 +10,16 @@ p = inf on a quarter of the points in a quarter of the cases; and one zero
 level in one case of five.  For each case it checks both sides of the root
 contract of lq_lp_norm, lq_lp_modular(F/mu) <= 1 < lq_lp_modular(F/((1 -
 k REL_TOL) mu)) with k = 2 + 4/q^-, and compares mu with the outer root over
-the defining level infima (mixed._infimum_modular).
+the defining level infima (mixed._infimum_modular).  It then checks the same
+contract on the route lq_lp_norm falls back to, with the joint Newton solve
+(mixed._joint_root) patched to report no convergence.
 
-It prints every contract failure, the number of cases whose joint Newton
-solve (mixed._joint_root) fell back to the outer root, a histogram of its
-passes and the largest relative difference from the outer root, in units of
-REL_TOL.  A case's pass count is the smallest MAX_ITER at which the joint
-solve converges.  Exits 1 if any case breaks the contract.
+It prints every contract failure, the number of cases whose joint solve fell
+back to the outer root, a histogram of its passes, the largest relative
+difference from the outer root, in units of REL_TOL, and on a line of its
+own the contract failures of the forced fallback.  A case's pass count is
+the smallest MAX_ITER at which the joint solve converges.  Exits 1 if any
+case breaks the contract on either route.
 """
 
 import argparse
@@ -58,11 +61,29 @@ def passes(F, p, q, peak):
         mixed.MAX_ITER = limit
 
 
+def breach(F, p, q, mu):
+    """The contract failure of mu, or None where both sides hold."""
+    k = 2.0 + 4.0 / q.p_minus
+    at = mixed.lq_lp_modular(F.scaled(1.0 / mu), p, q)
+    below = mixed.lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * mu)), p, q)
+    return None if at <= 1.0 < below else f"modular {at!r} at mu, {below!r} at (1 - k REL_TOL) mu"
+
+
+def forced_fallback(F, p, q):
+    """lq_lp_norm with the joint solve reporting no convergence."""
+    joint_root = mixed._joint_root
+    try:
+        mixed._joint_root = lambda *args: None
+        return mixed.lq_lp_norm(F, p, q)
+    finally:
+        mixed._joint_root = joint_root
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("cases", nargs="?", type=int, default=1000)
     cases = parser.parse_args(argv).cases
-    failures, fallbacks, worst = [], 0, 0.0
+    failures, forced, fallbacks, worst = [], [], 0, 0.0
     histogram = collections.Counter()
     for i in range(cases):
         F, p, q = draw(i)
@@ -71,23 +92,21 @@ def main(argv=None):
         fallbacks += n is None
         histogram[n] += 1
         mu = mixed.lq_lp_norm(F, p, q)
-        k = 2.0 + 4.0 / q.p_minus
-        at = mixed.lq_lp_modular(F.scaled(1.0 / mu), p, q)
-        below = mixed.lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * mu)), p, q)
-        if not at <= 1.0 < below:
-            failures.append(f"case {i}: modular {at!r} at mu, {below!r} at (1 - k REL_TOL) mu")
-        outer = luxemburg_root(
-            lambda m: mixed._infimum_modular(F.scaled(1.0 / m), p, q), 2.0 * peak, peak
-        )
+        if failure := breach(F, p, q, mu):
+            failures.append(f"case {i}: {failure}")
+        if failure := breach(F, p, q, forced_fallback(F, p, q)):
+            forced.append(f"case {i}, forced fallback: {failure}")
+        outer = luxemburg_root(lambda m: mixed._infimum_modular(F, p, q, m), 2.0 * peak, peak)
         worst = max(worst, abs(mu - outer) / outer)
-    for line in failures:
+    for line in failures + forced:
         print(line)
     print(f"{cases} cases, {len(failures)} contract failures, {fallbacks} fallbacks")
     print("passes: " + ", ".join(
         f"{n}: {histogram[n]}" for n in sorted(histogram, key=lambda n: (n is None, n))
     ))
     print(f"largest |mu - outer root| / outer root: {worst / REL_TOL:.2f} REL_TOL")
-    return 1 if failures else 0
+    print(f"forced fallback: {len(forced)} contract failures")
+    return 1 if failures or forced else 0
 
 
 if __name__ == "__main__":
