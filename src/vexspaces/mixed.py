@@ -56,6 +56,7 @@ __all__ = [
     "lp_lq_norm",
     "lq_lp_modular",
     "lq_lp_norm",
+    "lq_lp_norms",
     "iterated_constant_q_norm",
     "smooth_sequence",
     "smoothing_constants",
@@ -108,9 +109,10 @@ _AIM = 1.0 - 2.0 * REL_TOL
 def _log_sum(t, moments, log_cell):
     """log(cell sum exp(t)) over the last axis of t, as a log-sum-exp on the
     largest term, and the means of the columns of moments weighted by the
-    terms exp(t)."""
+    terms exp(t).  t is overwritten."""
     top = t.max(axis=-1, initial=-np.inf)
-    t = np.exp(t - top[..., None])
+    t -= top[..., None]
+    t = np.exp(t, out=t)
     total = t.sum(axis=-1)
     return log_cell + top + np.log(total), t @ moments / total[..., None]
 
@@ -162,9 +164,9 @@ def _infimum_modular(F, p, q, mu):
     or inf.
 
     F/mu is not formed: each level infimum runs on log|f_nu/mu| = log(|f_nu|
-    / peak) - log(mu/peak), as _joint_root takes them, with mu/peak one
-    quotient wherever it is a normal double; the slope is the mean of the
-    level rates weighted by the infima.
+    / peak) - log(mu/peak), as _joint_root takes them (_log_ratio), with
+    mu/peak one quotient wherever it is a normal double; the slope is the
+    mean of the level rates weighted by the infima.
     """
     a = F.abs_stack()
     peak = a.max()
@@ -173,8 +175,7 @@ def _infimum_modular(F, p, q, mu):
     ratio = mu / peak
     normal = sys.float_info.min <= ratio <= sys.float_info.max
     u = math.log(ratio) if normal else math.log(mu) - math.log(peak)
-    with np.errstate(divide="ignore"):
-        logs = np.log(a / peak) - u
+    logs = _log_ratio(a, peak) - u
     levels, rates = np.array([_level_infimum(d, p, q, F.grid.cell_volume) for d in logs]).T
     total = float(levels.sum())
     return total, (levels @ rates / total if 0.0 < total < np.inf else None)
@@ -214,18 +215,38 @@ def _norm_or_zero(f, p):
         return 0.0
 
 
-def _joint_root(F, p, q, peak):
-    """The l_{q(.)}(L_{p(.)}) norm of F for finite variable q by one Newton
-    solve, or None where that does not converge.
+def _log_ratio(a, peak):
+    """log(a / peak), taken as log a - log peak wherever a / peak is not a
+    normal double: that quotient has lost bits or underflowed to 0, yet at
+    small p such samples still move the norm."""
+    with np.errstate(divide="ignore"):
+        ratio = a / peak
+        out = np.log(ratio)
+        low = ratio < sys.float_info.min
+        if low.any():
+            out[low] = np.log(a[low]) - np.log(np.broadcast_to(peak, a.shape)[low])
+    return out
 
-    The unknowns are u = log(mu/peak) and v_nu = log lam_nu, the log of
-    each level infimum of F/mu.  With l = log(|f_nu|/peak), a finite-part
-    root solves g_nu = log(cell sum exp(p (l - u) - (p/q) v_nu)) = 0 over
-    the finite-p points, and the ess-sup level over p = inf is e_nu =
-    max_x q (l - u), whose maximiser moves with u where q varies.  The
-    norm solves h = log sum_nu exp(max(e_nu, v_nu)) - log(_AIM) = 0.
-    Every sum is a log-sum-exp (_log_sum), so no term overflows at any
-    amplitude; all-zero levels add 0 and are dropped.
+
+def _joint_root(a, pv, qv, cell_volume):
+    """The l_{q(.)}(L_{p(.)}) norm of each row of a for finite variable q by
+    one Newton solve, as a list with None for a row that does not converge.
+
+    a holds the |f_nu| of one sequence per row, shape (rows, levels,
+    points), none all zero; pv and qv hold p and q per row, shape (rows,
+    points) or (1, points) for exponents that all rows share.  Each row
+    keeps its own masks, stop test and MAX_ITER budget, and freezes once it
+    stops, so its result does not depend on the other rows.
+
+    The unknowns of a row are u = log(mu/peak) and v_nu = log lam_nu, the
+    log of each level infimum of F/mu.  With l = log(|f_nu|/peak)
+    (_log_ratio), a finite-part root solves g_nu = log(cell sum exp(p (l -
+    u) - (p/q) v_nu)) = 0 over the finite-p points, and the ess-sup level
+    over p = inf is e_nu = max_x q (l - u), whose maximiser moves with u
+    where q varies.  The norm solves h = log sum_nu exp(max(e_nu, v_nu)) -
+    log(_AIM) = 0.  Every sum is a log-sum-exp (_log_sum), so no term
+    overflows at any amplitude; a level with no finite part has no v_nu,
+    and an all-zero level adds 0.
 
     g_nu depends on u and v_nu alone, so the Jacobian is an arrowhead and
     one Newton step costs one pass over the terms (H. B. Keller's
@@ -233,62 +254,89 @@ def _joint_root(F, p, q, peak):
     P, W the term-weighted means of p and p/q,
     du = (h + sum_fin s g / W) / (sum_ess s q* + sum_fin s P / W) and
     dv = (g - P du) / W, where q* is q at each ess-sup maximiser and a
-    level is fin where v_nu >= e_nu, ess otherwise.  The solve stops once
-    the step is down to rounding: |du| <= 1e-14 max(1, |u|), and the same
-    for each dv, or a step of at most 1e-10 that is no smaller than the one
+    level is fin where v_nu >= e_nu, ess otherwise.  A row stops once its
+    step is down to rounding: |du| <= 1e-14 max(1, |u|), and the same for
+    each dv, or a step of at most 1e-10 that is no smaller than the one
     before.  Newton squares the step on every pass until rounding stops
     it, and where p/q is small, rounding in g_nu of a few ulps moves v_nu
-    by more than 1e-14 (g/W).  It returns peak * exp(u), which is 0.0 or
-    inf outside the double range; a step that is not finite, or MAX_ITER
+    by more than 1e-14 (g/W).  It gives peak * exp(u), which is 0.0 or inf
+    outside the double range; a step that is not finite, or MAX_ITER
     passes without stopping, give None.
     """
-    a = F.abs_stack().reshape(len(F), -1)
-    with np.errstate(divide="ignore"):
-        logs = np.log(a[a.any(axis=1)] / peak)  # -inf where f_nu = 0
-    pv, qv = p.values.ravel(), q.values.ravel()
+    a = a[:, a.any(axis=(0, 2))]  # a level that is 0 in every row adds 0
+    peak = a.max(axis=(1, 2))
+    logs = _log_ratio(a, peak[:, None, None])  # -inf where f_nu = 0
+    pv, qv = (np.broadcast_to(e, (len(a), a.shape[2])) for e in (pv, qv))
     finite = np.isfinite(pv)
-    lf = logs[:, finite]
-    has_v = np.flatnonzero((lf > -np.inf).any(axis=1))  # levels with a finite part
-    lf, pf = lf[has_v], pv[finite]
-    moments = np.stack([pf, pf / qv[finite]], axis=1)
+    fin, ess = finite.any(axis=0), ~finite.all(axis=0)  # the columns some row needs
+    # the finite-p terms p l; a row's p = inf points among them are -inf terms
+    # of p = 1.  A level with no finite term has no v_nu, and its terms are 0.
+    off = ~finite.compress(fin, axis=1)[:, None, :]
+    pf = np.where(off, 1.0, pv.compress(fin, axis=1)[:, None, :])
+    wf = pf / qv.compress(fin, axis=1)[:, None, :]
+    pl = np.where(off, -np.inf, logs.compress(fin, axis=2))
+    has_v = (pl > -np.inf).any(axis=2)
+    pl *= pf
+    pl[~has_v] = 0.0
+    moments = np.stack([pf[:, 0], wf[:, 0]], axis=2)
     # a column at -inf gives every level an ess-sup, -inf where it has none
-    le = np.column_stack([logs[:, ~finite], np.full(len(logs), -np.inf)])
-    qe = np.append(qv[~finite], 1.0)
-    x = np.zeros(1 + has_v.size)  # u, then v_nu for each level in has_v
-    log_cell, log_target = math.log(F.grid.cell_volume), math.log(_AIM)
-    last = np.inf  # the previous step, relative to max(1, |x|)
+    le = np.where(finite[:, None, ess], -np.inf, logs.compress(ess, axis=2))
+    le = np.pad(le, ((0, 0), (0, 0), (0, 1)), constant_values=-np.inf)
+    qe = np.concatenate([qv.compress(ess, axis=1), np.ones((len(a), 1))], axis=1)
+    rows = np.arange(len(a))  # the rows still running
+    x = np.zeros((len(a), 1 + a.shape[1]))  # u, then v_nu for each level
+    last = np.full(len(a), np.inf)  # the previous step, relative to max(1, |x|)
+    log_cell, log_target = math.log(cell_volume), math.log(_AIM)
+    terms = np.empty_like(pl)
+    out = [None] * len(a)
+
+    def total(y):
+        # in level order, so that a level adding 0 changes no bit of a row
+        return np.cumsum(y, axis=1)[:, -1]
+
     for _ in range(MAX_ITER):
-        u, v = x[0], x[1:]
-        g, means = _log_sum(pf * (lf - u) - moments[:, 1] * v[:, None], moments, log_cell)
-        P, W = means.T
-        te = qe * (le - u)
-        at = np.argmax(te, axis=1)
-        m = te[np.arange(len(te)), at]  # e_nu, then the level logs
-        by_v = v >= m[has_v]  # the fin levels
-        m[has_v] = np.maximum(m[has_v], v)
-        top = m.max()
-        lse = top + math.log(np.exp(m - top).sum())
+        u, v = x[:, :1], x[:, 1:]
+        t = np.multiply(wf, v[..., None], out=terms[: len(x)])
+        t += pf * u[..., None]
+        np.subtract(pl, t, out=t)
+        g, means = _log_sum(t, moments, log_cell)
+        P, W = means[..., 0], means[..., 1]
+        te = qe[:, None, :] * (le - u[..., None])
+        m = te.max(axis=2)  # e_nu
+        q_at = qe[np.arange(len(x))[:, None], te.argmax(axis=2)]
+        by_v = has_v & (v >= m)  # the fin levels
+        m = np.where(has_v, np.maximum(m, v), m)
+        top = m.max(axis=1, keepdims=True)
+        lse = top + np.log(total(np.exp(m - top)))[:, None]
         s = np.exp(m - lse)
-        s_fin = np.where(by_v, s[has_v], 0.0)
-        s[has_v[by_v]] = 0.0  # s now weighs the ess levels only
-        h = lse - log_target
-        du = (h + np.sum(s_fin * g / W)) / (np.dot(s, qe[at]) + np.sum(s_fin * P / W))
-        step = np.append(du, (g - P * du) / W)
-        if not np.isfinite(step).all():
-            return None
+        s_fin = np.where(by_v, s, 0.0)
+        sw = s_fin / W
+        du = (lse - log_target + total(sw * g)[:, None]) / total(sw * P + (s - s_fin) * q_at)[:, None]
+        step = np.concatenate([du, np.where(has_v, (g - P * du) / W, 0.0)], axis=1)
+        bad = ~np.isfinite(step).all(axis=1)
+        step[bad] = 0.0
         x += step
-        size = np.max(np.abs(step) / np.maximum(1.0, np.abs(x)))
-        if size <= 1e-14 or last <= size <= 1e-10:
-            # two factors, so that mu is in range wherever peak * exp(u) is
-            with np.errstate(over="ignore"):
-                half = np.exp(0.5 * x[0])
-            return float(peak * half * half)
+        size = np.max(np.abs(step) / np.maximum(1.0, np.abs(x)), axis=1)
+        done = bad | (size <= 1e-14) | ((last <= size) & (size <= 1e-10))
         last = size
-    return None
+        if done.any():
+            for r in np.flatnonzero(done & ~bad):
+                # two factors, so that mu is in range wherever peak * exp(u) is
+                with np.errstate(over="ignore"):
+                    half = np.exp(0.5 * x[r, 0])
+                out[rows[r]] = float(peak[r] * half * half)
+            keep = ~done
+            rows, x, last, peak, pf, wf, pl, has_v, moments, le, qe = (
+                y[keep] for y in (rows, x, last, peak, pf, wf, pl, has_v, moments, le, qe)
+            )
+            if not rows.size:
+                break
+    return out
 
 
-def lq_lp_norm(F, p, q):
-    """Norm of F in l_{q(.)}(L_{p(.)}), the root mu of modular(F/mu) = 1.
+def lq_lp_norms(Fs, p, q):
+    """Norm of each sequence of Fs in l_{q(.)}(L_{p(.)}), the root mu of
+    modular(F/mu) = 1; every sequence lives on the grid of p and q.
 
     Constant q needs no outer solve.  For finite q the modular of F/mu is
     mu^-q times that of F, so the norm is peak * m^(1/q) with m the
@@ -296,40 +344,59 @@ def lq_lp_norm(F, p, q):
     anywhere in its own REL_TOL bracket.  For q = inf the modular of F/mu
     is 0 where mu is at least every level norm and inf elsewhere, so the
     norm is the largest level norm (a level below the double range counts
-    as 0).  Variable finite q takes the joint Newton solve of the norm and
-    its level infima (_joint_root), with no modular call.  Where it does
-    not converge, and where q = inf on part of the grid, the outer root
-    runs over _infimum_modular, the defining level infima of F/mu with
-    the slope of their sum, walking from mu = peak until it brackets the
-    root.  Both aim at modular 1 - 2 REL_TOL (_AIM).  Every route keeps
-    lq_lp_modular(F/mu) <= 1 and lies within k REL_TOL above the root,
-    k = 2 + 4/q^-, and raises BracketError when the norm is outside the
-    double range.
+    as 0).  These routes run sequence by sequence.  For variable finite q
+    the sequences of one length are the rows of one joint Newton solve of
+    the norm and its level infima (_joint_root), with no modular call; a
+    row's result does not depend on the other rows.  A row that does not
+    converge, and every sequence where q = inf on part of the grid, takes
+    the outer root over _infimum_modular, the defining level infima of
+    F/mu with the slope of their sum, walking from mu = peak until it
+    brackets the root.  Both aim at modular 1 - 2 REL_TOL (_AIM).  Every
+    route keeps lq_lp_modular(F/mu) <= 1 and lies within k REL_TOL above
+    the root, k = 2 + 4/q^-, and raises BracketError when a norm is
+    outside the double range.
     """
-    _check_seq(F, p, q)
-    peak = max(f.max_abs() for f in F)
-    if peak == 0.0:
-        return 0.0
-    if q.is_constant() and q.p_plus == np.inf:
-        mu = max(_norm_or_zero(f, p) for f in F)
-    elif q.is_constant():
-        m = lq_lp_modular(F.scaled(1.0 / peak), p, q)
-        with np.errstate(over="ignore"):
-            mu = peak * np.float64(m / (1.0 - REL_TOL)) ** (1.0 / q.p_plus)
-    else:
-        mu = _joint_root(F, p, q, peak) if q.p_plus < np.inf else None
-        if mu is None:
+    for F in Fs:
+        _check_seq(F, p, q)
+    stacks = [F.abs_stack().reshape(len(F), -1) for F in Fs]
+    peaks = [float(a.max()) for a in stacks]
+    mus = [0.0 if peak == 0.0 else None for peak in peaks]
+    todo = [i for i, mu in enumerate(mus) if mu is None]
+    if q.is_constant():
+        for i in todo:
+            if q.p_plus == np.inf:
+                mus[i] = max(_norm_or_zero(f, p) for f in Fs[i])
+            else:
+                m = lq_lp_modular(Fs[i].scaled(1.0 / peaks[i]), p, q)
+                with np.errstate(over="ignore"):
+                    mus[i] = peaks[i] * np.float64(m / (1.0 - REL_TOL)) ** (1.0 / q.p_plus)
+    elif q.p_plus < np.inf:
+        pv, qv = p.values.reshape(1, -1), q.values.reshape(1, -1)
+        for n in {len(Fs[i]) for i in todo}:
+            rows = [i for i in todo if len(Fs[i]) == n]
+            a = np.stack([stacks[i] for i in rows])
+            # a solve that reports no convergence at all may give None
+            for i, mu in zip(rows, _joint_root(a, pv, qv, p.grid.cell_volume) or ()):
+                mus[i] = mu
+    for i in todo:
+        if mus[i] is None:
 
             def modular(mu):
-                m, slope = _infimum_modular(F, p, q, mu)
+                m, slope = _infimum_modular(Fs[i], p, q, mu)
                 return m / _AIM, slope
 
-            mu = luxemburg_root(modular, 2.0 * peak, peak)
-    if not np.isfinite(mu):
-        raise BracketError("norm above the double range")
-    if mu == 0.0:
-        raise BracketError("norm below the double range")
-    return float(mu)
+            mus[i] = luxemburg_root(modular, 2.0 * peaks[i], peaks[i])
+        if not np.isfinite(mus[i]):
+            raise BracketError("norm above the double range")
+        if mus[i] == 0.0:
+            raise BracketError("norm below the double range")
+    return [float(mu) for mu in mus]
+
+
+def lq_lp_norm(F, p, q):
+    """Norm of F in l_{q(.)}(L_{p(.)}): lq_lp_norms([F], p, q)[0], so one
+    sequence is one row of the routes described there."""
+    return lq_lp_norms([F], p, q)[0]
 
 
 def iterated_constant_q_norm(F, p, q_const):

@@ -49,7 +49,7 @@ from .grid import (
 )
 from .expr import InputError
 from .lebesgue import norm as lebesgue_norm
-from .mixed import lp_lq_norm, lq_lp_norm
+from .mixed import lp_lq_norm, lq_lp_norm, lq_lp_norms
 from .weights import _level_growth, make_generalized
 
 __all__ = [
@@ -83,6 +83,10 @@ __all__ = [
 # a measured ratio band is called refinement-stable when its log-spread
 # moves less than this between resolutions N and 2N
 DRIFT_LIMIT = 0.3
+
+# block samples in one stacked mixed-norm solve of a check leg (2^15 at
+# 16 bytes = 512 KiB of complex blocks)
+_LEG_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,37 @@ def _mixed_norm(blocks, spec):
     return lp_lq_norm(blocks, spec.p, spec.q)
 
 
+def _stacked_pairs(spec, blocks):
+    """The (num, den) pairs of a leg's members, as _equivalence_report asks.
+
+    blocks(f) gives a member's num and den block sequences, both normed in
+    spec's scale and exponents.  On the B-scale the sequences are the rows
+    of one lq_lp_norms solve, _LEG_BLOCK stacked samples at a time (one
+    sequence at least), so a leg holds at most that budget plus one
+    member's sequences.
+    """
+
+    def norms(held):
+        if spec.scale == "B":
+            return lq_lp_norms(held, spec.p, spec.q)
+        return [lp_lq_norm(F, spec.p, spec.q) for F in held]
+
+    def pairs(members):
+        out, held, size = [], [], 0
+        for f in members:
+            for F in blocks(f):
+                n = len(F) * F.grid.num_points
+                if held and size + n > _LEG_BLOCK:
+                    out += norms(held)
+                    held, size = [], 0
+                held.append(F)
+                size += n
+        out += norms(held)
+        return zip(out[0::2], out[1::2])
+
+    return pairs
+
+
 def quasi_norm(f, spec):
     """l_q(L_p) (B) or L_p(l_q) (F) norm of the weighted blocks."""
     return _mixed_norm(weighted_blocks(f, spec), spec)
@@ -224,14 +259,16 @@ def quasi_norm_maximal(f, spec, a):
     functions; plain <= maximal always since y = x enters the supremum.
     The system may be any band system (admissible or general pair).
     """
+    return tuple(_mixed_norm(F, spec) for F in _maximal_blocks(f, spec, a))
+
+
+def _maximal_blocks(f, spec, a):
+    """The weighted blocks and their Peetre maximal counterparts at a."""
     threshold = maximal_threshold(spec)
     if not a > threshold:
         raise ValueError(f"a = {a} must exceed the threshold {threshold}")
     F = _bands(f, spec)
-    plain = _mixed_norm(F.weighted(spec.w.levels), spec)
-    M = peetre_maximal(F, a)
-    maximal = _mixed_norm(M.weighted(spec.w.levels), spec)
-    return plain, maximal
+    return F.weighted(spec.w.levels), peetre_maximal(F, a).weighted(spec.w.levels)
 
 
 def quasi_norm_local_means(f, spec, laplacian_order=1):
@@ -411,12 +448,15 @@ class EquivalenceReport(Band):
         )
 
 
-def _equivalence_report(corpus, grid, make_pair_fn):
-    """Band of num/den over corpus(grid), drift measured against 2N."""
+def _equivalence_report(corpus, grid, make):
+    """Band of num/den over corpus(grid), drift measured against 2N.
+
+    make(g) takes the leg's members, corpus(g), and gives their (num, den)
+    pairs in order.
+    """
 
     def leg(g):
-        pair = make_pair_fn(g)
-        return _band(pair(f) for f in corpus(g))
+        return _band(make(g)(corpus(g)))
 
     band, fine = leg(grid), leg(Grid(grid.dim, 2 * grid.n))
     drift = abs(
@@ -452,7 +492,7 @@ def pair_independence_check(corpus, spec_a, spec_b):
     def make(grid):
         sa = spec_a.refine(grid)
         sb = spec_b if sa is spec_a else replace(sa, system=spec_b.system.refine(grid))
-        return lambda f: (quasi_norm(f, sa), quasi_norm(f, sb))
+        return _stacked_pairs(sa, lambda f: (weighted_blocks(f, sa), weighted_blocks(f, sb)))
 
     return _equivalence_report(corpus, spec_a.grid, make)
 
@@ -464,7 +504,9 @@ def lifting_check(corpus, spec, sigma):
     def make(grid):
         s = spec.refine(grid)
         target = replace(s, w=s.w.shifted(-float(sigma)))
-        return lambda f: (quasi_norm(lift(f, sigma), target), quasi_norm(f, s))
+        return _stacked_pairs(
+            s, lambda f: (weighted_blocks(lift(f, sigma), target), weighted_blocks(f, s))
+        )
 
     return _equivalence_report(corpus, spec.grid, make)
 
@@ -480,7 +522,7 @@ def maximal_equivalence_check(corpus, spec):
 
     def make(grid):
         s = spec.refine(grid)
-        return lambda f: quasi_norm_maximal(f, s, a)[::-1]  # (maximal, plain)
+        return _stacked_pairs(s, lambda f: _maximal_blocks(f, s, a)[::-1])  # (maximal, plain)
 
     return _equivalence_report(corpus, spec.grid, make)
 
@@ -498,7 +540,7 @@ def local_means_equivalence_check(corpus, spec, laplacian_order=1):
                 quasi_norm(f, s),
             )
 
-        return pair
+        return lambda members: map(pair, members)
 
     return _equivalence_report(corpus, spec.grid, make)
 
@@ -667,7 +709,9 @@ def multiplier_bound_checks(corpus, spec, m, mode, order=None):
     def make(grid):
         s = spec.refine(grid)
         mask = m.sample(grid)
-        return lambda f: (quasi_norm(apply_multiplier(f, mask), s), quasi_norm(f, s))
+        return _stacked_pairs(
+            s, lambda f: (weighted_blocks(apply_multiplier(f, mask), s), weighted_blocks(f, s))
+        )
 
     rep = _equivalence_report(corpus, spec.grid, make)
     return MultiplierReport(
@@ -715,7 +759,7 @@ def derivative_sum_check(corpus, spec, kappa):
             )
             return total, quasi_norm(f, s)
 
-        return pair
+        return lambda members: map(pair, members)
 
     return _equivalence_report(corpus, spec.grid, make)
 
@@ -744,6 +788,6 @@ def sobolev_cross_check(corpus, grid, s):
             den = float(np.sqrt(np.sum(weight * np.abs(c) ** 2)))
             return quasi_norm(f, spec), den
 
-        return pair
+        return lambda members: map(pair, members)
 
     return _equivalence_report(corpus, grid, make)

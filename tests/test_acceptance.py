@@ -131,8 +131,17 @@ def test_c02_holder_constant_two():
 
 
 def _outer_root_norm(F, p, q):
-    """l_q(L_p) norm as the outer Luxemburg root over lq_lp_modular."""
-    value = lambda mu: lq_lp_modular(F.scaled(1.0 / mu), p, q)
+    """l_q(L_p) norm as the outer Luxemburg root over lq_lp_modular.
+
+    For constant finite q the modular of F/mu is mu^-q m(F), so its slope
+    d log m / d log mu is -q; for q = inf it has none.
+    """
+    slope = -q.p_plus if np.isfinite(q.p_plus) else None
+
+    def value(mu):
+        m = lq_lp_modular(F.scaled(1.0 / mu), p, q)
+        return m if slope is None else (m, slope)
+
     peak = max(f.max_abs() for f in F)
     return lebesgue.luxemburg_root(value, 2.0 * peak, peak)
 

@@ -632,6 +632,58 @@ def test_outer_route_at_extreme_amplitude(monkeypatch):
     assert _infimum_modular(F, p, q_inf, (1.0 - k * REL_TOL) * mu)[0] > 1.0
 
 
+@pytest.mark.parametrize("joint", [True, False])
+def test_samples_far_below_the_peak_still_count(joint, monkeypatch):
+    # a 1e200 spike beside eleven 1e-200 samples at p near 0.005: those
+    # samples lie 1e400 below the peak, where |f|/peak underflows to 0, yet
+    # each moves the norm by a factor near 2^(1/p).  Both routes take their
+    # logs as log|f| - log peak there, so the norm keeps the contract
+    # instead of landing at 0.0466, the norm with those samples zeroed
+    g = Grid(1, 16)
+    x = g.coords[0]
+    stack = np.zeros((2,) + g.shape)
+    stack[0, 0], stack[0, 1:12], stack[1, 3] = 1e200, 1e-200, 1e199
+    F = FunctionSequence.from_stack(g, stack)
+    p = VariableExponent(g, 0.005 + 0.001 * np.cos(2 * np.pi * x))
+    q = VariableExponent(g, 2.0 + 0.5 * np.cos(2 * np.pi * x))
+    if not joint:
+        monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
+    mu = lq_lp_norm(F, p, q)
+    assert mu == pytest.approx(41876.479, rel=1e-6)
+    k = 2.0 + 4.0 / q.p_minus
+    assert lq_lp_modular(F.scaled(1.0 / mu), p, q) <= 1.0
+    assert lq_lp_modular(F.scaled(1.0 / ((1.0 - k * REL_TOL) * mu)), p, q) > 1.0
+
+
+@pytest.mark.parametrize("joint", [True, False])
+@pytest.mark.parametrize("inf_region", [False, True])
+def test_lq_lp_norms_rows_match_lq_lp_norm_bit_for_bit(joint, inf_region, monkeypatch):
+    # a batch row's norm does not depend on the other rows: lq_lp_norms over
+    # an all-zero sequence, one with a zero level, one of amplitudes
+    # 1e-250/1e250 and a plain one gives, row by row, the bits of
+    # lq_lp_norm, on the joint Newton solve and on the outer root it falls
+    # back to; p = inf on x < 1/4 when inf_region is set
+    g = Grid(1, 64)
+    rng = np.random.default_rng(28)
+    x = g.coords[0]
+    shape = rng.uniform(0.25, 1.0, (4, 4) + g.shape) * rng.choice([-1.0, 1.0], (4, 4) + g.shape)
+    shape[0] = 0.0
+    shape[1, 2] = 0.0
+    shape[2, :2] *= 1e-250
+    shape[2, 2:] *= 1e250
+    Fs = [FunctionSequence.from_stack(g, a) for a in shape]
+    p = VariableExponent(g, 1.5 + 0.4 * np.sin(2 * np.pi * x))
+    if inf_region:
+        p = VariableExponent(g, np.where(x < 0.25, np.inf, p.values))
+    q = VariableExponent(g, 2.0 + 0.5 * np.cos(2 * np.pi * x))
+    if not joint:
+        monkeypatch.setattr(mixed, "_joint_root", lambda *args: None)
+    batch = mixed.lq_lp_norms(Fs, p, q)
+    assert batch[0] == 0.0 and all(mu > 0.0 for mu in batch[1:])
+    assert [mu.hex() for mu in batch] == [lq_lp_norm(F, p, q).hex() for F in Fs]
+    assert [mu.hex() for mu in mixed.lq_lp_norms(Fs[::-1], p, q)] == [mu.hex() for mu in batch[::-1]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     log_amplitude=st.floats(min_value=-300.0, max_value=300.0),

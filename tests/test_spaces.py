@@ -990,3 +990,33 @@ def test_b_scale_root_solve_work_count(monkeypatch):
     monkeypatch.setattr(mixed, "MAX_ITER", 8)
     assert quasi_norm(f, SpaceSpec("B", p, q, w, system, J)) > 0.0
     assert not modular_calls
+
+
+def test_a_leg_holds_its_block_budget_plus_one_member():
+    # a B-scale variable-q leg solves its members' block sequences together,
+    # spaces._LEG_BLOCK stacked samples at a time: 20 members drawn one by
+    # one on 2D N=64 (and 128) hold, beyond what one member holds, at most
+    # that budget plus one member's sequences on the 2N leg (complex, 16 bytes
+    # a sample)
+    import itertools
+    import tracemalloc
+
+    g, JJ = Grid(2, 64), 4
+    p = VariableExponent.from_function(g, lambda x, y: 1.5 + 0.4 * np.sin(2 * np.pi * x))
+    q = VariableExponent.from_function(g, lambda x, y: 2.0 + 0.5 * np.cos(2 * np.pi * y))
+    w = make_generalized(g, JJ, 2.0 ** (0.5 * np.arange(JJ + 1)))
+    spec_a = SpaceSpec("B", p, q, w, admissible_system(g, JJ, "plateau"), JJ)
+    spec_b = SpaceSpec("B", p, q, w, admissible_system(g, JJ, "hann"), JJ)
+
+    def peak(members):
+        corpus = lambda grid: itertools.islice(standard_corpus(grid), members)
+        pair_independence_check(corpus, spec_a, spec_b)  # refines both specs once
+        tracemalloc.start()
+        try:
+            pair_independence_check(corpus, spec_a, spec_b)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    member = 2 * (JJ + 1) * (2 * g.n) ** 2
+    assert peak(20) - peak(1) <= 16 * (spaces._LEG_BLOCK + member)

@@ -18,8 +18,11 @@ It prints every contract failure, the number of cases whose joint solve fell
 back to the outer root, a histogram of its passes, the largest relative
 difference from the outer root, in units of REL_TOL, and on a line of its
 own the contract failures of the forced fallback.  A case's pass count is
-the smallest MAX_ITER at which the joint solve converges.  Exits 1 if any
-case breaks the contract on either route.
+the smallest MAX_ITER at which the joint solve converges.  Last, it solves
+all cases again with the cases of one grid as the rows of one joint solve,
+each row with its own p and q, and prints the rows that did not converge or
+that break the contract, and the largest relative difference from the solo
+result.  Exits 1 if any case breaks the contract on any route.
 """
 
 import argparse
@@ -48,17 +51,33 @@ def draw(i):
     return F, VariableExponent(g, p), VariableExponent(g, q)
 
 
-def passes(F, p, q, peak):
+def rows(F, p, q):
+    """The arguments of mixed._joint_root for the one row (F, p, q)."""
+    return F.abs_stack().reshape(1, len(F), -1), p.values.reshape(1, -1), q.values.reshape(1, -1)
+
+
+def passes(F, p, q):
     """Passes the joint solve takes, or None where it does not converge."""
     limit = mixed.MAX_ITER
     try:
         for cap in range(1, limit + 1):
             mixed.MAX_ITER = cap
-            if mixed._joint_root(F, p, q, peak) is not None:
+            if mixed._joint_root(*rows(F, p, q), F.grid.cell_volume)[0] is not None:
                 return cap
         return None
     finally:
         mixed.MAX_ITER = limit
+
+
+def batched(cases):
+    """The joint solve of every case with the cases of one grid as the rows
+    of one solve, each row with its own p and q."""
+    out = {}
+    for grid in {F.grid for F, _, _ in cases.values()}:
+        ids = [i for i, (F, _, _) in cases.items() if F.grid == grid]
+        a, pv, qv = (np.concatenate(parts) for parts in zip(*(rows(*cases[i]) for i in ids)))
+        out.update(zip(ids, mixed._joint_root(a, pv, qv, grid.cell_volume)))
+    return out
 
 
 def breach(F, p, q, mu):
@@ -85,13 +104,14 @@ def main(argv=None):
     cases = parser.parse_args(argv).cases
     failures, forced, fallbacks, worst = [], [], 0, 0.0
     histogram = collections.Counter()
+    solo = {}
     for i in range(cases):
         F, p, q = draw(i)
         peak = max(f.max_abs() for f in F)
-        n = passes(F, p, q, peak)
+        n = passes(F, p, q)
         fallbacks += n is None
         histogram[n] += 1
-        mu = mixed.lq_lp_norm(F, p, q)
+        mu = solo[i] = mixed.lq_lp_norm(F, p, q)
         if failure := breach(F, p, q, mu):
             failures.append(f"case {i}: {failure}")
         if failure := breach(F, p, q, forced_fallback(F, p, q)):
@@ -106,7 +126,19 @@ def main(argv=None):
     ))
     print(f"largest |mu - outer root| / outer root: {worst / REL_TOL:.2f} REL_TOL")
     print(f"forced fallback: {len(forced)} contract failures")
-    return 1 if failures or forced else 0
+    together, moved = [], 0.0
+    for i, mu in batched({i: draw(i) for i in range(cases)}).items():
+        if mu is None:
+            together.append(f"case {i}, batched: no convergence")
+        elif mu != solo[i]:
+            moved = max(moved, abs(mu - solo[i]) / solo[i])
+            if failure := breach(*draw(i), mu):
+                together.append(f"case {i}, batched: {failure}")
+    for line in together:
+        print(line)
+    print(f"batched by grid: {len(together)} contract failures or fallbacks, "
+          f"largest |batched - solo| / solo: {moved / REL_TOL:.2g} REL_TOL")
+    return 1 if failures or forced or together else 0
 
 
 if __name__ == "__main__":
