@@ -18,13 +18,18 @@ q = inf it is the largest level norm.  For variable finite q one Newton
 solve (_joint_root) finds log mu and the log of every level infimum
 together: the level equations and the norm equation are log-sum-exps
 whose Jacobian is an arrowhead, so a step costs one pass over the terms.
+lq_lp_norms takes many sequences on one grid: for variable finite q they
+are the rows of one such solve, each row with its own masks, stop test
+and iteration budget, so a row's norm has the same bits alone or among
+others, and numpy's cost per call is paid once per pass for all rows.
 Where that solve does not converge, and where q = inf on part of the
 grid, an outer luxemburg_root runs over the defining level infima of
 F/mu (_infimum_modular), which sum their terms as log-sum-exps on the
 same logs and give the modular with its slope.  Both aim at the modular
-1 - 2 REL_TOL.  A level infimum below the double range adds 0 to the
-modular and one above it makes the modular inf; a norm outside the
-range raises BracketError.
+1 - 2 REL_TOL, and both take log|f| - log peak for a sample so far below
+the peak that |f|/peak is not a normal double.  A level infimum below the
+double range adds 0 to the modular and one above it makes the modular
+inf; a norm outside the range raises BracketError.
 
 The module also ships the smoothing operators whose mixed-norm bounds carry
 explicit constants: the level coupling G_nu = sum_k 2^(-|k-nu| delta) g_k
@@ -394,8 +399,14 @@ def lq_lp_norms(Fs, p, q):
 
 
 def lq_lp_norm(F, p, q):
-    """Norm of F in l_{q(.)}(L_{p(.)}): lq_lp_norms([F], p, q)[0], so one
-    sequence is one row of the routes described there."""
+    """Norm of F in l_{q(.)}(L_{p(.)}), the root mu of modular(F/mu) = 1.
+
+    This is lq_lp_norms([F], p, q)[0]: F is one row of the routes
+    described there, and a row's bits do not depend on the other rows, so
+    F gets the same norm here as in any batch.  The norm keeps
+    lq_lp_modular(F/mu) <= 1, lies within k REL_TOL above the root, k = 2
+    + 4/q^-, and raises BracketError when it is outside the double range.
+    """
     return lq_lp_norms([F], p, q)[0]
 
 

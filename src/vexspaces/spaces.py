@@ -207,8 +207,10 @@ def _stacked_pairs(spec, blocks):
     spec's scale and exponents.  On the B-scale the sequences are the rows
     of one lq_lp_norms solve, _LEG_BLOCK stacked samples at a time (one
     sequence at least), so a leg holds at most that budget plus one
-    member's sequences.
+    member's sequences.  The F-scale norm gains nothing from rows, so each
+    sequence is normed as it comes.
     """
+    budget = _LEG_BLOCK if spec.scale == "B" else 0
 
     def norms(held):
         if spec.scale == "B":
@@ -220,7 +222,7 @@ def _stacked_pairs(spec, blocks):
         for f in members:
             for F in blocks(f):
                 n = len(F) * F.grid.num_points
-                if held and size + n > _LEG_BLOCK:
+                if held and size + n > budget:
                     out += norms(held)
                     held, size = [], 0
                 held.append(F)
