@@ -208,26 +208,24 @@ def _stacked_pairs(spec, blocks):
     of one lq_lp_norms solve, _LEG_BLOCK stacked samples at a time (one
     sequence at least), so a leg holds at most that budget plus one
     member's sequences.  The F-scale norm gains nothing from rows, so each
-    sequence is normed as it comes.
+    sequence is normed as blocks(f) gives it.
     """
-    budget = _LEG_BLOCK if spec.scale == "B" else 0
-
-    def norms(held):
-        if spec.scale == "B":
-            return lq_lp_norms(held, spec.p, spec.q)
-        return [lp_lq_norm(F, spec.p, spec.q) for F in held]
+    if spec.scale == "F":
+        return lambda members: (
+            tuple(lp_lq_norm(F, spec.p, spec.q) for F in blocks(f)) for f in members
+        )
 
     def pairs(members):
         out, held, size = [], [], 0
         for f in members:
             for F in blocks(f):
                 n = len(F) * F.grid.num_points
-                if held and size + n > budget:
-                    out += norms(held)
+                if held and size + n > _LEG_BLOCK:
+                    out += lq_lp_norms(held, spec.p, spec.q)
                     held, size = [], 0
                 held.append(F)
                 size += n
-        out += norms(held)
+        out += lq_lp_norms(held, spec.p, spec.q)
         return zip(out[0::2], out[1::2])
 
     return pairs
@@ -261,16 +259,19 @@ def quasi_norm_maximal(f, spec, a):
     functions; plain <= maximal always since y = x enters the supremum.
     The system may be any band system (admissible or general pair).
     """
-    return tuple(_mixed_norm(F, spec) for F in _maximal_blocks(f, spec, a))
+    maximal, plain = (_mixed_norm(F, spec) for F in _maximal_blocks(f, spec, a))
+    return plain, maximal
 
 
 def _maximal_blocks(f, spec, a):
-    """The weighted blocks and their Peetre maximal counterparts at a."""
+    """The weighted Peetre maximal blocks at a, then the weighted blocks,
+    each built when it is asked for."""
     threshold = maximal_threshold(spec)
     if not a > threshold:
         raise ValueError(f"a = {a} must exceed the threshold {threshold}")
     F = _bands(f, spec)
-    return F.weighted(spec.w.levels), peetre_maximal(F, a).weighted(spec.w.levels)
+    yield peetre_maximal(F, a).weighted(spec.w.levels)
+    yield F.weighted(spec.w.levels)
 
 
 def quasi_norm_local_means(f, spec, laplacian_order=1):
@@ -524,7 +525,7 @@ def maximal_equivalence_check(corpus, spec):
 
     def make(grid):
         s = spec.refine(grid)
-        return _stacked_pairs(s, lambda f: _maximal_blocks(f, s, a)[::-1])  # (maximal, plain)
+        return _stacked_pairs(s, lambda f: _maximal_blocks(f, s, a))  # (maximal, plain)
 
     return _equivalence_report(corpus, spec.grid, make)
 
