@@ -28,7 +28,6 @@ from .expr import InputError, Interval, evaluate, parse_symbol, taylor
 from .grid import (
     _SCAN_BLOCK,
     FunctionSequence,
-    GridFunction,
     convolve,
     spectral_derivative,
     synthesize,
@@ -393,12 +392,12 @@ def peetre_maximal(F, a):
     rows = np.empty((n, 2 * n)[:dim])  # ring k's pair maxima, doubled along axis 1
     if dim == 2:
         cols, m = np.empty((2 * n, n)), np.empty((n, n))
-    out = []
-    for j, f in enumerate(F):
+    out = np.empty((len(F), *grid.shape))
+    for j, (f, best) in enumerate(zip(F.stack(), out)):
         w = 1.0 / (1.0 + (2.0**j * dist) ** a)
         ring = w if dim == 1 else np.tril(w).max(axis=1)  # largest weight of ring k
         left = np.maximum.accumulate(ring[::-1])[::-1]  # ... of rings k and beyond
-        best = np.abs(f.samples)
+        np.abs(f, out=best)
         peak = float(best.max())
         twice = np.tile(best, (2,) * dim)  # |F_j|(x - s) == twice[x - s + n]
         for k in range(1, half + 1):
@@ -419,8 +418,7 @@ def peetre_maximal(F, a):
                 np.maximum(m, cols[plus], out=m)
                 m *= w[k, b]
                 np.maximum(best, m, out=best)
-        out.append(GridFunction(grid, best))
-    return FunctionSequence(out)
+    return FunctionSequence.from_stack(grid, out)
 
 
 # ----------------------------------------------------------------- local means

@@ -184,10 +184,7 @@ def suite_analysis(grid, rng):
     f = _band_limited(grid, rng)
     F = analysis.littlewood_paley(f, sys)
     peetre = analysis.peetre_maximal(F, a=3.0)
-    floor = min(
-        float(np.min(m.samples - np.abs(e.samples)))
-        for m, e in zip(peetre, F.entries)
-    )
+    floor = float(np.min(peetre.stack() - F.abs_stack()))
     checks.append(_check("peetre-dominates", 0.0, 1.0, ok=floor >= -1e-12))
     rt = (analysis.lift(analysis.lift(f, 1.0), -1.0) - f).max_abs() / f.max_abs()
     checks.append(_check("lift-roundtrip", rt, 1e-9))

@@ -11,6 +11,12 @@ coefficients on it, read-only, so every spectral operator applied to one
 signal (Littlewood-Paley bands, local means, lifts, multipliers,
 derivatives) shares that one forward FFT.  A function synthesize() returns
 starts without coefficients of its own.
+
+A FunctionSequence, the level sequence (f_0, ..., f_J) that every mixed
+norm takes, holds one private read-only array of shape (J+1, *grid.shape),
+copied and checked finite once, by the same helper as a GridFunction's
+samples.  Scaling and weighting it are one array product each; a
+GridFunction of one level is made only when a caller indexes it.
 """
 
 from functools import cached_property
@@ -451,6 +457,21 @@ class PrunedScan:
         rows[copied] = False
 
 
+def _private(samples, shape):
+    """One private, read-only, C-order copy of samples, which must have this
+    shape and be finite: complex samples keep their dtype, others become
+    float64."""
+    samples = np.array(samples, order="C")  # one copy, also of a list of levels
+    if samples.shape != shape:
+        raise ValueError(f"samples shape {samples.shape} != {shape}")
+    if samples.dtype.kind != "c":
+        samples = samples.astype(np.float64, copy=False)
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
+    samples.setflags(write=False)
+    return samples
+
+
 class GridFunction:
     """Immutable sampled function on a Grid.  Samples must be finite.
 
@@ -461,17 +482,8 @@ class GridFunction:
     __slots__ = ("grid", "samples", "_coeffs")
 
     def __init__(self, grid, samples):
-        samples = np.asarray(samples)
-        if samples.shape != grid.shape:
-            raise ValueError(f"samples shape {samples.shape} != grid shape {grid.shape}")
-        # one private copy; complex samples keep their dtype, others become float64
-        dtype = None if samples.dtype.kind == "c" else np.float64
-        samples = np.array(samples, dtype=dtype, order="C")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must be finite")
-        samples.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _private(samples, grid.shape))
         object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, *_):
@@ -508,58 +520,78 @@ class GridFunction:
 
 
 class FunctionSequence:
-    """Finite sequence (f_0, ..., f_J) of GridFunctions on one grid."""
+    """Finite sequence (f_0, ..., f_J) of functions on one grid.
 
-    __slots__ = ("grid", "entries")
+    The sequence holds one private read-only array of shape
+    (J+1, *grid.shape), whose samples were copied and checked finite once.
+    stack() is that array itself.  Indexing a level makes a GridFunction of
+    it; a slice is a sequence of the levels it selects.
+    """
+
+    __slots__ = ("grid", "_stack")
 
     def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
             raise ValueError("sequence must be nonempty")
         grid = entries[0].grid
-        for e in entries:
-            if e.grid != grid:
-                raise ValueError("all entries must share one grid")
+        if any(e.grid != grid for e in entries):
+            raise ValueError("all entries must share one grid")
+        self._hold(grid, _private([e.samples for e in entries], (len(entries), *grid.shape)))
+
+    def _hold(self, grid, stack):
+        if not len(stack):
+            raise ValueError("sequence must be nonempty")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_stack", stack)
+        return self
+
+    @classmethod
+    def from_stack(cls, grid, stack):
+        """The sequence of the rows of stack, an array (J+1, *grid.shape)."""
+        return object.__new__(cls)._hold(grid, _private(stack, (len(stack), *grid.shape)))
 
     def __setattr__(self, *_):
         raise AttributeError("FunctionSequence is immutable")
 
     @property
     def levels(self):
-        return len(self.entries) - 1
+        return len(self._stack) - 1
+
+    @property
+    def entries(self):
+        """The levels as a tuple of GridFunctions, made anew."""
+        return tuple(self)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._stack)
 
     def __iter__(self):
-        return iter(self.entries)
+        return (GridFunction(self.grid, s) for s in self._stack)
 
     def __getitem__(self, j):
-        return self.entries[j]
+        if isinstance(j, slice):  # a read-only view needs no copy
+            return object.__new__(FunctionSequence)._hold(self.grid, self._stack[j])
+        return GridFunction(self.grid, self._stack[j])
 
     def stack(self):
-        """Array of shape (J+1, *grid.shape) with |entries| stacked."""
-        return np.stack([e.samples for e in self.entries])
+        """The held read-only array of shape (J+1, *grid.shape)."""
+        return self._stack
 
     def abs_stack(self):
-        return np.abs(self.stack())
+        return np.abs(self._stack)
 
     def scaled(self, factor):
-        return FunctionSequence([e * factor for e in self.entries])
+        """Every level times factor, a scalar or an array that broadcasts
+        against stack(); a product that overflows is refused as not finite."""
+        with np.errstate(over="ignore"):
+            return FunctionSequence.from_stack(self.grid, self._stack * factor)
 
     def weighted(self, level_arrays):
-        """Multiply entry j by level_arrays[j] (arrays or scalars)."""
-        if len(level_arrays) < len(self.entries):
+        """Multiply entry j by level_arrays[j], an array of grid shape."""
+        if len(level_arrays) < len(self):
             raise ValueError("need one factor per entry")
-        return FunctionSequence(
-            [e * w for e, w in zip(self.entries, level_arrays)]
-        )
-
-    @classmethod
-    def from_stack(cls, grid, stack):
-        return cls([GridFunction(grid, s) for s in stack])
+        return self.scaled(np.array(level_arrays[: len(self)]))
 
 
 def quadrature(f):

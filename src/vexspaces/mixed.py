@@ -199,8 +199,7 @@ def lq_lp_modular(F, p, q):
     if q.p_plus < np.inf:
         pq = p.divided_pointwise(q)
         total = 0.0
-        for f in F:
-            a = np.abs(f.samples)
+        for a in F.abs_stack():
             with np.errstate(over="ignore"):
                 aq = a ** q.values
             if np.isfinite(aq).all():

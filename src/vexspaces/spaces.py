@@ -186,7 +186,7 @@ def _bands(f, spec):
     """The unweighted blocks (phi_j * f)_{j <= J}."""
     if f.grid != spec.grid:
         raise ValueError("function and spec live on different grids")
-    return FunctionSequence(littlewood_paley(f, spec.system).entries[: spec.J + 1])
+    return littlewood_paley(f, spec.system)[: spec.J + 1]
 
 
 def weighted_blocks(f, spec):
@@ -291,13 +291,10 @@ def quasi_norm_local_means(f, spec, laplacian_order=1):
     if f.grid != spec.grid:
         raise ValueError("function and spec live on different grids")
     means = local_means(f, spec.J, laplacian_order)
-    head = lebesgue_norm(
-        GridFunction(spec.grid, spec.w[0] * np.abs(means[0].samples)), spec.p
-    )
+    head = lebesgue_norm(GridFunction(spec.grid, spec.w[0] * np.abs(means.stack()[0])), spec.p)
     if spec.J == 0:
         return head
-    tail = FunctionSequence(means.entries[1:]).weighted(spec.w.levels[1:])
-    return head + _mixed_norm(tail, spec)
+    return head + _mixed_norm(means[1:].weighted(spec.w.levels[1:]), spec)
 
 
 def quasi_triangle_probe(spec, pairs):
@@ -500,15 +497,32 @@ def pair_independence_check(corpus, spec_a, spec_b):
     return _equivalence_report(corpus, spec_a.grid, make)
 
 
+def _order_targets(spec, sigma, top):
+    """The spec of each leg (base grid and 2N) with its weights
+    shifted(-sigma), as an operator of order sigma maps into; top(grid) is
+    the modulus of the operator's multiplier farthest from 1.  Both legs are
+    checked before any norm: InputError where top or a shifted weight is
+    not a positive double.
+    """
+    legs = (spec.grid, Grid(spec.grid.dim, 2 * spec.grid.n))
+    with np.errstate(over="ignore"):
+        if not all(0.0 < top(g) < np.inf for g in legs):
+            raise InputError(f"order {sigma} takes the multiplier out of the double range")
+    try:
+        return {g: replace(spec.refine(g), w=spec.refine(g).w.shifted(-sigma)) for g in legs}
+    except ValueError:  # a shifted weight is 0 or inf
+        raise InputError(f"order {sigma} takes the weights out of the double range") from None
+
+
 def lifting_check(corpus, spec, sigma):
     """Ratios of ||lift(f, sigma)|| in the (-sigma)-shifted-weight space
     to ||f|| in the source space."""
+    targets = _order_targets(spec, sigma, lambda g: (1.0 + g.xi_norm.max() ** 2) ** (sigma / 2.0))
 
     def make(grid):
         s = spec.refine(grid)
-        target = replace(s, w=s.w.shifted(-float(sigma)))
         return _stacked_pairs(
-            s, lambda f: (weighted_blocks(lift(f, sigma), target), weighted_blocks(f, s))
+            s, lambda f: (weighted_blocks(lift(f, sigma), targets[grid]), weighted_blocks(f, s))
         )
 
     return _equivalence_report(corpus, spec.grid, make)
@@ -588,11 +602,8 @@ def weight_pair_embedding_check(corpus, spec, v, q1=None):
     ):
         raise InputError("F-scale needs finite q0, q1")
     qstar = _q_star(spec.q, q1)
-    ratios = FunctionSequence(
-        [
-            GridFunction(grid, v.levels[j] / spec.w.levels[j])
-            for j in range(spec.J + 1)
-        ]
+    ratios = FunctionSequence.from_stack(
+        grid, np.divide(v.levels[: spec.J + 1], spec.w.levels[: spec.J + 1])
     )
     p_inf = VariableExponent.constant(grid, np.inf)
     if spec.scale == "B":
@@ -636,18 +647,12 @@ def schwartz_embedding_checks(corpus, spec, N):
         raise InputError(f"need N > {threshold}, got N = {N}")
     grid = spec.grid
     fns = list(corpus(grid))
-    seminorm = _band(
-        (
-            max(lebesgue_norm(e, spec.p) for e in weighted_blocks(f, spec)),
-            schwartz_seminorm(f, N),
-        )
-        for f in fns
-    )
+    # sup_j ||w_j (phi_j * f)||_p is the norm of the q = inf B-scale
+    b_inf = replace(spec, scale="B", q=VariableExponent.constant(grid, np.inf))
+    sups = [quasi_norm(f, b_inf) for f in fns]
+    seminorm = _band((s, schwartz_seminorm(f, N)) for f, s in zip(fns, sups))
     psi = GridFunction(grid, _torus_gauss(grid, (0.5,) * grid.dim, 0.1))
-    b_inf = replace(
-        spec, scale="B", q=VariableExponent.constant(grid, np.inf)
-    )
-    pairing = _band((abs(quadrature(f * psi)), quasi_norm(f, b_inf)) for f in fns)
+    pairing = _band((abs(quadrature(f * psi)), s) for f, s in zip(fns, sups))
     return seminorm, pairing
 
 
@@ -751,14 +756,15 @@ def derivative_sum_check(corpus, spec, kappa):
     if kappa < 0:
         raise InputError("kappa must be a nonnegative integer")
     gammas = multi_indices(spec.grid.dim, kappa)
+    # the largest |xi^gamma| is (pi n)^kappa
+    targets = _order_targets(spec, kappa, lambda g: np.float64(np.pi * g.n) ** kappa)
 
     def make(grid):
         s = spec.refine(grid)
-        target = replace(s, w=s.w.shifted(-float(kappa)))
 
         def pair(f):
             total = sum(
-                quasi_norm(spectral_derivative(f, g), target) for g in gammas
+                quasi_norm(spectral_derivative(f, g), targets[grid]) for g in gammas
             )
             return total, quasi_norm(f, s)
 

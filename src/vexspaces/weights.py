@@ -96,7 +96,9 @@ class WeightSequence:
         parameters move to (alpha, alpha1 + sigma, alpha2 + sigma).
         """
         sigma = float(sigma)
-        levels = tuple(w * 2.0 ** (j * sigma) for j, w in enumerate(self.levels))
+        # a factor beyond the double range is inf or 0, and then refused
+        with np.errstate(over="ignore"):
+            levels = tuple(w * np.float64(2.0) ** (j * sigma) for j, w in enumerate(self.levels))
         recipe = None
         if self.recipe is not None:
             parent = self.recipe

@@ -136,6 +136,16 @@ def test_corpus_size_above_the_standard_corpus_is_refused(capsys):
     assert "between 1 and 50" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["150", "1000", "-1000"])
+def test_lift_order_beyond_the_double_range_is_bad_input(sigma, capsys):
+    # the lift multiplier (1 + |xi|^2)^(sigma/2) or the shifted weights
+    # 2^(-j sigma) w_j leave the positive doubles: bad input, not a crash
+    assert main(["lift-check", "--sigma", sigma]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_input_errors_share_one_base_class(tmp_path, capsys):
     # the CLI maps InputError, not every ValueError, to exit 2
     for error in (ConfigError, ExprError, SignalError):

@@ -199,6 +199,40 @@ def test_function_sequence_checks_grid():
     assert seq.stack().shape == (3, 16)
 
 
+def test_function_sequence_from_stack_copies():
+    g = Grid(1, 16)
+    stack = np.ones((3, 16))
+    F = FunctionSequence.from_stack(g, stack)
+    stack[1] = 5.0
+    assert np.array_equal(F.stack(), np.ones((3, 16)))
+    assert np.array_equal(F[1].samples, np.ones(16))
+
+
+def test_function_sequence_stack_is_read_only():
+    g = Grid(1, 16)
+    F = FunctionSequence.from_stack(g, np.ones((3, 16)))
+    assert not F.stack().flags.writeable
+    with pytest.raises(ValueError):
+        F.stack()[0, 0] = 2.0
+
+
+def test_function_sequence_slice_is_a_sequence():
+    g = Grid(1, 16)
+    F = FunctionSequence.from_stack(g, np.arange(4.0)[:, None] * np.ones(16))
+    tail = F[1:3]
+    assert isinstance(tail, FunctionSequence)
+    assert tail.levels == 1 and tail.grid == g
+    assert np.array_equal(tail.stack(), F.stack()[1:3])
+    assert isinstance(F[2], GridFunction) and np.array_equal(F[2].samples, np.full(16, 2.0))
+
+
+def test_function_sequence_weighted_overflow_is_refused():
+    g = Grid(1, 16)
+    F = FunctionSequence.from_stack(g, np.full((2, 16), 1e10))
+    with pytest.raises(ValueError, match="samples must be finite"):
+        F.weighted([np.ones(16), np.full(16, 1e300)])
+
+
 @settings(max_examples=20, deadline=None)
 @given(k=st.integers(min_value=-8, max_value=7))
 def test_mode_round_trip_property(k):

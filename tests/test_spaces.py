@@ -781,6 +781,34 @@ def test_derivative_sum_kappa_one(grid64, setup):
     assert rep.passes and rep.ratio_min >= 1.0  # includes the identity term
 
 
+def test_derivative_sum_order_beyond_the_double_range_is_bad_input():
+    # at the CLI defaults the shifted weights 2^(-200 j) w_j underflow to 0
+    from vexspaces.cli.config import build_spec, resolve_config
+
+    with pytest.raises(InputError, match="double range"):
+        derivative_sum_check(small_corpus, build_spec(resolve_config()), 200)
+
+
+def test_quasi_norm_builds_two_grid_functions_per_level(monkeypatch):
+    # one CLI-default quasi_norm (B-scale, J = 6): J + 1 bands from convolve
+    # and J + 1 level powers in lq_lp_modular; the sequences are arrays
+    from vexspaces.cli.config import build_spec, resolve_config
+
+    spec = build_spec(resolve_config())
+    f = standard_corpus(spec.grid)[0]
+    built = []
+    init = GridFunction.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(GridFunction, "__init__", counting)
+    quasi_norm(f, spec)
+    assert spec.J == 6
+    assert len(built) == 2 * (spec.J + 1)
+
+
 # ------------------------------------------------------- classical crosscheck
 
 
