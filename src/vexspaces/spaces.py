@@ -516,7 +516,8 @@ def _order_targets(spec, sigma, top):
 
 def lifting_check(corpus, spec, sigma):
     """Ratios of ||lift(f, sigma)|| in the (-sigma)-shifted-weight space
-    to ||f|| in the source space."""
+    to ||f|| in the source space.  InputError where the lift multiplier or
+    the shifted weights leave the positive doubles on either leg."""
     targets = _order_targets(spec, sigma, lambda g: (1.0 + g.xi_norm.max() ** 2) ** (sigma / 2.0))
 
     def make(grid):
@@ -751,7 +752,9 @@ def bessel_scale_multiplier_check(corpus, p, s, m, system, J, kappa=None):
 
 def derivative_sum_check(corpus, spec, kappa):
     """Sum of all derivative norms up to order kappa, measured in the
-    (-kappa)-shifted-weight space, against the source norm."""
+    (-kappa)-shifted-weight space, against the source norm.  InputError
+    where a derivative multiplier or the shifted weights leave the positive
+    doubles on either leg."""
     kappa = int(kappa)
     if kappa < 0:
         raise InputError("kappa must be a nonnegative integer")
